@@ -29,20 +29,22 @@ from .families import (
     part_family_series,
 )
 from .partitions import PrimeSet
-from .plethysm import Series, e_series, h_series, p1_series, pleth, product_series
+from .plethysm import Series, e_series, h_series, p1_series, pleth
 from .symfunc import SymFunc, e_of, h_of, is_schur_positive, p_of, s_of, to_schur
 from .verify import (
     BudgetError,
     DEFAULT_LIFT_BUDGET,
     DEFAULT_SCAN_BUDGET,
     UnknownIdentityError,
-    identity_info,
     lifting_check,
     list_identities,
     scan_families,
     scan_positivity,
     verify,
 )
+
+
+_JOBS_HELP = "accepted and has no effect: degrees are checked one after another"
 
 
 class UsageError(ValueError):
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S")
     p.add_argument("--expect-positive", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     add_common(p)
     p.set_defaults(fn=cmd_scan)
 
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_LIFT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     add_common(p)
     p.set_defaults(fn=cmd_lift)
 

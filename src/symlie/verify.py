@@ -10,9 +10,9 @@ produced the left side, so the two routes stay independent.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .partitions import Partition, PrimeSet, divisors, is_prime, moebius, partitions_of
 from .plethysm import (
@@ -38,7 +38,6 @@ from .families import (
     DivisorWeight,
     MOEBIUS,
     PartSet,
-    TOTIENT,
     conj,
     conj_series,
     exponent_poly,
@@ -46,6 +45,7 @@ from .families import (
     foulkes,
     foulkes_series,
     lie,
+    lie_primes,
     lie_primes_bar_series,
     lie_primes_series,
     lie_series,
@@ -314,15 +314,13 @@ def _lieq_series(q: int, n: int) -> Series:
 def _p1_minus_pq(q: int, n: int) -> Series:
     comps = {1: p_of((1,))}
     if q <= n:
-        comps[q] = comps.get(q, SymFunc.zero()) + (-p_of((q,)))
-    if q == 1:
-        return Series(n)  # p_1 - p_1
+        comps[q] = -p_of((q,))
     return Series(n, comps)
 
 
 def _p1_plus_pq(q: int, n: int) -> Series:
     comps = {1: p_of((1,))}
-    if q <= n and q != 1:
+    if q <= n:
         comps[q] = p_of((q,))
     return Series(n, comps)
 
@@ -332,16 +330,60 @@ def _mod1_h(k: int, n: int, elementary: bool = False) -> Series:
     return Series(n, {d: base(d) for d in range(1, n + 1) if d % k == 1 % k})
 
 
+def _inverse_pair(A: Series, B: Series, a: str, b: str, n: int) -> list:
+    """Clauses A[B] = p_1 and B[A] = p_1; ``a`` and ``b`` name A and B in the labels."""
+    return [
+        _clause(f"({a})[{b}] = p_1", pleth(A, B), p1_series(n)),
+        _clause(f"({b})[{a}] = p_1", pleth(B, A), p1_series(n)),
+    ]
+
+
+def _inverse_of(F: Series, B: Series, inverse_label: str, compose_label: str, n: int) -> list:
+    """Clauses F^{<-1>} = B, by inverting F, and F[B] = p_1, by composing."""
+    return [
+        _clause(inverse_label, pleth_inverse(F), B),
+        _clause(compose_label, pleth(F, B), p1_series(n)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
+
+
+class Param(NamedTuple):
+    """One parameter of a schema: the text ``symlie list`` prints and the check it states."""
+
+    text: str
+    ok: Callable[[object], bool]
+
+
+def _int_at_least(m: int) -> Param:
+    return Param(f"integer >= {m}", lambda v: isinstance(v, int) and v >= m)
+
+
+def _one_of(*values) -> Param:
+    return Param(" or ".join(repr(v) for v in values), lambda v: v in values)
+
+
+def _is_prime(v) -> bool:
+    return isinstance(v, int) and is_prime(v)
+
+
+def _check_params(id: str, schema: dict[str, Param], p: dict) -> None:
+    """Raise ValueError unless every schema key of ``id`` is present in ``p`` and in range."""
+    for key, param in schema.items():
+        if key not in p:
+            raise ValueError(f"{id}: missing {key} ({param.text})")
+        if not param.ok(p[key]):
+            raise ValueError(f"{id}: {key} must be {param.text}, got {_param_text(p[key])}")
 
 
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
     statement: str
-    param_schema: dict
+    param_schema: dict[str, Param]
     defaults: dict
     default_N: int
     builder: object  # callable(params, N) -> list of (label, kind, lhs, rhs)
@@ -408,8 +450,6 @@ def _b_extLS(p, n):
 
 def _b_extLS_omega(p, n):
     S = p["S"]
-    if 2 in S:
-        raise ValueError("the omega-form of the exterior identity requires 2 not in S")
     lhs = ext_powers(lie_primes_series(S, n)).omega_each()
     sm = _smooth_members(S, n)
     evens = [m for m in range(2, n + 1, 2) if S.is_smooth(m // 2)]
@@ -539,16 +579,11 @@ def _b_conj_inverse(p, n):
     M = Series(n, {d: p_of((d,)).scaled(moebius(d)) for d in range(1, n + 1) if moebius(d)})
     rhs = Series.one(n) - ext_powers_signed(M)
     C = conj_series(n)
-    return [
-        _clause("Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", pleth_inverse(C), rhs),
-        _clause("Conj[candidate inverse] = p_1", pleth(C, rhs), p1_series(n)),
-    ]
+    return _inverse_of(C, rhs, "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", "Conj[candidate inverse] = p_1", n)
 
 
 def _b_lieq_decomp(p, n):
     q = p["q"]
-    if not is_prime(q):
-        raise ValueError("lieq-decomp requires a prime q")
     comps = {}
     for d in range(1, n + 1):
         acc = SymFunc.zero()
@@ -563,8 +598,6 @@ def _b_lieq_decomp(p, n):
 
 def _b_lieq_transport(p, n):
     q = p["q"]
-    if not is_prime(q):
-        raise ValueError("lieq-transport requires a prime q")
     # (p_1 - p_q) composed outermost: L^(q) - p_q[L^(q)]
     Lq = _lieq_series(q, n)
     lhs = Lq - pleth_p(q, Lq)
@@ -573,20 +606,13 @@ def _b_lieq_transport(p, n):
 
 def _b_lieq_inverse(p, n):
     q = p["q"]
-    if not is_prime(q):
-        raise ValueError("lieq-inverse requires a prime q")
     B = Series.one(n) - ext_powers_signed(_p1_minus_pq(q, n))
     Lq = _lieq_series(q, n)
-    return [
-        _clause("(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", pleth_inverse(Lq), B),
-        _clause("L^(q)[candidate inverse] = p_1", pleth(Lq, B), p1_series(n)),
-    ]
+    return _inverse_of(Lq, B, "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", "L^(q)[candidate inverse] = p_1", n)
 
 
 def _b_powk_recurrence(p, n):
     k = p["k"]
-    if k < 2:
-        raise ValueError("powk-recurrence requires k >= 2")
     T = PartSet.powers_of(k)
     comps = {}
     for d in range(1, n + 1):
@@ -599,8 +625,6 @@ def _b_powk_recurrence(p, n):
 
 def _b_onek(p, n):
     k = p["k"]
-    if k < 2:
-        raise ValueError("onek requires k >= 2")
     T = PartSet.of(1, k)
     comps = {}
     for d in range(1, n + 1):
@@ -618,8 +642,6 @@ def _b_onek(p, n):
 
 def _b_onek_ext(p, n):
     k = p["k"]
-    if k < 2:
-        raise ValueError("onek-ext requires k >= 2")
     T = PartSet.of(1, k)
     lhs = ext_powers(part_family_series(T, n)).omega_each()
     sgn = -1 if k % 2 else 1
@@ -629,16 +651,12 @@ def _b_onek_ext(p, n):
 
 def _b_lek(p, n):
     k = p["k"]
-    if k < 2:
-        raise ValueError("lek requires k >= 2")
     T = PartSet.up_to(k)
     return _b_fT_sym({"T": T}, n) + _b_fT_decomp({"T": T}, n)
 
 
 def _b_divk(p, n):
     k = p["k"]
-    if k < 2:
-        raise ValueError("divk requires k >= 2")
     T = PartSet.divisors_of(k)
     clauses = [
         _clause("f_d equals the eigenvalue-k induced character", part_family_series(T, n), foulkes_series(k, n)),
@@ -669,8 +687,6 @@ def _b_regdecomp(p, n):
 
 def _b_mod1k(p, n):
     k = p["k"]
-    if k < 1:
-        raise ValueError("mod1k requires k >= 1")
     T = PartSet.mod_one(k)
     return _b_fT_sym({"T": T}, n) + _b_fT_decomp({"T": T}, n)
 
@@ -683,8 +699,6 @@ def _b_oddlie(p, n):
 
 def _b_conj_via_lieq(p, n):
     q = p["q"]
-    if q < 2:
-        raise ValueError("conj-via-lieq requires q >= 2")
     L = lie_series(n)
     B = Series.zero(n)
     qk = 1
@@ -711,25 +725,17 @@ def _b_conj_via_lieq(p, n):
 
 def _b_pq(p, n):
     q = p["q"]
-    if q < 2:
-        raise ValueError("pq requires q >= 2")
     A = _p1_minus_pq(q, n)
     comps = {}
     qk = 1
     while qk <= n:
         comps[qk] = p_of((qk,))
         qk *= q
-    B = Series(n, comps)
-    return [
-        _clause("(p_1 - p_q)[sum p_{q^k}] = p_1", pleth(A, B), p1_series(n)),
-        _clause("(sum p_{q^k})[p_1 - p_q] = p_1", pleth(B, A), p1_series(n)),
-    ]
+    return _inverse_pair(A, Series(n, comps), "p_1 - p_q", "sum p_{q^k}", n)
 
 
 def _b_pq_alt(p, n):
     q = p["q"]
-    if q < 2:
-        raise ValueError("pq-alt requires q >= 2")
     A = _p1_plus_pq(q, n)
     comps = {}
     qk, sign = 1, 1
@@ -737,17 +743,11 @@ def _b_pq_alt(p, n):
         comps[qk] = p_of((qk,)).scaled(sign)
         qk *= q
         sign = -sign
-    B = Series(n, comps)
-    return [
-        _clause("(p_1 + p_q)[sum (-1)^k p_{q^k}] = p_1", pleth(A, B), p1_series(n)),
-        _clause("(sum (-1)^k p_{q^k})[p_1 + p_q] = p_1", pleth(B, A), p1_series(n)),
-    ]
+    return _inverse_pair(A, Series(n, comps), "p_1 + p_q", "sum (-1)^k p_{q^k}", n)
 
 
 def _b_Hquot(p, n):
     q = p["q"]
-    if q < 2:
-        raise ValueError("Hquot requires q >= 2")
     H = h_series(n)
     lhs = sym_powers(_p1_minus_pq(q, n)) * pleth_p(q, H)
     return [_clause("H[p_1 - p_q] * H[p_q] = H  (quotient form cross-multiplied)", lhs, H)]
@@ -758,13 +758,7 @@ def _b_HE(p, n):
 
 
 def _b_HFEG(p, n):
-    fam = p["family"]
-    if fam == "lie":
-        F = lie_series(n)
-    elif fam == "conj":
-        F = conj_series(n)
-    else:
-        raise ValueError(f"HF-EG family must be 'lie' or 'conj', got {fam!r}")
+    F = lie_series(n) if p["family"] == "lie" else conj_series(n)
     G = Series.zero(n)
     k = 1
     while k <= n:
@@ -778,10 +772,6 @@ def _b_HFEG(p, n):
 
 def _b_psibar(p, n):
     q, w, sign = p["q"], p["weight"], p["sign"]
-    if q < 2:
-        raise ValueError("psibar requires q >= 2")
-    if sign not in (1, -1):
-        raise ValueError("psibar sign must be +1 or -1")
     G = family_series(w, n)
     lhs = G + pleth_p(q, G).scaled(sign)
 
@@ -793,20 +783,11 @@ def _b_psibar(p, n):
 
 
 def _b_gmult(p, n, odd_only=False):
-    gname = p["g"]
-    if gname == "one":
-        g = lambda m: 1
-    elif gname == "id":
-        g = lambda m: m
-    else:
-        raise ValueError(f"multiplicative g must be 'one' or 'id', got {gname!r}")
+    g = (lambda m: 1) if p["g"] == "one" else (lambda m: m)
     rng = range(1, n + 1, 2) if odd_only else range(1, n + 1)
     A = Series(n, {m: p_of((m,)).scaled(g(m)) for m in rng})
     B = Series(n, {m: p_of((m,)).scaled(g(m) * moebius(m)) for m in rng if moebius(m)})
-    return [
-        _clause("(sum g(m) p_m)[sum g(m) mu(m) p_m] = p_1", pleth(A, B), p1_series(n)),
-        _clause("(sum g(m) mu(m) p_m)[sum g(m) p_m] = p_1", pleth(B, A), p1_series(n)),
-    ]
+    return _inverse_pair(A, B, "sum g(m) p_m", "sum g(m) mu(m) p_m", n)
 
 
 def _b_odd_gmult(p, n):
@@ -816,28 +797,19 @@ def _b_odd_gmult(p, n):
 def _b_lie_inv(p, n):
     B = _alt_e_series(n)
     L = lie_series(n)
-    return [
-        _clause("Lie^{<-1>} = sum (-1)^{r-1} e_r", pleth_inverse(L), B),
-        _clause("Lie[sum (-1)^{r-1} e_r] = p_1", pleth(L, B), p1_series(n)),
-    ]
+    return _inverse_of(L, B, "Lie^{<-1>} = sum (-1)^{r-1} e_r", "Lie[sum (-1)^{r-1} e_r] = p_1", n)
 
 
 def _b_lie2_inv(p, n):
     B = Series(n, {d: h_of(d) if d % 2 else -h_of(d) for d in range(1, n + 1)})
     Lq = _lieq_series(2, n)
-    return [
-        _clause("(L^(2))^{<-1>} = sum (-1)^{r-1} h_r", pleth_inverse(Lq), B),
-        _clause("L^(2)[sum (-1)^{r-1} h_r] = p_1", pleth(Lq, B), p1_series(n)),
-    ]
+    return _inverse_of(Lq, B, "(L^(2))^{<-1>} = sum (-1)^{r-1} h_r", "L^(2)[sum (-1)^{r-1} h_r] = p_1", n)
 
 
 def _b_pp_frac(p, n):
     A = Series(n, {d: p_of((1,) * d).scaled(1 if d % 2 else -1) for d in range(1, n + 1)})
     B = Series(n, {d: p_of((1,) * d) for d in range(1, n + 1)})
-    return [
-        _clause("(p_1/(1+p_1))[p_1/(1-p_1)] = p_1", pleth(A, B), p1_series(n)),
-        _clause("(p_1/(1-p_1))[p_1/(1+p_1)] = p_1", pleth(B, A), p1_series(n)),
-    ]
+    return _inverse_pair(A, B, "p_1/(1+p_1)", "p_1/(1-p_1)", n)
 
 
 def _b_cadogan_inverse(p, n):
@@ -852,8 +824,6 @@ def _b_lie2_cadogan_inverse(p, n):
 
 def _b_mod1k_beta(p, n):
     k = p["k"]
-    if k < 2:
-        raise ValueError("mod1k-beta requires k >= 2")
     A = _mod1_h(k, n)
     B = pleth_inverse(A)
     filtered = Series(n, {d: f for d, f in B.components.items() if d % k == 1 % k})
@@ -936,8 +906,6 @@ def _b_meta(which):
 
 def _b_selfconj_powq(p, n):
     q = p["q"]
-    if not is_prime(q) or q == 2:
-        raise ValueError("selfconj-powq requires an odd prime q")
     T = PartSet.powers_of(q)
     prod = _geom(T.members_up_to(n), n)
     return [_clause("the power-sum sum over q-power parts is w-invariant", prod.omega_each(), prod)]
@@ -978,11 +946,26 @@ def _c_lifting(p, n):
 
 # -- registration ---------------------------------------------------------------
 
-_S_SCHEMA = {"S": "comma-separated primes (empty for the empty set)"}
-_T_SCHEMA = {"T": "part set: explicit list, le(k), div(k), mod1(k), pow(k), all, smooth(..), rough(..)"}
-_Q_SCHEMA = {"q": "integer >= 2"}
-_K_SCHEMA = {"k": "integer >= 2"}
-_W_SCHEMA = {"weight": "divisor weight: mu, phi, primes:2,3, primesbar:2,3, parts:<set>, ramanujan:r"}
+_S_SCHEMA = {"S": Param("comma-separated primes (empty for the empty set)", lambda v: isinstance(v, PrimeSet))}
+_S_NO2_SCHEMA = {"S": Param("comma-separated primes, without 2", lambda v: isinstance(v, PrimeSet) and 2 not in v)}
+_T_SCHEMA = {
+    "T": Param(
+        "part set: explicit list, le(k), div(k), mod1(k), pow(k), all, smooth(..), rough(..)",
+        lambda v: isinstance(v, PartSet),
+    )
+}
+_Q_SCHEMA = {"q": _int_at_least(2)}
+_PRIME_Q_SCHEMA = {"q": Param("prime", _is_prime)}
+_K_SCHEMA = {"k": _int_at_least(2)}
+_K1_SCHEMA = {"k": _int_at_least(1)}
+_W_SCHEMA = {
+    "weight": Param(
+        "divisor weight: mu, phi, primes:2,3, primesbar:2,3, parts:<set>, ramanujan:r",
+        lambda v: isinstance(v, DivisorWeight),
+    )
+}
+_G_SCHEMA = {"g": _one_of("one", "id")}
+_LIFT_SCHEMA = {"q": _PRIME_Q_SCHEMA["q"], "n_max": Param("scan ceiling", lambda v: isinstance(v, int))}
 
 _register("thrall", "H[Lie](t) = (1 - t p_1)^{-1}  (Thrall)", _b_thrall)
 _register("cadogan", "H[sum (-1)^{d-1} w(Lie_d)](t) = 1 + t p_1  (Cadogan)", _b_cadogan)
@@ -990,7 +973,7 @@ _register("solomon", "H[sum Conj_d](t) = prod (1 - t^m p_m)^{-1}  (Solomon)", _b
 _register("symLS", "H[L] = prod over smooth m of (1 - p_m)^{-1}", _b_symLS, _S_SCHEMA, {"S": PrimeSet((2,))})
 _register("altsymLS", "H[alt-w(L)] = prod over smooth m of (1 + p_m)", _b_altsymLS, _S_SCHEMA, {"S": PrimeSet((2,))})
 _register("extLS", "E[L]: smooth product with the 2-in-S / 2-not-in-S branches", _b_extLS, _S_SCHEMA, {"S": PrimeSet((2,))})
-_register("extLS-omega", "w(E[L]) product form (needs 2 not in S)", _b_extLS_omega, _S_SCHEMA, {"S": PrimeSet((3,))})
+_register("extLS-omega", "w(E[L]) product form (needs 2 not in S)", _b_extLS_omega, _S_NO2_SCHEMA, {"S": PrimeSet((3,))})
 _register("altextLS", "E[alt-w(L)]: signed product with both branches", _b_altextLS, _S_SCHEMA, {"S": PrimeSet((2,))})
 _register("extLieConj1", "w(E[Lie]) = (1+p_2)(1-p_1)^{-1}", _b_extLieConj1)
 _register("extLieConj2", "E[Conj] = prod over odd m of (1-p_m)^{-1}", _b_extLieConj2)
@@ -1007,16 +990,16 @@ _register("fT-ext", "E[G] = prod over the part set of (1-p_m)^{-1} = H[F]", _b_f
 _register("conj-decomp", "sum_m p_m[Lie] = sum Conj_d", _b_conj_decomp)
 _register("conj-psums", "Conj[sum (-1)^{r-1} e_r] = sum_m p_m", _b_conj_psums)
 _register("conj-inverse", "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", _b_conj_inverse)
-_register("lieq-decomp", "L^(q)_d = sum_r Lie_{d/q^r}[p_{q^r}]", _b_lieq_decomp, _Q_SCHEMA, {"q": 3})
-_register("lieq-transport", "Lie = (p_1 - p_q)[L^(q)] = L^(q) - L^(q)[p_q]", _b_lieq_transport, _Q_SCHEMA, {"q": 3})
-_register("lieq-inverse", "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", _b_lieq_inverse, _Q_SCHEMA, {"q": 3})
+_register("lieq-decomp", "L^(q)_d = sum_r Lie_{d/q^r}[p_{q^r}]", _b_lieq_decomp, _PRIME_Q_SCHEMA, {"q": 3})
+_register("lieq-transport", "Lie = (p_1 - p_q)[L^(q)] = L^(q) - L^(q)[p_q]", _b_lieq_transport, _PRIME_Q_SCHEMA, {"q": 3})
+_register("lieq-inverse", "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", _b_lieq_inverse, _PRIME_Q_SCHEMA, {"q": 3})
 _register("powk-recurrence", "powers-of-k family: f_d = Lie_d + f_{d/k}[p_k] when k | d", _b_powk_recurrence, _K_SCHEMA, {"k": 4})
 _register("onek", "T={1,k}: f_d = Lie_d (+ Lie_{d/k}[p_k]); prime k gives the induced character", _b_onek, _K_SCHEMA, {"k": 3})
 _register("onek-ext", "w(E[F^{1,k}]) = (1-p_1)^{-1}(1-(-1)^{k-1}p_k)^{-1}(1+p_2)(1+p_{2k})", _b_onek_ext, _K_SCHEMA, {"k": 3})
 _register("lek", "T={m <= k}: product and Lie-decomposition forms", _b_lek, _K_SCHEMA, {"k": 3})
 _register("divk", "T={m | k}: the family is the eigenvalue-k induced character", _b_divk, _K_SCHEMA, {"k": 6})
 _register("regdecomp", "p_1^d = sum_{e|d} e Lie_e[p_{d/e}] = sum_r (eigenvalue-r characters)", _b_regdecomp)
-_register("mod1k", "T={m = 1 mod k}: product and Lie-decomposition forms", _b_mod1k, {"k": "integer >= 1"}, {"k": 3})
+_register("mod1k", "T={m = 1 mod k}: product and Lie-decomposition forms", _b_mod1k, _K1_SCHEMA, {"k": 3})
 _register("oddlie", "sum over odd m | d of Lie_{d/m}[p_m] = Lbar^(2)_d", _b_oddlie)
 _register("conj-via-lieq", "sum Conj = sum over positions m not divisible by q of p_m[L^(q)]", _b_conj_via_lieq, _Q_SCHEMA, {"q": 3})
 _register("pq", "p_1 - p_q and sum p_{q^k} are plethystic inverses", _b_pq, _Q_SCHEMA, {"q": 2})
@@ -1027,28 +1010,28 @@ _register(
     "HF-EG",
     "H[F] = E[G] with G = sum_k F[p_{2^k}], and F = G - G[p_2]",
     _b_HFEG,
-    {"family": "'lie' or 'conj'"},
+    {"family": _one_of("lie", "conj")},
     {"family": "lie"},
 )
 _register(
     "psibar",
     "(p_1 +/- p_q)[G] shifts the divisor weight by w(d) +/- q w(d/q) at multiples of q",
     _b_psibar,
-    {"q": "integer >= 2", "weight": _W_SCHEMA["weight"], "sign": "+1 or -1"},
+    {"q": _Q_SCHEMA["q"], "weight": _W_SCHEMA["weight"], "sign": Param("+1 or -1", lambda v: v in (1, -1))},
     {"q": 2, "weight": MOEBIUS, "sign": -1},
 )
 _register(
     "gmult",
     "sum g(m) p_m and sum g(m) mu(m) p_m are plethystic inverses (multiplicative g)",
     _b_gmult,
-    {"g": "'one' or 'id'"},
+    _G_SCHEMA,
     {"g": "one"},
 )
 _register(
     "odd-gmult",
     "odd-indexed restriction of the multiplicative inverse pair",
     _b_odd_gmult,
-    {"g": "'one' or 'id'"},
+    _G_SCHEMA,
     {"g": "one"},
 )
 _register("lie-inv", "Lie and (H-1)/H = sum (-1)^{r-1} e_r are plethystic inverses", _b_lie_inv)
@@ -1073,13 +1056,19 @@ _register("meta-ext", "E(v)[F] = prod (1-p_m)^{poly_m(-v)} (length-graded)", _b_
 _register("meta-altext", "H(v)[alt-w(F)] = prod (1+p_m)^{poly_m(v)} (length-graded)", _b_meta("altext"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
 _register("meta-altsym", "E(v)[alt-w(F)] = prod (1+p_m)^{-poly_m(-v)} (length-graded)", _b_meta("altsym"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
 _register("meta-equiv", "Epm(v)[F] and Hpm(v)[F] product forms (length-graded)", _b_meta("equiv"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
-_register("selfconj-powq", "sum of p_lam over q-power parts is w-invariant (odd prime q)", _b_selfconj_powq, _Q_SCHEMA, {"q": 3})
+_register(
+    "selfconj-powq",
+    "sum of p_lam over q-power parts is w-invariant (odd prime q)",
+    _b_selfconj_powq,
+    {"q": Param("odd prime", lambda v: v != 2 and _is_prime(v))},
+    {"q": 3},
+)
 _register("conj-hooks", "hook multiplicities of Conj_n follow the three-exception pattern", None, {}, {}, 10, custom=_c_conj_hooks)
 _register(
     "lifting",
     "p_1 L^(q)_{n-1} - L^(q)_n schur-negative exactly on the recorded exception lists (q=3,5)",
     None,
-    {"q": "odd prime", "n_max": "scan ceiling"},
+    _LIFT_SCHEMA,
     {"q": 3, "n_max": 18},
     18,
     custom=_c_lifting,
@@ -1109,7 +1098,7 @@ def list_identities() -> list[dict]:
             {
                 "id": e.id,
                 "statement": e.statement,
-                "params": dict(e.param_schema),
+                "params": {k: v.text for k, v in e.param_schema.items()},
                 "defaults": {k: _param_text(v) for k, v in e.defaults.items()},
                 "default_N": e.default_N,
             }
@@ -1127,27 +1116,29 @@ def _param_text(v) -> str:
     return str(v)
 
 
-def build_clauses(id: str, params: dict | None = None, N: int | None = None):
-    """Resolve an identity to its list of (label, kind, lhs, rhs) clauses."""
+def _resolve(id: str, params: dict | None, N: int | None) -> tuple[IdentityEntry, dict, int]:
+    """The entry, its parameters with defaults filled in and checked, and the degree bound."""
     entry = identity_info(id)
-    if entry.builder is None:
-        raise ValueError(f"identity {id!r} uses a custom runner and has no series clauses")
     p = dict(entry.defaults)
     p.update(params or {})
     n = entry.default_N if N is None else int(N)
     if n < 1:
         raise ValueError("N must be >= 1")
+    _check_params(id, entry.param_schema, p)
+    return entry, p, n
+
+
+def build_clauses(id: str, params: dict | None = None, N: int | None = None):
+    """Resolve an identity to its list of (label, kind, lhs, rhs) clauses."""
+    entry, p, n = _resolve(id, params, N)
+    if entry.builder is None:
+        raise ValueError(f"identity {id!r} uses a custom runner and has no series clauses")
     return entry.builder(p, n)
 
 
 def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyReport:
     """Check one catalog identity exactly; failure pinpoints the first bad slice."""
-    entry = identity_info(id)
-    p = dict(entry.defaults)
-    p.update(params or {})
-    n = entry.default_N if N is None else int(N)
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    entry, p, n = _resolve(id, params, N)
     printable = {k: _param_text(v) for k, v in p.items()}
     t0 = time.perf_counter()
     if entry.custom is not None:
@@ -1169,144 +1160,113 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
 # ---------------------------------------------------------------------------
 
 
-def _slice_sum(n: int, part_pred, coeff=None) -> SymFunc:
-    terms = {}
-    for lam in partitions_of(n):
-        if all(part_pred(a) for a in lam.parts):
-            c = Fraction(1) if coeff is None else coeff(lam)
-            if c:
-                terms[lam] = c
-    return SymFunc(n, terms)
+def _slice_sum(n: int, keep) -> SymFunc:
+    """The sum of p_lam over the partitions lam of n with ``keep(lam)``."""
+    return SymFunc(n, {lam: Fraction(1) for lam in partitions_of(n) if keep(lam)})
 
 
-def _scan_symfunc(family: str, n: int, p: dict) -> SymFunc:
-    if family == "powk":
-        return part_family(n, PartSet.powers_of(p["k"]))
-    if family == "product-powk":
-        T = PartSet.powers_of(p["k"])
-        return _slice_sum(n, lambda a: a in T)
-    if family == "onek":
-        return part_family(n, PartSet.of(1, p["k"]))
-    if family == "lek":
-        return part_family(n, PartSet.up_to(p["k"]))
-    if family == "divk":
-        return part_family(n, PartSet.divisors_of(p["k"]))
-    if family == "mod1k-product":
-        T = PartSet.mod_one(p["k"])
-        return _slice_sum(n, lambda a: a in T)
-    if family == "fT":
-        return part_family(n, p["T"])
-    if family == "fT-product":
-        T = p["T"]
-        return _slice_sum(n, lambda a: a in T)
-    if family == "symLS-sum":
-        S = p["S"]
-        return _slice_sum(n, S.is_smooth)
-    if family == "symLSbar-sum":
-        S = p["S"]
-        return _slice_sum(n, S.is_rough)
-    if family == "symLS-even-sum":
-        S = p["S"]
-        terms = {}
-        for lam in partitions_of(n):
-            if all(S.is_smooth(a) for a in lam.parts) and sum(1 for a in lam.parts if a % 2 == 0) % 2 == 0:
-                terms[lam] = Fraction(1)
-        return SymFunc(n, terms)
-    if family == "altsymLS-sum":
-        S = p["S"]
-        terms = {}
-        for lam in partitions_of(n):
-            if all(S.is_smooth(a) for a in lam.parts) and len(set(lam.parts)) == lam.length:
-                terms[lam] = Fraction(1)
-        return SymFunc(n, terms)
-    if family == "extLS-sum":
-        S = p["S"]
-        if 2 in S:
-            raise ValueError("extLS-sum requires 2 not in S")
-        terms = {}
-        for lam in partitions_of(n):
-            evens = [a for a in lam.parts if a % 2 == 0]
-            if len(set(evens)) != len(evens):
-                continue
-            if all((a % 2 and S.is_smooth(a)) or (a % 2 == 0 and (a // 2) % 2 and S.is_smooth(a // 2)) for a in lam.parts):
-                terms[lam] = Fraction(1)
-        return SymFunc(n, terms)
-    raise ValueError(f"unknown scan family {family!r}")
+def _all_parts(part_ok):
+    """A ``keep`` test for _slice_sum: every part of lam passes ``part_ok``."""
+    return lambda lam: all(map(part_ok, lam.parts))
 
 
-_SCAN_SCHEMAS = {
-    "powk": {"k": "integer >= 2"},
-    "product-powk": {"k": "integer >= 2"},
-    "onek": {"k": "integer >= 2"},
-    "lek": {"k": "integer >= 2"},
-    "divk": {"k": "integer >= 2"},
-    "mod1k-product": {"k": "integer >= 1"},
-    "fT": {"T": "part-set descriptor"},
-    "fT-product": {"T": "part-set descriptor"},
-    "symLS-sum": {"S": "prime set"},
-    "symLSbar-sum": {"S": "prime set"},
-    "symLS-even-sum": {"S": "prime set"},
-    "altsymLS-sum": {"S": "prime set"},
-    "extLS-sum": {"S": "prime set without 2"},
+def _even_evens(S: PrimeSet):
+    # S-smooth parts, an even number of them even
+    smooth = _all_parts(S.is_smooth)
+    return lambda lam: smooth(lam) and sum(1 for a in lam.parts if a % 2 == 0) % 2 == 0
+
+
+def _distinct_smooth(S: PrimeSet):
+    # distinct S-smooth parts
+    smooth = _all_parts(S.is_smooth)
+    return lambda lam: smooth(lam) and len(set(lam.parts)) == lam.length
+
+
+def _ext_parts(S: PrimeSet):
+    # odd S-smooth parts, and distinct even parts 2m with m odd and S-smooth
+    def keep(lam) -> bool:
+        evens = [a for a in lam.parts if a % 2 == 0]
+        if len(set(evens)) != len(evens):
+            return False
+        return all((a % 2 and S.is_smooth(a)) or (a % 2 == 0 and (a // 2) % 2 and S.is_smooth(a // 2)) for a in lam.parts)
+
+    return keep
+
+
+class _Scan(NamedTuple):
+    schema: dict[str, Param]
+    build: Callable[[int, dict], SymFunc]  # (n, params) -> the degree-n member
+
+
+_SCAN_T = {"T": Param("part-set descriptor", _T_SCHEMA["T"].ok)}
+_SCAN_S = {"S": Param("prime set", _S_SCHEMA["S"].ok)}
+_SCAN_S_NO2 = {"S": Param("prime set without 2", _S_NO2_SCHEMA["S"].ok)}
+
+# Five scans take the degree-n member of a part-set family; the other eight
+# sum p_lam over the partitions of n that pass a test.
+_SCANS = {
+    "powk": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.powers_of(p["k"]))),
+    "product-powk": _Scan(_K_SCHEMA, lambda n, p: _slice_sum(n, _all_parts(PartSet.powers_of(p["k"]).__contains__))),
+    "onek": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.of(1, p["k"]))),
+    "lek": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.up_to(p["k"]))),
+    "divk": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.divisors_of(p["k"]))),
+    "mod1k-product": _Scan(_K1_SCHEMA, lambda n, p: _slice_sum(n, _all_parts(PartSet.mod_one(p["k"]).__contains__))),
+    "fT": _Scan(_SCAN_T, lambda n, p: part_family(n, p["T"])),
+    "fT-product": _Scan(_SCAN_T, lambda n, p: _slice_sum(n, _all_parts(p["T"].__contains__))),
+    "symLS-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _all_parts(p["S"].is_smooth))),
+    "symLSbar-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _all_parts(p["S"].is_rough))),
+    "symLS-even-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _even_evens(p["S"]))),
+    "altsymLS-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _distinct_smooth(p["S"]))),
+    "extLS-sum": _Scan(_SCAN_S_NO2, lambda n, p: _slice_sum(n, _ext_parts(p["S"]))),
 }
 
 
 def scan_families() -> dict[str, dict]:
-    return {k: dict(v) for k, v in sorted(_SCAN_SCHEMAS.items())}
+    return {name: {k: v.text for k, v in scan.schema.items()} for name, scan in sorted(_SCANS.items())}
+
+
+def _verdicts(ns, member) -> list[ScanVerdict]:
+    """Time and check each degree n in ``ns`` in turn: is ``member(n)`` Schur positive?"""
+    verdicts = []
+    for n in ns:
+        t0 = time.perf_counter()
+        pos, neg = is_schur_positive(member(n))
+        verdicts.append(ScanVerdict(n, pos, neg, (time.perf_counter() - t0) * 1000))
+    return verdicts
 
 
 def scan_positivity(family: str, ns, params: dict | None = None, budget: int = DEFAULT_SCAN_BUDGET, jobs: int = 1) -> PositivityReport:
     """Schur-positivity verdicts for one family over the given degrees.
 
     Degrees beyond ``budget`` are refused explicitly (raise, never silently
-    truncate).  Results are deterministic and independent of ``jobs``.
+    truncate).  ``jobs`` is accepted and has no effect: degrees are checked
+    one after another.
     """
-    if family not in _SCAN_SCHEMAS:
+    if family not in _SCANS:
         raise ValueError(f"unknown scan family {family!r}")
+    scan = _SCANS[family]
     p = dict(params or {})
+    _check_params(family, scan.schema, p)
     ns = sorted(set(int(x) for x in ns))
     if not ns or ns[0] < 1:
         raise ValueError("scan degrees must be positive")
     if ns[-1] > budget:
         raise BudgetError(f"degree {ns[-1]} exceeds the scan budget {budget}; raise the budget explicitly")
-
-    def one(n: int) -> ScanVerdict:
-        t0 = time.perf_counter()
-        f = _scan_symfunc(family, n, p)
-        pos, neg = is_schur_positive(f)
-        return ScanVerdict(n, pos, neg, (time.perf_counter() - t0) * 1000)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(one, ns))
-    else:
-        verdicts = [one(n) for n in ns]
-    verdicts.sort(key=lambda v: v.n)
+    verdicts = _verdicts(ns, lambda n: scan.build(n, p))
     printable = {k: _param_text(v) for k, v in p.items()}
     return PositivityReport(family, printable, verdicts)
 
 
 def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: int = 1) -> PositivityReport:
-    """Per-n Schur positivity of p_1 * L^(q)_{n-1} - L^(q)_n for n in 2..n_max."""
-    if not is_prime(q):
-        raise ValueError("lifting_check requires a prime q")
+    """Per-n Schur positivity of p_1 * L^(q)_{n-1} - L^(q)_n for n in 2..n_max.
+
+    ``jobs`` is accepted and has no effect: degrees are checked one after
+    another.
+    """
+    _check_params("lifting", _LIFT_SCHEMA, {"q": q, "n_max": n_max})
     if n_max > budget:
         raise BudgetError(f"n_max {n_max} exceeds the lifting budget {budget}; raise the budget explicitly")
-    from .families import lie_primes
-
-    def one(n: int) -> ScanVerdict:
-        t0 = time.perf_counter()
-        f = p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,))
-        pos, neg = is_schur_positive(f)
-        return ScanVerdict(n, pos, neg, (time.perf_counter() - t0) * 1000)
-
-    ns = list(range(2, n_max + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(one, ns))
-    else:
-        verdicts = [one(n) for n in ns]
-    verdicts.sort(key=lambda v: v.n)
+    verdicts = _verdicts(range(2, n_max + 1), lambda n: p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
     return PositivityReport("lifting", {"q": str(q), "n_max": str(n_max)}, verdicts)
 
 

@@ -137,6 +137,20 @@ class TestScanCommand:
         assert code == 2
         assert "--n" in err
 
+    def test_missing_parameter_is_usage_error(self, capsys):
+        for argv in (("--family", "powk"), ("--family", "symLS-sum")):
+            code, out, err = run(capsys, "scan", *argv, "--n", "4")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "missing" in err
+
+    def test_out_of_range_parameter_is_usage_error(self, capsys):
+        for family in ("powk", "product-powk", "onek", "lek", "divk"):
+            code, out, err = run(capsys, "scan", "--family", family, "--k", "1", "--n", "4")
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {family}: k must be integer >= 2, got 1\n"
+
 
 class TestLiftCommand:
     def test_text(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,10 @@ from symlie.symfunc import p_of
 from symlie.verify import _series_mismatch, build_clauses
 
 from helpers import P
+
+# The exact bytes `symlie verify --id ID --format json` printed for every
+# catalog id at its default window, recorded with the benchmark's answers.
+RECORDED_CATALOG = json.loads((Path(__file__).parents[1] / "bench" / "answers.json").read_text())["catalog"]
 
 
 class TestCatalog:
@@ -48,6 +53,7 @@ class TestCatalog:
         for e in list_identities():
             r = verify(e["id"])
             assert r.passed, (e["id"], r.first_mismatch)
+            assert json.dumps(r.to_json_dict(), sort_keys=True) + "\n" == RECORDED_CATALOG[e["id"]]
 
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentityError):
@@ -60,6 +66,18 @@ class TestCatalog:
             verify("lieq-decomp", params={"q": 4}, N=6)
         with pytest.raises(ValueError):
             verify("HF-EG", params={"family": "nope"}, N=6)
+        with pytest.raises(ValueError):
+            verify("selfconj-powq", params={"q": 9}, N=6)
+        with pytest.raises(ValueError):
+            verify("powk-recurrence", params={"k": 1}, N=6)
+        with pytest.raises(ValueError):
+            verify("psibar", params={"sign": 2}, N=6)
+        with pytest.raises(ValueError):
+            verify("gmult", params={"g": "x"}, N=6)
+        with pytest.raises(ValueError):
+            scan_positivity("extLS-sum", [3], {"S": PrimeSet((2,))})
+        with pytest.raises(ValueError):
+            scan_positivity("powk", [3], {})
 
     def test_report_json_roundtrip(self):
         r = verify("thrall", N=6)
@@ -190,8 +208,37 @@ class TestScans:
             scan_positivity("bogus", [3], {})
 
     def test_scan_families_listing(self):
-        fams = scan_families()
-        assert "powk" in fams and "symLS-sum" in fams
+        k2, T, S = {"k": "integer >= 2"}, {"T": "part-set descriptor"}, {"S": "prime set"}
+        assert scan_families() == {
+            "altsymLS-sum": S,
+            "divk": k2,
+            "extLS-sum": {"S": "prime set without 2"},
+            "fT": T,
+            "fT-product": T,
+            "lek": k2,
+            "mod1k-product": {"k": "integer >= 1"},
+            "onek": k2,
+            "powk": k2,
+            "product-powk": k2,
+            "symLS-even-sum": S,
+            "symLS-sum": S,
+            "symLSbar-sum": S,
+        }
+        assert list(scan_families()) == sorted(scan_families())
+
+    def test_altsymLS_sum(self):
+        # sum of p_lam over distinct S-smooth parts.  S = {3}: at n = 3 the
+        # only such partition is (3) and chi^(2,1) on a 3-cycle is -1; at
+        # n = 4 it is (3,1) and chi^(2,2)((3,1)) = -1.
+        report = scan_positivity("altsymLS-sum", range(1, 11), {"S": PrimeSet((3,))})
+        assert report.negatives() == [3, 4, 9, 10]
+        verdicts = {v.n: v for v in report.verdicts}
+        assert verdicts[3].witnesses == {P(2, 1): -1}
+        assert verdicts[4].witnesses == {P(2, 2): -1}
+        # S = {2}: already at n = 2 the sum is p_2 = s_2 - s_{1,1}
+        report = scan_positivity("altsymLS-sum", range(1, 11), {"S": PrimeSet((2,))})
+        assert report.negatives() == list(range(2, 11))
+        assert report.verdicts[1].witnesses == {P(1, 1): -1}
 
     def test_report_json(self):
         report = scan_positivity("powk", [4], {"k": 4})
