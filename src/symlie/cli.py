@@ -30,7 +30,7 @@ from .families import (
 )
 from .partitions import PrimeSet
 from .plethysm import Series, e_series, h_series, p1_series, pleth
-from .symfunc import SymFunc, e_of, h_of, is_schur_positive, p_of, s_of, to_schur
+from .symfunc import SymFunc, e_of, h_of, p_of, s_of, terms_json, to_schur
 from .verify import (
     BudgetError,
     DEFAULT_LIFT_BUDGET,
@@ -165,14 +165,12 @@ def cmd_schur(args) -> int:
     series = family_to_series(args.family, args.n)
     f = series.component(args.n)
     exp = to_schur(f)
-    positive, neg = is_schur_positive(f)
+    neg = exp.negatives()
+    positive = not neg
     if args.format == "json":
         payload = exp.to_json_dict()
         payload["schur_positive"] = positive
-        payload["witnesses"] = [
-            {"partition": list(k.parts), "num": str(v.numerator), "den": str(v.denominator)}
-            for k, v in sorted(neg.items(), key=lambda kv: kv[0].parts, reverse=True)
-        ]
+        payload["witnesses"] = terms_json(neg)
         print(json.dumps(payload, sort_keys=True))
     else:
         print(exp.to_text())
@@ -188,7 +186,10 @@ def cmd_pleth(args) -> int:
         raise UsageError("--max-degree must be >= 1")
     outer = basis_or_family(args.outer, n)
     inner = basis_or_family(args.inner, n)
-    result = pleth(outer, inner)
+    try:
+        result = pleth(outer, inner)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     degrees = [args.degree] if args.degree else range(1, n + 1)
     if args.format == "json":
         payload = {
@@ -214,8 +215,6 @@ def _coerce_identity_params(args) -> dict:
         params["q"] = args.q
     if args.k is not None:
         params["k"] = args.k
-    if args.r is not None:
-        params["r"] = args.r
     if args.n_max is not None:
         params["n_max"] = args.n_max
     if args.weight is not None:
@@ -255,16 +254,14 @@ def cmd_scan(args) -> int:
     else:
         raise UsageError("scan needs --n or both --n-from and --n-to")
     params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.T is not None:
-        params["T"] = parse_part_set(args.T)
-    if args.S is not None:
-        params["S"] = PrimeSet.from_text(args.S)
     try:
+        if args.k is not None:
+            params["k"] = args.k
+        if args.T is not None:
+            params["T"] = parse_part_set(args.T)
+        if args.S is not None:
+            params["S"] = PrimeSet.from_text(args.S)
         report = scan_positivity(args.family, ns, params, budget=args.budget, jobs=args.jobs)
-    except BudgetError as exc:
-        raise UsageError(str(exc)) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
@@ -282,8 +279,6 @@ def cmd_scan(args) -> int:
 def cmd_lift(args) -> int:
     try:
         report = lifting_check(args.q, args.n_max, budget=args.budget, jobs=args.jobs)
-    except BudgetError as exc:
-        raise UsageError(str(exc)) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
@@ -344,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T")
     p.add_argument("--q", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--weight")
     p.add_argument("--g")

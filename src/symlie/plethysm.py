@@ -313,6 +313,23 @@ def _components_slice(parts: tuple[int, ...], g: Series, target: int) -> SymFunc
     return total
 
 
+def _monomials(fs) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The (parts, coefficient) pairs of the p-monomials of ``fs``, the empty partition left out."""
+    return [(part.parts, c) for f in fs for part, c in f.terms.items() if part.parts]
+
+
+def _pleth_slice(monos, g: Series, target: int) -> SymFunc:
+    """Degree-``target`` component of sum_c c * p_parts[g] over ``monos``, for constant-free g."""
+    acc = ZERO
+    for parts, c in monos:
+        if sum(parts) > target:
+            continue
+        piece = _components_slice(parts, g, target)
+        if not piece.is_zero:
+            acc = acc + piece.scaled(c)
+    return acc
+
+
 def pleth(f, g) -> Series:
     """Plethysm f[g] with f a SymFunc or Series, truncated at g's window.
 
@@ -328,22 +345,14 @@ def pleth(f, g) -> Series:
         raise ValueError("plethysm requires a constant-free inner series")
     n = g.max_degree
     if isinstance(f, SymFunc):
-        monos = [(part.parts, c) for part, c in f.terms.items() if part is not EMPTY]
-        const = f.coefficient(EMPTY) if not f.is_zero and f.degree == 0 else Fraction(0)
+        monos = _monomials([f])
+        const = f.coefficient(EMPTY)
     else:
-        monos = []
+        monos = _monomials(f.components.values())
         const = f.constant
-        for comp in f.components.values():
-            monos.extend((part.parts, c) for part, c in comp.terms.items())
     comps: dict[int, SymFunc] = {}
     for target in range(1, n + 1):
-        acc = ZERO
-        for parts, c in monos:
-            if sum(parts) > target:
-                continue
-            piece = _components_slice(parts, g, target)
-            if not piece.is_zero:
-                acc = acc + piece.scaled(c)
+        acc = _pleth_slice(monos, g, target)
         if not acc.is_zero:
             comps[target] = acc
     out = Series(n)
@@ -400,25 +409,8 @@ def ext_powers_signed(F: Series) -> Series:
     return series_exp(-_log_sum(F, alternating=False))
 
 
-def sym_power_layers(F: Series) -> list[Series]:
-    """[h_0[F], h_1[F], ..., h_N[F]] via the recurrence r*h_r[F] = sum p_k[F] h_{r-k}[F].
-
-    Layer r is the length-r slice of the symmetrized powers: summed over
-    degrees it contributes sum_{l(lam)=r} H_lam[F].
-    """
-    n = F.max_degree
-    P = [None] + [pleth_p(k, F) for k in range(1, n + 1)]
-    layers = [Series.one(n)]
-    for r in range(1, n + 1):
-        acc = Series.zero(n)
-        for k in range(1, r + 1):
-            acc = acc + P[k] * layers[r - k]
-        layers.append(acc.scaled(Fraction(1, r)))
-    return layers
-
-
-def ext_power_layers(F: Series) -> list[Series]:
-    """[e_0[F], ..., e_N[F]] via r*e_r[F] = sum (-1)^{k-1} p_k[F] e_{r-k}[F]."""
+def _power_layers(F: Series, alternating: bool) -> list[Series]:
+    # r*h_r[F] = sum p_k[F] h_{r-k}[F], or with signs (-1)^{k-1} for e_r[F]
     n = F.max_degree
     P = [None] + [pleth_p(k, F) for k in range(1, n + 1)]
     layers = [Series.one(n)]
@@ -426,9 +418,23 @@ def ext_power_layers(F: Series) -> list[Series]:
         acc = Series.zero(n)
         for k in range(1, r + 1):
             t = P[k] * layers[r - k]
-            acc = acc + (t if k % 2 else -t)
+            acc = acc + (-t if alternating and k % 2 == 0 else t)
         layers.append(acc.scaled(Fraction(1, r)))
     return layers
+
+
+def sym_power_layers(F: Series) -> list[Series]:
+    """[h_0[F], h_1[F], ..., h_N[F]] via the recurrence r*h_r[F] = sum p_k[F] h_{r-k}[F].
+
+    Layer r is the length-r slice of the symmetrized powers: summed over
+    degrees it contributes sum_{l(lam)=r} H_lam[F].
+    """
+    return _power_layers(F, alternating=False)
+
+
+def ext_power_layers(F: Series) -> list[Series]:
+    """[e_0[F], ..., e_N[F]] via r*e_r[F] = sum (-1)^{k-1} p_k[F] e_{r-k}[F]."""
+    return _power_layers(F, alternating=True)
 
 
 def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
@@ -505,7 +511,6 @@ def product_series(factors, n: int) -> Series:
         for d, bucket in comps.items()
         if any(bucket.values())
     }
-    out.components = {d: f for d, f in out.components.items() if not f.is_zero}
     return out
 
 
@@ -520,21 +525,11 @@ def pleth_inverse(F: Series) -> Series:
         raise ValueError("plethystic inversion requires a constant-free series")
     if F.component(1) != p_of((1,)):
         raise ValueError("plethystic inversion requires degree-1 component p_1")
-    tail_monos = []
-    for d in range(2, n + 1):
-        comp = F.components.get(d)
-        if comp is not None:
-            tail_monos.extend((part.parts, c) for part, c in comp.terms.items())
+    tail_monos = _monomials(F.components[d] for d in range(2, n + 1) if d in F.components)
     g = Series(n)
     g.components = {1: p_of((1,))}
     for target in range(2, n + 1):
-        acc = ZERO
-        for parts, c in tail_monos:
-            if sum(parts) > target:
-                continue
-            piece = _components_slice(parts, g, target)
-            if not piece.is_zero:
-                acc = acc + piece.scaled(c)
+        acc = _pleth_slice(tail_monos, g, target)
         if not acc.is_zero:
             g.components[target] = -acc
     return g

@@ -26,6 +26,7 @@ __all__ = [
     "p_of",
     "s_of",
     "syt_maj_distribution",
+    "terms_json",
     "to_schur",
 ]
 
@@ -34,8 +35,20 @@ def _merge_parts(a: Partition, b: Partition) -> Partition:
     return Partition.of(tuple(sorted(a.parts + b.parts, reverse=True)))
 
 
-class SymFunc:
-    """A homogeneous symmetric function, stored in the power-sum basis."""
+def terms_json(terms: dict[Partition, Fraction]) -> list[dict]:
+    """The JSON rows of a partition -> coefficient map, largest partition first."""
+    return [
+        {"partition": list(part.parts), "num": str(c.numerator), "den": str(c.denominator)}
+        for part, c in sorted(terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+    ]
+
+
+class _TermMap:
+    """A homogeneous map from partitions of one degree to nonzero rationals.
+
+    ``symbol`` names the basis element in text and ``basis`` names the basis
+    in JSON; the empty partition prints as its bare coefficient.
+    """
 
     __slots__ = ("degree", "terms")
 
@@ -53,16 +66,12 @@ class SymFunc:
         self.degree = degree if clean else None
 
     @classmethod
-    def _make(cls, degree, terms: dict[Partition, Fraction]) -> "SymFunc":
+    def _make(cls, degree, terms: dict[Partition, Fraction]):
         # internal fast path: terms already clean (Partition keys, no zeros)
         obj = cls.__new__(cls)
         obj.terms = terms
         obj.degree = degree if terms else None
         return obj
-
-    @classmethod
-    def zero(cls) -> "SymFunc":
-        return ZERO
 
     @property
     def is_zero(self) -> bool:
@@ -74,6 +83,47 @@ class SymFunc:
 
     def support(self) -> tuple[Partition, ...]:
         return tuple(sorted(self.terms, key=lambda q: q.parts, reverse=True))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.degree, frozenset(self.terms.items())))
+
+    def to_text(self) -> str:
+        if self.is_zero:
+            return "0"
+        pieces = []
+        for part in self.support():
+            c = self.terms[part]
+            if not part.parts:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = f"{self.symbol}{part!r}"
+            else:
+                body = f"{abs(c)}*{self.symbol}{part!r}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append((" + " if c > 0 else " - ") + body)
+        return "".join(pieces)
+
+    def to_json_dict(self) -> dict:
+        return {"degree": 0 if self.degree is None else self.degree, "basis": self.basis, "terms": terms_json(self.terms)}
+
+    def __repr__(self):
+        return self.to_text()
+
+
+class SymFunc(_TermMap):
+    """A homogeneous symmetric function, stored in the power-sum basis."""
+
+    __slots__ = ()
+    symbol = basis = "p"
+
+    @classmethod
+    def zero(cls) -> "SymFunc":
+        return ZERO
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
@@ -130,48 +180,6 @@ class SymFunc:
         for k, c in self.terms.items():
             out[k] = c if (k.size - k.length) % 2 == 0 else -c
         return SymFunc._make(self.degree, out)
-
-    def __eq__(self, other):
-        return isinstance(other, SymFunc) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
-    def to_text(self, symbol: str = "p") -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for part in self.support():
-            c = self.terms[part]
-            mono = symbol if part is EMPTY else f"{symbol}{part!r}"
-            if abs(c) == 1 and part is not EMPTY:
-                body = mono
-            elif part is EMPTY:
-                body = str(abs(c))
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": 0 if self.degree is None else self.degree,
-            "basis": "p",
-            "terms": [
-                {
-                    "partition": list(part.parts),
-                    "num": str(self.terms[part].numerator),
-                    "den": str(self.terms[part].denominator),
-                }
-                for part in self.support()
-            ],
-        }
-
-    def __repr__(self):
-        return self.to_text()
 
 
 ZERO = SymFunc._make(0, {})
@@ -290,73 +298,15 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
 # ---------------------------------------------------------------------------
 
 
-class SchurExpansion:
+class SchurExpansion(_TermMap):
     """A homogeneous symmetric function expressed in the Schur basis."""
 
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree, terms=None):
-        clean: dict[Partition, Fraction] = {}
-        for key, c in dict(terms or {}).items():
-            part = key if isinstance(key, Partition) else Partition.of(key)
-            c = Fraction(c)
-            if not c:
-                continue
-            if part.size != degree:
-                raise ValueError(f"term {part} has size {part.size}, expected degree {degree}")
-            clean[part] = c
-        self.terms = clean
-        self.degree = degree if clean else None
-
-    def coefficient(self, part) -> Fraction:
-        key = part if isinstance(part, Partition) else Partition.of(part)
-        return self.terms.get(key, Fraction(0))
-
-    def support(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self.terms, key=lambda q: q.parts, reverse=True))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_positive(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+    __slots__ = ()
+    symbol = "s"
+    basis = "schur"
 
     def negatives(self) -> dict[Partition, Fraction]:
         return {k: c for k, c in self.terms.items() if c < 0}
-
-    def __eq__(self, other):
-        return isinstance(other, SchurExpansion) and self.terms == other.terms
-
-    def to_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for part in self.support():
-            c = self.terms[part]
-            body = f"s{part!r}" if abs(c) == 1 else f"{abs(c)}*s{part!r}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": 0 if self.degree is None else self.degree,
-            "basis": "schur",
-            "terms": [
-                {
-                    "partition": list(part.parts),
-                    "num": str(self.terms[part].numerator),
-                    "den": str(self.terms[part].denominator),
-                }
-                for part in self.support()
-            ],
-        }
-
-    def __repr__(self):
-        return self.to_text()
 
 
 def s_of(lam) -> SymFunc:

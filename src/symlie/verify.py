@@ -33,7 +33,7 @@ from .plethysm import (
     sym_powers,
     sym_powers_signed,
 )
-from .symfunc import SymFunc, e_of, h_of, is_schur_positive, p_of, to_schur
+from .symfunc import SymFunc, e_of, h_of, is_schur_positive, p_of, terms_json, to_schur
 from .families import (
     DivisorWeight,
     MOEBIUS,
@@ -96,13 +96,6 @@ def _fmt_frac(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _witness_json(witnesses) -> list:
-    return [
-        {"partition": list(part.parts), "num": str(c.numerator), "den": str(c.denominator)}
-        for part, c in sorted(witnesses.items(), key=lambda kv: kv[0].parts, reverse=True)
-    ]
-
-
 @dataclass
 class VerifyReport:
     id: str
@@ -142,7 +135,7 @@ class ScanVerdict:
         return {
             "n": self.n,
             "positive": self.positive,
-            "witnesses": _witness_json(self.witnesses),
+            "witnesses": terms_json(self.witnesses),
             "elapsed_ms": round(self.elapsed_ms, 3) if timing else None,
         }
 
@@ -371,12 +364,15 @@ def _is_prime(v) -> bool:
 
 
 def _check_params(id: str, schema: dict[str, Param], p: dict) -> None:
-    """Raise ValueError unless every schema key of ``id`` is present in ``p`` and in range."""
+    """Raise ValueError unless ``p`` holds exactly the schema keys of ``id``, each in range."""
+    for key in p:
+        if key not in schema:
+            raise ValueError(f"{id}: unknown parameter {key} (takes {', '.join(schema) or 'none'})")
     for key, param in schema.items():
         if key not in p:
             raise ValueError(f"{id}: missing {key} ({param.text})")
         if not param.ok(p[key]):
-            raise ValueError(f"{id}: {key} must be {param.text}, got {_param_text(p[key])}")
+            raise ValueError(f"{id}: {key} must be {param.text}, got {p[key]}")
 
 
 @dataclass(frozen=True)
@@ -1099,32 +1095,29 @@ def list_identities() -> list[dict]:
                 "id": e.id,
                 "statement": e.statement,
                 "params": {k: v.text for k, v in e.param_schema.items()},
-                "defaults": {k: _param_text(v) for k, v in e.defaults.items()},
+                "defaults": {k: str(v) for k, v in e.defaults.items()},
                 "default_N": e.default_N,
             }
         )
     return out
 
 
-def _param_text(v) -> str:
-    if isinstance(v, PrimeSet):
-        return repr(v)
-    if isinstance(v, PartSet):
-        return v.descriptor()
-    if isinstance(v, DivisorWeight):
-        return v.tag
-    return str(v)
-
-
 def _resolve(id: str, params: dict | None, N: int | None) -> tuple[IdentityEntry, dict, int]:
-    """The entry, its parameters with defaults filled in and checked, and the degree bound."""
+    """The entry, its parameters with defaults filled in and checked, and the degree bound.
+
+    An identity with a scan ceiling ``n_max`` takes it as its degree bound.
+    """
     entry = identity_info(id)
     p = dict(entry.defaults)
     p.update(params or {})
+    _check_params(id, entry.param_schema, p)
     n = entry.default_N if N is None else int(N)
+    if "n_max" in p:
+        if N is not None and n != p["n_max"]:
+            raise ValueError(f"{id}: N must equal n_max ({p['n_max']}), got {n}")
+        n = p["n_max"]
     if n < 1:
         raise ValueError("N must be >= 1")
-    _check_params(id, entry.param_schema, p)
     return entry, p, n
 
 
@@ -1139,7 +1132,7 @@ def build_clauses(id: str, params: dict | None = None, N: int | None = None):
 def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyReport:
     """Check one catalog identity exactly; failure pinpoints the first bad slice."""
     entry, p, n = _resolve(id, params, N)
-    printable = {k: _param_text(v) for k, v in p.items()}
+    printable = {k: str(v) for k, v in p.items()}
     t0 = time.perf_counter()
     if entry.custom is not None:
         status, mismatch, details = entry.custom(p, n)
@@ -1253,7 +1246,7 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
     if ns[-1] > budget:
         raise BudgetError(f"degree {ns[-1]} exceeds the scan budget {budget}; raise the budget explicitly")
     verdicts = _verdicts(ns, lambda n: scan.build(n, p))
-    printable = {k: _param_text(v) for k, v in p.items()}
+    printable = {k: str(v) for k, v in p.items()}
     return PositivityReport(family, printable, verdicts)
 
 

@@ -78,6 +78,15 @@ class TestPleth:
         assert "deg 2:" in out
 
 
+class TestPlethErrors:
+    def test_constant_inner_is_usage_error(self, capsys):
+        for inner in ("e", "h:0"):
+            code, out, err = run(capsys, "pleth", "--outer", "lie", "--inner", inner, "--max-degree", "4")
+            assert code == 2
+            assert out == ""
+            assert err == "error: plethysm requires a constant-free inner series\n"
+
+
 class TestVerifyCommand:
     def test_thrall_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "thrall", "--max-degree", "8",
@@ -104,6 +113,31 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["params"] == {"S": "{2,5}"}
 
+    def test_unknown_parameter_is_usage_error(self, capsys):
+        # no catalog identity takes r; thrall takes no parameter at all
+        code, out, err = run(capsys, "verify", "--id", "thrall", "--r", "3", "--max-degree", "6")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --r 3" in err
+        code, out, err = run(capsys, "verify", "--id", "thrall", "--q", "3", "--max-degree", "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid params: thrall: unknown parameter q (takes none)\n"
+
+    def test_lifting_window_is_its_scan_ceiling(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "lifting", "--q", "2", "--n-max", "8", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["N"] == 8
+        assert payload["details"][0] == "negatives: [4, 8]"
+        code, out, err = run(capsys, "verify", "--id", "lifting", "--max-degree", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid params: lifting: N must equal n_max (18), got 8\n"
+        code, out, _ = run(capsys, "verify", "--id", "lifting", "--n-max", "8", "--max-degree", "8", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["N"] == 8
+
 
 class TestScanCommand:
     def test_single_degree_json(self, capsys):
@@ -115,6 +149,11 @@ class TestScanCommand:
         assert payload["verdicts"][0]["witnesses"] == [
             {"partition": [1, 1, 1, 1], "num": "-1", "den": "1"}
         ]
+        assert out == (
+            '{"all_positive": false, "family": "powk", "params": {"k": "4"}, "verdicts": ['
+            '{"elapsed_ms": null, "n": 4, "positive": false, '
+            '"witnesses": [{"den": "1", "num": "-1", "partition": [1, 1, 1, 1]}]}]}\n'
+        )
 
     def test_expect_positive_exit(self, capsys):
         code, _, _ = run(capsys, "scan", "--family", "powk", "--k", "4", "--n", "4",
@@ -150,6 +189,13 @@ class TestScanCommand:
             assert code == 2
             assert out == ""
             assert err == f"error: {family}: k must be integer >= 2, got 1\n"
+
+    def test_malformed_prime_set_is_usage_error(self, capsys):
+        for S, msg in (("4", "4 is not prime"), ("x", "invalid literal for int() with base 10: 'x'")):
+            code, out, err = run(capsys, "scan", "--family", "symLS-sum", "--S", S, "--n", "3")
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {msg}\n"
 
 
 class TestLiftCommand:
@@ -193,3 +239,54 @@ class TestDeterminism:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+
+class TestWriterBytes:
+    """Exact stdout of the term writers in both bases and of a witness list.
+
+    The scan witness list is pinned in TestScanCommand.test_single_degree_json.
+    """
+
+    def test_lie6_schur_text_and_json(self, capsys):
+        code, out, _ = run(capsys, "expand", "--family", "lie", "--n", "6", "--basis", "schur")
+        assert code == 0
+        assert out == (
+            "s[5,1] + s[4,2] + 2*s[4,1,1] + s[3,3] + 3*s[3,2,1] + s[3,1,1,1] + 2*s[2,2,1,1] + s[2,1,1,1,1]\n"
+        )
+        code, out, _ = run(capsys, "expand", "--family", "lie", "--n", "6", "--basis", "schur", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"basis": "schur", "degree": 6, "terms": ['
+            '{"den": "1", "num": "1", "partition": [5, 1]}, '
+            '{"den": "1", "num": "1", "partition": [4, 2]}, '
+            '{"den": "1", "num": "2", "partition": [4, 1, 1]}, '
+            '{"den": "1", "num": "1", "partition": [3, 3]}, '
+            '{"den": "1", "num": "3", "partition": [3, 2, 1]}, '
+            '{"den": "1", "num": "1", "partition": [3, 1, 1, 1]}, '
+            '{"den": "1", "num": "2", "partition": [2, 2, 1, 1]}, '
+            '{"den": "1", "num": "1", "partition": [2, 1, 1, 1, 1]}]}\n'
+        )
+
+    def test_pow4_p_json(self, capsys):
+        code, out, _ = run(capsys, "expand", "--family", "fT:pow(4)", "--n", "4", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"basis": "p", "degree": 4, "terms": ['
+            '{"den": "1", "num": "1", "partition": [4]}, '
+            '{"den": "4", "num": "-1", "partition": [2, 2]}, '
+            '{"den": "4", "num": "1", "partition": [1, 1, 1, 1]}]}\n'
+        )
+
+    def test_pow4_schur_with_witness(self, capsys):
+        code, out, _ = run(capsys, "schur", "--family", "fT:pow(4)", "--n", "4")
+        assert code == 0
+        assert out == "s[4] + 2*s[2,1,1] - s[1,1,1,1]\nschur-positive: no\n  negative at [1,1,1,1]: -1\n"
+        code, out, _ = run(capsys, "schur", "--family", "fT:pow(4)", "--n", "4", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"basis": "schur", "degree": 4, "schur_positive": false, "terms": ['
+            '{"den": "1", "num": "1", "partition": [4]}, '
+            '{"den": "1", "num": "2", "partition": [2, 1, 1]}, '
+            '{"den": "1", "num": "-1", "partition": [1, 1, 1, 1]}], '
+            '"witnesses": [{"den": "1", "num": "-1", "partition": [1, 1, 1, 1]}]}\n'
+        )

@@ -22,6 +22,7 @@ from symlie import (
     to_schur,
     z_of,
 )
+from symlie.partitions import Partition
 from symlie.symfunc import ZERO, d_dp1
 
 from helpers import P, frac, hook_length_dimension, random_symfunc
@@ -203,6 +204,12 @@ class TestTextAndJson:
         assert f.to_text() == "-1/4*p[2,2] + 1/4*p[1,1,1,1]"
         assert to_schur(f).to_text() == "s[3,1] + s[2,1,1]"
         assert ZERO.to_text() == "0"
+
+    def test_empty_partition_prints_its_coefficient(self):
+        # a fresh, not interned empty partition prints like the interned one
+        assert SymFunc(0, {Partition(()): 2}).to_text() == "2"
+        assert SymFunc(0, {(): -1}).to_text() == "-1"
+        assert SchurExpansion(0, {Partition(()): 1}).to_text() == "1"
 
     def test_json_form(self):
         j = h_of(2).to_json_dict()

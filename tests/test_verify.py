@@ -79,6 +79,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             scan_positivity("powk", [3], {})
 
+    def test_unknown_params_refused(self):
+        with pytest.raises(ValueError, match="thrall: unknown parameter r"):
+            verify("thrall", params={"r": 3}, N=6)
+        with pytest.raises(ValueError, match="symLS: unknown parameter T"):
+            verify("symLS", params={"T": PartSet.of(1, 2)}, N=6)
+        with pytest.raises(ValueError, match="powk: unknown parameter S"):
+            scan_positivity("powk", [3], {"k": 4, "S": PrimeSet((2,))})
+
     def test_report_json_roundtrip(self):
         r = verify("thrall", N=6)
         payload = r.to_json_dict()
@@ -269,6 +277,12 @@ class TestLifting:
     def test_catalog_entry(self):
         r = verify("lifting", params={"q": 3, "n_max": 12})
         assert r.passed
+
+    def test_catalog_window_is_the_scan_ceiling(self):
+        assert verify("lifting").N == 18
+        assert verify("lifting", params={"n_max": 9}, N=9).N == 9
+        with pytest.raises(ValueError, match="N must equal n_max"):
+            verify("lifting", N=8)
 
 
 class TestHooks:
