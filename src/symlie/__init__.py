@@ -49,6 +49,7 @@ from .plethysm import (
     pleth_inverse,
     pleth_p,
     product_series,
+    product_slice,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,

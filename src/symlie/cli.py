@@ -184,13 +184,15 @@ def cmd_pleth(args) -> int:
     n = args.max_degree
     if n < 1:
         raise UsageError("--max-degree must be >= 1")
+    if args.degree is not None and not 1 <= args.degree <= n:
+        raise UsageError(f"--degree must be in 1..{n}, got {args.degree}")
     outer = basis_or_family(args.outer, n)
     inner = basis_or_family(args.inner, n)
     try:
         result = pleth(outer, inner)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    degrees = [args.degree] if args.degree else range(1, n + 1)
+    degrees = range(1, n + 1) if args.degree is None else [args.degree]
     if args.format == "json":
         payload = {
             "outer": args.outer,

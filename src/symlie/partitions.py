@@ -131,18 +131,11 @@ def _partitions_interned(n: int) -> tuple[Partition, ...]:
     return tuple(Partition.of(t) for t in _partitions_raw(n, max(n, 1)))
 
 
-def partitions_of(n: int, part_filter=None) -> tuple[Partition, ...]:
-    """All partitions of n in descending lexicographic order.
-
-    ``part_filter``, when given, is a predicate on a single part value; only
-    partitions whose every part satisfies it are returned.
-    """
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in descending lexicographic order."""
     if n < 0:
         raise ValueError("partitions of negative integers are not defined")
-    allp = _partitions_interned(n)
-    if part_filter is None:
-        return allp
-    return tuple(p for p in allp if all(part_filter(a) for a in p.parts))
+    return _partitions_interned(n)
 
 
 @lru_cache(maxsize=None)
@@ -258,12 +251,6 @@ class PrimeSet:
                 smooth *= q
         return smooth, rest
 
-    def smooth_part(self, n: int) -> int:
-        return self.factor_split(n)[0]
-
-    def rough_part(self, n: int) -> int:
-        return self.factor_split(n)[1]
-
     def is_smooth(self, n: int) -> bool:
         return self.factor_split(n)[1] == 1
 
@@ -293,4 +280,8 @@ class PrimeSet:
         t = text.strip().strip("{}")
         if t in ("", "-", "none"):
             return cls(())
-        return cls(int(x) for x in t.split(","))
+        try:
+            primes = [int(x) for x in t.split(",")]
+        except ValueError:
+            raise ValueError(f"malformed prime set {text!r}") from None
+        return cls(primes)

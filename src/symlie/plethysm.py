@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, partitions_of
 from .symfunc import ONE, ZERO, SymFunc, e_of, h_of, p_of
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "pleth_inverse",
     "pleth_p",
     "product_series",
+    "product_slice",
     "series_exp",
     "sym_power_layers",
     "sym_powers",
@@ -176,12 +177,6 @@ class Series:
             g = f.omega()
             comps[d] = g if d % 2 else -g
         out.components = comps
-        return out
-
-    def truncated(self, n: int) -> "Series":
-        out = Series(n)
-        out.constant = self.constant
-        out.components = {d: f for d, f in self.components.items() if d <= n}
         return out
 
     def __eq__(self, other):
@@ -462,56 +457,57 @@ def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-def product_series(factors, n: int) -> Series:
-    """Expand prod (1 + sign*p_m)^{exponent} combinatorially, truncated at n.
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}
 
-    ``factors`` is an iterable of (m, sign, exponent) with sign and exponent
-    in {+1, -1}; part values m must be distinct.  The expansion enumerates
-    partitions with parts drawn from the factor values (each exponent-(+1)
-    part at most once) rather than dividing series, so it provides a side
-    independent of the plethysm machinery.
-    """
-    fl = []
-    seen = set()
+
+def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
+    """Check (m, sign, exponent) factors: the sign each part m contributes, and the m allowed once."""
+    weights: dict[int, int] = {}
+    once = set()
     for m, s, e in factors:
         m = int(m)
         if m < 1 or s not in (1, -1) or e not in (1, -1):
             raise ValueError(f"malformed factor {(m, s, e)}")
-        if m in seen:
+        if m in weights:
             raise ValueError(f"duplicate factor value {m}")
-        seen.add(m)
-        if m <= n:
-            fl.append((m, s, e))
-    fl.sort(reverse=True)
-    comps: dict[int, dict[Partition, Fraction]] = {d: {} for d in range(1, n + 1)}
-
-    def rec(idx: int, total: int, parts: tuple[int, ...], coeff: int) -> None:
-        if idx == len(fl):
-            if total:
-                key = Partition.of(parts)
-                bucket = comps[total]
-                bucket[key] = bucket.get(key, Fraction(0)) + coeff
-            return
-        m, s, e = fl[idx]
-        jmax = (n - total) // m
+        weights[m] = s if e == 1 else -s
         if e == 1:
-            jmax = min(jmax, 1)
-        c = coeff
-        for j in range(jmax + 1):
-            if j:
-                c *= s if e == 1 else -s
-                # (1 + s p)^{-1} = sum (-s)^j p^j ;  (1 + s p)^{+1} = 1 + s p
-            rec(idx + 1, total + m * j, parts + (m,) * j, c)
+            once.add(m)
+    return weights, once
 
-    rec(0, 0, (), 1)
-    out = Series(n)
-    out.constant = Fraction(1)
-    out.components = {
-        d: SymFunc._make(d, {k: v for k, v in bucket.items() if v})
-        for d, bucket in comps.items()
-        if any(bucket.values())
-    }
-    return out
+
+def _weighted_slice(weights: dict[int, int], once: set[int], d: int) -> SymFunc:
+    terms = {}
+    for lam in partitions_of(d):
+        c, prev = 1, 0
+        for a in lam.parts:
+            w = weights.get(a)
+            if w is None or (a == prev and a in once):
+                break
+            c *= w
+            prev = a
+        else:
+            terms[lam] = _UNIT[c]
+    return SymFunc._make(d, terms)
+
+
+def product_slice(factors, d: int) -> SymFunc:
+    """The degree-d component of prod (1 + sign*p_m)^{exponent}, read off partitions_of(d).
+
+    ``factors`` is an iterable of (m, sign, exponent) with sign and exponent
+    in {+1, -1}; part values m must be distinct.  The coefficient of p_lam is
+    a product over the parts of lam: s for each part of a factor 1 + s p_m,
+    which may appear at most once, and -s for each part of a factor
+    (1 + s p_m)^{-1} = sum_j (-s)^j p_m^j.  The expansion never divides
+    series, so it provides a side independent of the plethysm machinery.
+    """
+    return _weighted_slice(*_factor_weights(factors), d)
+
+
+def product_series(factors, n: int) -> Series:
+    """prod (1 + sign*p_m)^{exponent} truncated at n: 1 plus product_slice for d = 1..n."""
+    weights, once = _factor_weights(factors)
+    return Series(n, {d: _weighted_slice(weights, once, d) for d in range(1, n + 1)}, constant=1)
 
 
 def pleth_inverse(F: Series) -> Series:

@@ -2,9 +2,11 @@
 
 Each catalog entry is a named, parameterized identity between truncated
 symmetric-function series, checked by exact equality per graded slice.
-Right-hand sides of product identities are always expanded combinatorially
-(partition enumeration), never re-derived through the plethysm path that
-produced the left side, so the two routes stay independent.
+Right-hand sides of product identities, and the eight p_lam-sum scans, are
+products of factors (1 + s p_m)^{+/-1} read off the partition enumeration
+(``product_series``/``product_slice``), never re-derived through the
+plethysm path that produced the left side, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .plethysm import (
     pleth_inverse,
     pleth_p,
     product_series,
+    product_slice,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
@@ -273,8 +276,18 @@ def _geom(members, n: int) -> Series:
     return product_series([(m, -1, -1) for m in members], n)
 
 
-def _smooth_members(S: PrimeSet, n: int) -> list[int]:
-    return [m for m in range(1, n + 1) if S.is_smooth(m)]
+def _smooth_members(S: PrimeSet, n: int) -> tuple[int, ...]:
+    return PartSet.smooth_over(S).members_up_to(n)
+
+
+def _half_smooth_evens(S: PrimeSet, n: int) -> list[int]:
+    """The even m <= n with m/2 S-smooth."""
+    return [2 * m for m in _smooth_members(S, n // 2)]
+
+
+def _ext_omega_factors(S: PrimeSet, n: int) -> list:
+    """prod smooth (1-p_m)^{-1} * prod half-smooth even (1+p_m), the product side of extLS-omega."""
+    return [(m, -1, -1) for m in _smooth_members(S, n)] + [(m, 1, 1) for m in _half_smooth_evens(S, n)]
 
 
 def _cancel_factors(factors) -> list:
@@ -291,10 +304,6 @@ def _cancel_factors(factors) -> list:
     return out
 
 
-def _ones(n: int) -> Series:
-    return Series(n, {d: p_of((1,) * d) for d in range(1, n + 1)})
-
-
 def _alt_e_series(n: int) -> Series:
     """sum_{r>=1} (-1)^{r-1} e_r as an explicit constant-free series."""
     return Series(n, {d: e_of(d) if d % 2 else -e_of(d) for d in range(1, n + 1)})
@@ -304,17 +313,11 @@ def _lieq_series(q: int, n: int) -> Series:
     return lie_primes_series(PrimeSet((q,)), n)
 
 
-def _p1_minus_pq(q: int, n: int) -> Series:
+def _p1_pq(q: int, sign: int, n: int) -> Series:
+    """p_1 + sign * p_q."""
     comps = {1: p_of((1,))}
     if q <= n:
-        comps[q] = -p_of((q,))
-    return Series(n, comps)
-
-
-def _p1_plus_pq(q: int, n: int) -> Series:
-    comps = {1: p_of((1,))}
-    if q <= n:
-        comps[q] = p_of((q,))
+        comps[q] = p_of((q,)).scaled(sign)
     return Series(n, comps)
 
 
@@ -438,8 +441,7 @@ def _b_extLS(p, n):
         rhs = _geom([m for m in sm if m % 2], n)
         label = "E[L] = prod over odd smooth m of (1-p_m)^{-1}  (2 in S)"
     else:
-        evens = [m for m in range(2, n + 1, 2) if S.is_smooth(m // 2)]
-        rhs = product_series([(m, -1, -1) for m in sm] + [(m, -1, 1) for m in evens], n)
+        rhs = product_series([(m, -1, -1) for m in sm] + [(m, -1, 1) for m in _half_smooth_evens(S, n)], n)
         label = "E[L] = prod smooth (1-p_m)^{-1} * prod half-smooth even (1-p_m)  (2 not in S)"
     return [_clause(label, lhs, rhs)]
 
@@ -447,9 +449,7 @@ def _b_extLS(p, n):
 def _b_extLS_omega(p, n):
     S = p["S"]
     lhs = ext_powers(lie_primes_series(S, n)).omega_each()
-    sm = _smooth_members(S, n)
-    evens = [m for m in range(2, n + 1, 2) if S.is_smooth(m // 2)]
-    rhs = product_series([(m, -1, -1) for m in sm] + [(m, 1, 1) for m in evens], n)
+    rhs = product_series(_ext_omega_factors(S, n), n)
     return [_clause("w(E[L]) = prod smooth (1-p_m)^{-1} * prod half-smooth even (1+p_m)", lhs, rhs)]
 
 
@@ -461,8 +461,7 @@ def _b_altextLS(p, n):
         rhs = product_series([(m, 1, 1) for m in sm if m % 2], n)
         label = "E[alt-w(L)] = prod over odd smooth m of (1+p_m)  (2 in S)"
     else:
-        evens = [m for m in range(2, n + 1, 2) if S.is_smooth(m // 2)]
-        rhs = product_series([(m, 1, 1) for m in sm] + [(m, 1, -1) for m in evens], n)
+        rhs = product_series([(m, 1, 1) for m in sm] + [(m, 1, -1) for m in _half_smooth_evens(S, n)], n)
         label = "E[alt-w(L)] = prod smooth (1+p_m) * prod half-smooth even (1+p_m)^{-1}  (2 not in S)"
     return [_clause(label, lhs, rhs)]
 
@@ -602,7 +601,7 @@ def _b_lieq_transport(p, n):
 
 def _b_lieq_inverse(p, n):
     q = p["q"]
-    B = Series.one(n) - ext_powers_signed(_p1_minus_pq(q, n))
+    B = Series.one(n) - ext_powers_signed(_p1_pq(q, -1, n))
     Lq = _lieq_series(q, n)
     return _inverse_of(Lq, B, "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", "L^(q)[candidate inverse] = p_1", n)
 
@@ -721,7 +720,7 @@ def _b_conj_via_lieq(p, n):
 
 def _b_pq(p, n):
     q = p["q"]
-    A = _p1_minus_pq(q, n)
+    A = _p1_pq(q, -1, n)
     comps = {}
     qk = 1
     while qk <= n:
@@ -732,7 +731,7 @@ def _b_pq(p, n):
 
 def _b_pq_alt(p, n):
     q = p["q"]
-    A = _p1_plus_pq(q, n)
+    A = _p1_pq(q, 1, n)
     comps = {}
     qk, sign = 1, 1
     while qk <= n:
@@ -745,12 +744,12 @@ def _b_pq_alt(p, n):
 def _b_Hquot(p, n):
     q = p["q"]
     H = h_series(n)
-    lhs = sym_powers(_p1_minus_pq(q, n)) * pleth_p(q, H)
+    lhs = sym_powers(_p1_pq(q, -1, n)) * pleth_p(q, H)
     return [_clause("H[p_1 - p_q] * H[p_q] = H  (quotient form cross-multiplied)", lhs, H)]
 
 
 def _b_HE(p, n):
-    return [_clause("H[p_1 - p_2] = E", sym_powers(_p1_minus_pq(2, n)), e_series(n))]
+    return [_clause("H[p_1 - p_2] = E", sym_powers(_p1_pq(2, -1, n)), e_series(n))]
 
 
 def _b_HFEG(p, n):
@@ -1153,37 +1152,14 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
 # ---------------------------------------------------------------------------
 
 
-def _slice_sum(n: int, keep) -> SymFunc:
-    """The sum of p_lam over the partitions lam of n with ``keep(lam)``."""
-    return SymFunc(n, {lam: Fraction(1) for lam in partitions_of(n) if keep(lam)})
+def _geom_slice(T: PartSet, n: int) -> SymFunc:
+    """The sum of p_lam over the partitions of n with every part in T."""
+    return product_slice([(m, -1, -1) for m in T.members_up_to(n)], n)
 
 
-def _all_parts(part_ok):
-    """A ``keep`` test for _slice_sum: every part of lam passes ``part_ok``."""
-    return lambda lam: all(map(part_ok, lam.parts))
-
-
-def _even_evens(S: PrimeSet):
-    # S-smooth parts, an even number of them even
-    smooth = _all_parts(S.is_smooth)
-    return lambda lam: smooth(lam) and sum(1 for a in lam.parts if a % 2 == 0) % 2 == 0
-
-
-def _distinct_smooth(S: PrimeSet):
-    # distinct S-smooth parts
-    smooth = _all_parts(S.is_smooth)
-    return lambda lam: smooth(lam) and len(set(lam.parts)) == lam.length
-
-
-def _ext_parts(S: PrimeSet):
-    # odd S-smooth parts, and distinct even parts 2m with m odd and S-smooth
-    def keep(lam) -> bool:
-        evens = [a for a in lam.parts if a % 2 == 0]
-        if len(set(evens)) != len(evens):
-            return False
-        return all((a % 2 and S.is_smooth(a)) or (a % 2 == 0 and (a // 2) % 2 and S.is_smooth(a // 2)) for a in lam.parts)
-
-    return keep
+def _omega_even(A: SymFunc) -> SymFunc:
+    """(A + w(A)) / 2: the terms p_lam of A with an even number of even parts."""
+    return (A + A.omega()).scaled(Fraction(1, 2))
 
 
 class _Scan(NamedTuple):
@@ -1196,21 +1172,21 @@ _SCAN_S = {"S": Param("prime set", _S_SCHEMA["S"].ok)}
 _SCAN_S_NO2 = {"S": Param("prime set without 2", _S_NO2_SCHEMA["S"].ok)}
 
 # Five scans take the degree-n member of a part-set family; the other eight
-# sum p_lam over the partitions of n that pass a test.
+# take the degree-n slice of a product of factors (1 + s p_m)^{+/-1}.
 _SCANS = {
     "powk": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.powers_of(p["k"]))),
-    "product-powk": _Scan(_K_SCHEMA, lambda n, p: _slice_sum(n, _all_parts(PartSet.powers_of(p["k"]).__contains__))),
+    "product-powk": _Scan(_K_SCHEMA, lambda n, p: _geom_slice(PartSet.powers_of(p["k"]), n)),
     "onek": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.of(1, p["k"]))),
     "lek": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.up_to(p["k"]))),
     "divk": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.divisors_of(p["k"]))),
-    "mod1k-product": _Scan(_K1_SCHEMA, lambda n, p: _slice_sum(n, _all_parts(PartSet.mod_one(p["k"]).__contains__))),
+    "mod1k-product": _Scan(_K1_SCHEMA, lambda n, p: _geom_slice(PartSet.mod_one(p["k"]), n)),
     "fT": _Scan(_SCAN_T, lambda n, p: part_family(n, p["T"])),
-    "fT-product": _Scan(_SCAN_T, lambda n, p: _slice_sum(n, _all_parts(p["T"].__contains__))),
-    "symLS-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _all_parts(p["S"].is_smooth))),
-    "symLSbar-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _all_parts(p["S"].is_rough))),
-    "symLS-even-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _even_evens(p["S"]))),
-    "altsymLS-sum": _Scan(_SCAN_S, lambda n, p: _slice_sum(n, _distinct_smooth(p["S"]))),
-    "extLS-sum": _Scan(_SCAN_S_NO2, lambda n, p: _slice_sum(n, _ext_parts(p["S"]))),
+    "fT-product": _Scan(_SCAN_T, lambda n, p: _geom_slice(p["T"], n)),
+    "symLS-sum": _Scan(_SCAN_S, lambda n, p: _geom_slice(PartSet.smooth_over(p["S"]), n)),
+    "symLSbar-sum": _Scan(_SCAN_S, lambda n, p: _geom_slice(PartSet.rough_over(p["S"]), n)),
+    "symLS-even-sum": _Scan(_SCAN_S, lambda n, p: _omega_even(_geom_slice(PartSet.smooth_over(p["S"]), n))),
+    "altsymLS-sum": _Scan(_SCAN_S, lambda n, p: product_slice([(m, 1, 1) for m in _smooth_members(p["S"], n)], n)),
+    "extLS-sum": _Scan(_SCAN_S_NO2, lambda n, p: product_slice(_ext_omega_factors(p["S"], n), n)),
 }
 
 
@@ -1241,7 +1217,9 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
     p = dict(params or {})
     _check_params(family, scan.schema, p)
     ns = sorted(set(int(x) for x in ns))
-    if not ns or ns[0] < 1:
+    if not ns:
+        raise ValueError("the scan degree range is empty")
+    if ns[0] < 1:
         raise ValueError("scan degrees must be positive")
     if ns[-1] > budget:
         raise BudgetError(f"degree {ns[-1]} exceeds the scan budget {budget}; raise the budget explicitly")

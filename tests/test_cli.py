@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+from symlie import cli
 from symlie.cli import main
 
 from helpers import P
+
+# The exact stdout of `symlie list` and `symlie list --format json`.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -76,6 +81,9 @@ class TestPleth:
         code, out, _ = run(capsys, "pleth", "--outer", "h:2", "--inner", "p1", "--max-degree", "3")
         assert code == 0
         assert "deg 2:" in out
+        code, out, _ = run(capsys, "pleth", "--outer", "lie", "--inner", "p1", "--max-degree", "3", "--degree", "1")
+        assert code == 0
+        assert out == "deg 1: p[1]\n"
 
 
 class TestPlethErrors:
@@ -85,6 +93,16 @@ class TestPlethErrors:
             assert code == 2
             assert out == ""
             assert err == "error: plethysm requires a constant-free inner series\n"
+
+    def test_degree_outside_window_is_usage_error(self, capsys, monkeypatch):
+        # 0 is not "no --degree": every degree outside 1..--max-degree is
+        # refused, before any plethysm is computed
+        monkeypatch.setattr(cli, "pleth", None)
+        for degree in ("9", "5", "0", "-1"):
+            code, out, err = run(capsys, "pleth", "--outer", "lie", "--inner", "p1", "--max-degree", "4", "--degree", degree)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --degree must be in 1..4, got {degree}\n"
 
 
 class TestVerifyCommand:
@@ -106,6 +124,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--id", "extLS-omega", "--S", "2", "--max-degree", "6")
         assert code == 2
         assert "invalid params" in err
+
+    def test_malformed_prime_set_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--id", "symLS", "--S", "x")
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid params: malformed prime set 'x'\n"
 
     def test_param_passing(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "symLS", "--S", "2,5", "--max-degree", "6",
@@ -176,6 +200,15 @@ class TestScanCommand:
         assert code == 2
         assert "--n" in err
 
+    def test_empty_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--family", "powk", "--k", "4", "--n-from", "5", "--n-to", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the scan degree range is empty\n"
+        code, _, err = run(capsys, "scan", "--family", "powk", "--k", "4", "--n-from", "0", "--n-to", "3")
+        assert code == 2
+        assert err == "error: scan degrees must be positive\n"
+
     def test_missing_parameter_is_usage_error(self, capsys):
         for argv in (("--family", "powk"), ("--family", "symLS-sum")):
             code, out, err = run(capsys, "scan", *argv, "--n", "4")
@@ -191,7 +224,7 @@ class TestScanCommand:
             assert err == f"error: {family}: k must be integer >= 2, got 1\n"
 
     def test_malformed_prime_set_is_usage_error(self, capsys):
-        for S, msg in (("4", "4 is not prime"), ("x", "invalid literal for int() with base 10: 'x'")):
+        for S, msg in (("4", "4 is not prime"), ("x", "malformed prime set 'x'")):
             code, out, err = run(capsys, "scan", "--family", "symLS-sum", "--S", S, "--n", "3")
             assert code == 2
             assert out == ""
@@ -224,6 +257,15 @@ class TestListCommand:
         payload = json.loads(out)
         assert len(payload["identities"]) >= 30
         assert "powk" in payload["scan_families"]
+
+    def test_exact_bytes(self, capsys):
+        # pins every statement and schema text of the catalog and the scan table
+        code, out, _ = run(capsys, "list")
+        assert code == 0
+        assert out == (GOLDEN / "list.txt").read_text()
+        code, out, _ = run(capsys, "list", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "list.json").read_text()
 
 
 class TestDeterminism:

@@ -79,10 +79,6 @@ class TestEnumeration:
         for n in range(13):
             assert {p.parts for p in partitions_of(n)} == brute_partitions(n)
 
-    def test_part_filter(self):
-        odd = partitions_of(6, lambda a: a % 2 == 1)
-        assert [p.parts for p in odd] == [(5, 1), (3, 3), (3, 1, 1, 1), (1, 1, 1, 1, 1, 1)]
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)

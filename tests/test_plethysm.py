@@ -27,6 +27,7 @@ from symlie import (
     pleth_inverse,
     pleth_p,
     product_series,
+    product_slice,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
@@ -210,6 +211,37 @@ class TestProductSeries:
     def test_duplicate_factors_rejected(self):
         with pytest.raises(ValueError):
             product_series([(2, -1, -1), (2, 1, 1)], 4)
+
+
+class TestProductSlice:
+    MIXED = (
+        [(1, -1, -1), (2, 1, 1), (3, 1, -1), (5, -1, 1)],
+        [(1, 1, 1), (2, -1, -1), (4, 1, 1), (6, -1, -1)],
+        [(m, (-1) ** m, (-1) ** (m // 2)) for m in range(1, 10)],
+        [(3, 1, -1), (7, -1, -1)],
+        [],
+    )
+
+    def test_part_filter(self):
+        # (1-p_1)^{-1}(1-p_3)^{-1}(1-p_5)^{-1}: the partitions of 6 into odd parts
+        odd = product_slice([(m, -1, -1) for m in (1, 3, 5)], 6)
+        assert [lam.parts for lam in odd.terms] == [(5, 1), (3, 3), (3, 1, 1, 1), (1, 1, 1, 1, 1, 1)]
+        assert set(odd.terms.values()) == {1}
+
+    def test_is_the_component_of_product_series(self):
+        n = 9
+        for factors in self.MIXED:
+            s = product_series(factors, n)
+            assert s.constant == 1
+            for d in range(1, n + 1):
+                assert product_slice(factors, d) == s.component(d), (factors, d)
+
+    def test_malformed_and_duplicate_factors_rejected(self):
+        for bad in ([(0, -1, -1)], [(2, 0, 1)], [(2, 1, 2)], [(2, -1, -1), (2, 1, 1)], [(3, 1, 1), (1, 1, 1), (3, -1, -1)]):
+            with pytest.raises(ValueError):
+                product_slice(bad, 4)
+            with pytest.raises(ValueError):
+                product_series(bad, 4)
 
 
 class TestPlethInverse:

@@ -19,9 +19,10 @@ from symlie import (
     scan_positivity,
     verify,
 )
+from symlie.partitions import partitions_of
 from symlie.plethysm import Series
-from symlie.symfunc import p_of
-from symlie.verify import _series_mismatch, build_clauses
+from symlie.symfunc import SymFunc, p_of
+from symlie.verify import _SCANS, _series_mismatch, build_clauses
 
 from helpers import P
 
@@ -255,6 +256,67 @@ class TestScans:
         assert payload["verdicts"][0]["witnesses"] == [
             {"partition": [1, 1, 1, 1], "num": "-1", "den": "1"}
         ]
+
+
+def _smooth(a: int, S) -> bool:
+    for q in S:
+        while a % q == 0:
+            a //= q
+    return a == 1
+
+
+def _rough(a: int, S) -> bool:
+    return all(a % q for q in S)
+
+
+def _power_of(a: int, k: int) -> bool:
+    while a % k == 0:
+        a //= k
+    return a == 1
+
+
+def _evens(lam) -> list[int]:
+    return [a for a in lam.parts if a % 2 == 0]
+
+
+# The p_lam-sum scans stated as predicates on lam; each family's member at n is
+# the sum of p_lam over the partitions lam of n that pass.
+_SCAN_PREDICATES = {
+    "product-powk": lambda p: lambda lam: all(_power_of(a, p["k"]) for a in lam.parts),
+    "mod1k-product": lambda p: lambda lam: all(a % p["k"] == 1 % p["k"] for a in lam.parts),
+    "fT-product": lambda p: lambda lam: all(a in p["T"] for a in lam.parts),
+    "symLS-sum": lambda p: lambda lam: all(_smooth(a, p["S"]) for a in lam.parts),
+    "symLSbar-sum": lambda p: lambda lam: all(_rough(a, p["S"]) for a in lam.parts),
+    "symLS-even-sum": lambda p: lambda lam: all(_smooth(a, p["S"]) for a in lam.parts) and len(_evens(lam)) % 2 == 0,
+    "altsymLS-sum": lambda p: lambda lam: all(_smooth(a, p["S"]) for a in lam.parts) and len(set(lam.parts)) == len(lam),
+    # odd S-smooth parts, and distinct even parts 2m with m odd and S-smooth
+    "extLS-sum": lambda p: lambda lam: len(set(_evens(lam))) == len(_evens(lam))
+    and all(_smooth(a, p["S"]) if a % 2 else (a // 2) % 2 == 1 and _smooth(a // 2, p["S"]) for a in lam.parts),
+}
+
+
+class TestScanSlices:
+    PRIME_SETS = [PrimeSet(()), PrimeSet((2,)), PrimeSet((3,)), PrimeSet((3, 5))]
+    PART_SETS = [PartSet.parse(t) for t in ("1,3", "pow(4)", "div(6)", "rough(2)")]
+    PARAMS = {
+        "product-powk": [{"k": k} for k in (2, 3, 4)],
+        "mod1k-product": [{"k": k} for k in (1, 2, 3, 4)],
+        "fT-product": [{"T": T} for T in PART_SETS],
+        "symLS-sum": [{"S": S} for S in PRIME_SETS],
+        "symLSbar-sum": [{"S": S} for S in PRIME_SETS],
+        "symLS-even-sum": [{"S": S} for S in PRIME_SETS],
+        "altsymLS-sum": [{"S": S} for S in PRIME_SETS],
+        "extLS-sum": [{"S": S} for S in PRIME_SETS if 2 not in S],
+    }
+
+    def test_every_p_lam_sum_scan_against_its_predicate(self):
+        assert set(self.PARAMS) == set(_SCAN_PREDICATES)
+        for family, psets in self.PARAMS.items():
+            for p in psets:
+                keep = _SCAN_PREDICATES[family](p)
+                for n in range(1, 11):
+                    brute = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
+                    assert _SCANS[family].build(n, p) == brute, (family, p, n)
 
 
 class TestLifting:
