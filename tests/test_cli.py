@@ -10,8 +10,20 @@ from symlie.cli import main
 
 from helpers import P
 
-# The exact stdout of `symlie list` and `symlie list --format json`.
+# The exact stdout of `symlie list` and `symlie list --format json`, and of
+# `symlie scan --format json` over n = 1..14 for one parameter set of each
+# product scan (GOLDEN_SCANS).
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SCANS = {
+    "product-powk": ("--k", "2"),
+    "mod1k-product": ("--k", "3"),
+    "fT-product": ("--T", "1,2,6"),
+    "symLS-sum": ("--S", "2,3"),
+    "symLSbar-sum": ("--S", "3"),
+    "symLS-even-sum": ("--S", "2,3"),
+    "altsymLS-sum": ("--S", "3"),
+    "extLS-sum": ("--S", "3,5"),
+}
 
 
 def run(capsys, *argv):
@@ -229,6 +241,14 @@ class TestScanCommand:
             assert code == 2
             assert out == ""
             assert err == f"error: {msg}\n"
+
+    def test_product_scans_exact_bytes(self, capsys):
+        # witnesses included: fT-product T=1,2,6 and altsymLS-sum S=3 go negative
+        for family, (flag, value) in GOLDEN_SCANS.items():
+            code, out, err = run(capsys, "scan", "--family", family, flag, value,
+                                 "--n-from", "1", "--n-to", "14", "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / f"scan-{family}.json").read_text(), family
 
 
 class TestLiftCommand:
