@@ -1,7 +1,8 @@
 """symlie: exact symmetric-function computations for Lie-type families.
 
-Everything runs in the power-sum basis over exact rationals: partitions and
-divisor arithmetic, basis conversions through symmetric-group characters,
+Everything runs in the power-sum basis over exact rationals, except the
+product scans, which expand in the Schur basis over the integers: partitions
+and divisor arithmetic, basis conversions through symmetric-group characters,
 plethysm of truncated series, the representation families generated by
 divisor weights, and a catalog of exactly-checkable identities with
 Schur-positivity scans.
@@ -50,6 +51,7 @@ from .plethysm import (
     pleth_p,
     product_series,
     product_slice,
+    product_slice_schur,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,

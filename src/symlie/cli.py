@@ -71,7 +71,11 @@ def parse_weight(text: str) -> DivisorWeight:
     if t.startswith("parts:"):
         return DivisorWeight.part_set(parse_part_set(t.split(":", 1)[1]))
     if t.startswith("ramanujan:"):
-        return DivisorWeight.ramanujan(int(t.split(":", 1)[1]))
+        try:
+            r = int(t.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"malformed weight descriptor {text!r}") from None
+        return DivisorWeight.ramanujan(r)
     raise UsageError(f"unknown weight descriptor {text!r}")
 
 

@@ -154,16 +154,21 @@ class PartSet:
             raise ValueError("empty part-set descriptor")
         if t == "all":
             return cls.everything()
+        malformed = f"malformed part-set descriptor {text!r}"
         for kind in ("le", "div", "mod1", "pow"):
             if t.startswith(kind + "(") and t.endswith(")"):
-                return cls(kind, int(t[len(kind) + 1 : -1]))
+                try:
+                    k = int(t[len(kind) + 1 : -1])
+                except ValueError:
+                    raise ValueError(malformed) from None
+                return cls(kind, k)
         for kind in ("smooth", "rough"):
             if t.startswith(kind + "(") and t.endswith(")"):
                 return cls(kind, PrimeSet.from_text(t[len(kind) + 1 : -1]))
         try:
             return cls("explicit", (int(x) for x in t.split(",")))
         except ValueError:
-            raise ValueError(f"malformed part-set descriptor {text!r}") from None
+            raise ValueError(malformed) from None
 
     def key(self) -> str:
         return self.descriptor()

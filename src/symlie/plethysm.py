@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of
-from .symfunc import ONE, ZERO, SymFunc, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _strips, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -31,6 +31,7 @@ __all__ = [
     "pleth_p",
     "product_series",
     "product_slice",
+    "product_slice_schur",
     "series_exp",
     "sym_power_layers",
     "sym_powers",
@@ -502,6 +503,52 @@ def product_slice(factors, d: int) -> SymFunc:
     series, so it provides a side independent of the plethysm machinery.
     """
     return _weighted_slice(*_factor_weights(factors), d)
+
+
+def product_slice_schur(factors, d: int) -> SchurExpansion:
+    """The Schur expansion of ``product_slice(factors, d)``, by a rim-hook dynamic program.
+
+    One integer map per degree 0..d starts from the constant 1, and the
+    factors are applied one at a time, smallest m first, in the Schur basis
+    through p_m * s_mu = sum (-1)^{height} s_lam over the m-border strips
+    lam/mu (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m contributes, a factor
+    (1 + s p_m)^{-1} solves b = a + w p_m b in ascending degree, and a factor
+    1 + s p_m adds w p_m a in descending degree, so either way the degree-k
+    map is rebuilt from the degree k - m map the rule needs.  No character is
+    evaluated: ``to_schur(product_slice(...))`` is an independent second route.
+    """
+    weights, once = _factor_weights(factors)
+    shapes = [[lam.parts for lam in partitions_of(k)] for k in range(d + 1)]
+    order = sorted(m for m in weights if m <= d)
+    # gaps[i]: the sums <= d that the factors order[i:] can still add; a degree
+    # k with d - k outside them is never read again, so it is left stale
+    gaps = [{0}]
+    for m in reversed(order):
+        prev, gap = gaps[-1], set(gaps[-1])
+        for t in range(d - m + 1):
+            if t in (prev if m in once else gap):
+                gap.add(t + m)
+        gaps.append(gap)
+    gaps.reverse()
+    levels: list[dict[tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(d)]
+    for i, m in enumerate(order):
+        w, need = weights[m], (gaps[i + 1] if m in once else gaps[i])
+        for k in range(d, m - 1, -1) if m in once else range(m, d + 1):
+            low = levels[k - m]
+            if d - k not in need or not low:
+                continue
+            cur, new = levels[k], {}
+            for lam in shapes[k]:
+                c = cur.get(lam, 0)
+                for mu, sign in _strips(lam, m):
+                    b = low.get(mu)
+                    if b:
+                        c += b if sign == w else -b
+                if c:
+                    new[lam] = c
+            levels[k] = new
+    top = levels[d]
+    return SchurExpansion._make(d, {lam: Fraction(top[lam.parts]) for lam in partitions_of(d) if lam.parts in top})
 
 
 def product_series(factors, n: int) -> Series:

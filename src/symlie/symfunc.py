@@ -4,7 +4,8 @@ A SymFunc is homogeneous: a degree n together with a map from partitions of
 n to nonzero rationals, read as f = sum_mu c_mu * p_mu.  The zero function
 carries no degree and absorbs additions.  Schur expansions go through
 symmetric-group characters computed by the Murnaghan-Nakayama rule on
-beta-sets, memoized across all calls.
+beta-sets, memoized across all calls; the same rule read as multiplication
+by p_m (``_strips``) drives the Schur-basis product engine in plethysm.
 """
 
 from __future__ import annotations
@@ -275,6 +276,36 @@ def _char(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         sub = _char(tuple(lam2), rest)
         total += -sub if leg % 2 else sub
     return total
+
+
+@lru_cache(maxsize=None)
+def _strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The m-border strips lam/mu of lam, as (mu, (-1)^{height}) pairs.
+
+    Read backwards this is the Murnaghan-Nakayama rule as multiplication:
+    p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu such a strip.
+    On the beta-set (strictly decreasing) a strip moves the bead of row i
+    from b to the free position b - m; it spans rows i..j, where j is the
+    last row whose bead lies above b - m, and its height is j - i.
+    """
+    L = len(lam)
+    beta = [a + L - 1 - i for i, a in enumerate(lam)]
+    out = []
+    for i, b in enumerate(beta):
+        nb = b - m
+        if nb < 0:
+            break
+        j = i
+        while j + 1 < L and beta[j + 1] > nb:
+            j += 1
+        if j + 1 < L and beta[j + 1] == nb:
+            continue
+        # rows i+1..j lose one box and row i keeps what is left of its part;
+        # rows of length 1 (and a row emptied at the bottom) drop out
+        r = lam[i] - m + j - i
+        mu = lam[:i] + tuple([a - 1 for a in lam[i + 1 : j + 1] if a > 1]) + ((r,) if r else ()) + lam[j + 1 :]
+        out.append((mu, -1 if (j - i) % 2 else 1))
+    return tuple(out)
 
 
 def character(lam, mu) -> int:

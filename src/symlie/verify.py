@@ -2,11 +2,13 @@
 
 Each catalog entry is a named, parameterized identity between truncated
 symmetric-function series, checked by exact equality per graded slice.
-Right-hand sides of product identities, and the eight p_lam-sum scans, are
-products of factors (1 + s p_m)^{+/-1} read off the partition enumeration
+Right-hand sides of product identities are products of factors
+(1 + s p_m)^{+/-1} read off the partition enumeration
 (``product_series``/``product_slice``), never re-derived through the
 plethysm path that produced the left side, so the two routes stay
-independent.
+independent.  The eight p_lam-sum scans take the same factor lists but
+expand them directly in the Schur basis (``product_slice_schur``); the
+character route ``to_schur(product_slice(...))`` is their test oracle.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .plethysm import (
     pleth_p,
     product_series,
     product_slice,
+    product_slice_schur,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
 )
-from .symfunc import SymFunc, e_of, h_of, is_schur_positive, p_of, terms_json, to_schur
+from .symfunc import SchurExpansion, SymFunc, e_of, h_of, is_schur_positive, p_of, terms_json, to_schur
 from .families import (
     DivisorWeight,
     MOEBIUS,
@@ -1152,19 +1155,60 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
 # ---------------------------------------------------------------------------
 
 
-def _geom_slice(T: PartSet, n: int) -> SymFunc:
-    """The sum of p_lam over the partitions of n with every part in T."""
-    return product_slice([(m, -1, -1) for m in T.members_up_to(n)], n)
-
-
 def _omega_even(A: SymFunc) -> SymFunc:
     """(A + w(A)) / 2: the terms p_lam of A with an even number of even parts."""
     return (A + A.omega()).scaled(Fraction(1, 2))
 
 
+def _conjugate_even(E: SchurExpansion) -> SchurExpansion:
+    """(E + w(E)) / 2 in the Schur basis, where w sends s_lam to s_lam'."""
+    terms: dict[Partition, Fraction] = {}
+    for lam, c in E.terms.items():
+        for key in (lam, lam.conjugate()):
+            terms[key] = terms.get(key, 0) + c / 2
+    return SchurExpansion(E.degree, terms)
+
+
 class _Scan(NamedTuple):
     schema: dict[str, Param]
-    build: Callable[[int, dict], SymFunc]  # (n, params) -> the degree-n member
+    build: Callable[[int, dict], SymFunc]  # (n, params) -> the degree-n member, power-sum basis
+    expand: Callable[[int, dict], SchurExpansion]  # (n, params) -> its Schur expansion
+
+
+def _family_scan(schema: dict[str, Param], part_set: Callable[[dict], PartSet]) -> _Scan:
+    """The degree-n member of the family of the part set ``part_set(params)``, expanded by to_schur."""
+
+    def build(n, p):
+        return part_family(n, part_set(p))
+
+    return _Scan(schema, build, lambda n, p: to_schur(build(n, p)))
+
+
+def _product_scan(schema: dict[str, Param], factors: Callable[[int, dict], list], even: bool = False) -> _Scan:
+    """The degree-n slice of the product of ``factors(n, params)``, expanded by the rim-hook DP.
+
+    With ``even`` the slice is averaged with its omega image: in the power-sum
+    basis that keeps the p_lam with an even number of even parts, and in the
+    Schur basis omega conjugates the shape.
+    """
+
+    def build(n, p):
+        A = product_slice(factors(n, p), n)
+        return _omega_even(A) if even else A
+
+    def expand(n, p):
+        E = product_slice_schur(factors(n, p), n)
+        return _conjugate_even(E) if even else E
+
+    return _Scan(schema, build, expand)
+
+
+def _geom_factors(part_set: Callable[[dict], PartSet]) -> Callable[[int, dict], list]:
+    """The factors (1 - p_m)^{-1} over the members m <= n of ``part_set(params)``.
+
+    Their product is the sum of p_lam over the partitions with every part in the set.
+    """
+    return lambda n, p: [(m, -1, -1) for m in part_set(p).members_up_to(n)]
 
 
 _SCAN_T = {"T": Param("part-set descriptor", _T_SCHEMA["T"].ok)}
@@ -1174,19 +1218,19 @@ _SCAN_S_NO2 = {"S": Param("prime set without 2", _S_NO2_SCHEMA["S"].ok)}
 # Five scans take the degree-n member of a part-set family; the other eight
 # take the degree-n slice of a product of factors (1 + s p_m)^{+/-1}.
 _SCANS = {
-    "powk": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.powers_of(p["k"]))),
-    "product-powk": _Scan(_K_SCHEMA, lambda n, p: _geom_slice(PartSet.powers_of(p["k"]), n)),
-    "onek": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.of(1, p["k"]))),
-    "lek": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.up_to(p["k"]))),
-    "divk": _Scan(_K_SCHEMA, lambda n, p: part_family(n, PartSet.divisors_of(p["k"]))),
-    "mod1k-product": _Scan(_K1_SCHEMA, lambda n, p: _geom_slice(PartSet.mod_one(p["k"]), n)),
-    "fT": _Scan(_SCAN_T, lambda n, p: part_family(n, p["T"])),
-    "fT-product": _Scan(_SCAN_T, lambda n, p: _geom_slice(p["T"], n)),
-    "symLS-sum": _Scan(_SCAN_S, lambda n, p: _geom_slice(PartSet.smooth_over(p["S"]), n)),
-    "symLSbar-sum": _Scan(_SCAN_S, lambda n, p: _geom_slice(PartSet.rough_over(p["S"]), n)),
-    "symLS-even-sum": _Scan(_SCAN_S, lambda n, p: _omega_even(_geom_slice(PartSet.smooth_over(p["S"]), n))),
-    "altsymLS-sum": _Scan(_SCAN_S, lambda n, p: product_slice([(m, 1, 1) for m in _smooth_members(p["S"], n)], n)),
-    "extLS-sum": _Scan(_SCAN_S_NO2, lambda n, p: product_slice(_ext_omega_factors(p["S"], n), n)),
+    "powk": _family_scan(_K_SCHEMA, lambda p: PartSet.powers_of(p["k"])),
+    "product-powk": _product_scan(_K_SCHEMA, _geom_factors(lambda p: PartSet.powers_of(p["k"]))),
+    "onek": _family_scan(_K_SCHEMA, lambda p: PartSet.of(1, p["k"])),
+    "lek": _family_scan(_K_SCHEMA, lambda p: PartSet.up_to(p["k"])),
+    "divk": _family_scan(_K_SCHEMA, lambda p: PartSet.divisors_of(p["k"])),
+    "mod1k-product": _product_scan(_K1_SCHEMA, _geom_factors(lambda p: PartSet.mod_one(p["k"]))),
+    "fT": _family_scan(_SCAN_T, lambda p: p["T"]),
+    "fT-product": _product_scan(_SCAN_T, _geom_factors(lambda p: p["T"])),
+    "symLS-sum": _product_scan(_SCAN_S, _geom_factors(lambda p: PartSet.smooth_over(p["S"]))),
+    "symLSbar-sum": _product_scan(_SCAN_S, _geom_factors(lambda p: PartSet.rough_over(p["S"]))),
+    "symLS-even-sum": _product_scan(_SCAN_S, _geom_factors(lambda p: PartSet.smooth_over(p["S"])), even=True),
+    "altsymLS-sum": _product_scan(_SCAN_S, lambda n, p: [(m, 1, 1) for m in _smooth_members(p["S"], n)]),
+    "extLS-sum": _product_scan(_SCAN_S_NO2, lambda n, p: _ext_omega_factors(p["S"], n)),
 }
 
 
@@ -1194,13 +1238,13 @@ def scan_families() -> dict[str, dict]:
     return {name: {k: v.text for k, v in scan.schema.items()} for name, scan in sorted(_SCANS.items())}
 
 
-def _verdicts(ns, member) -> list[ScanVerdict]:
-    """Time and check each degree n in ``ns`` in turn: is ``member(n)`` Schur positive?"""
+def _verdicts(ns, expansion) -> list[ScanVerdict]:
+    """Time and check each degree n in ``ns`` in turn: is the Schur expansion ``expansion(n)`` positive?"""
     verdicts = []
     for n in ns:
         t0 = time.perf_counter()
-        pos, neg = is_schur_positive(member(n))
-        verdicts.append(ScanVerdict(n, pos, neg, (time.perf_counter() - t0) * 1000))
+        neg = expansion(n).negatives()
+        verdicts.append(ScanVerdict(n, not neg, neg, (time.perf_counter() - t0) * 1000))
     return verdicts
 
 
@@ -1223,7 +1267,7 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
         raise ValueError("scan degrees must be positive")
     if ns[-1] > budget:
         raise BudgetError(f"degree {ns[-1]} exceeds the scan budget {budget}; raise the budget explicitly")
-    verdicts = _verdicts(ns, lambda n: scan.build(n, p))
+    verdicts = _verdicts(ns, lambda n: scan.expand(n, p))
     printable = {k: str(v) for k, v in p.items()}
     return PositivityReport(family, printable, verdicts)
 
@@ -1237,7 +1281,7 @@ def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: i
     _check_params("lifting", _LIFT_SCHEMA, {"q": q, "n_max": n_max})
     if n_max > budget:
         raise BudgetError(f"n_max {n_max} exceeds the lifting budget {budget}; raise the budget explicitly")
-    verdicts = _verdicts(range(2, n_max + 1), lambda n: p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
+    verdicts = _verdicts(range(2, n_max + 1), lambda n: to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,))))
     return PositivityReport("lifting", {"q": str(q), "n_max": str(n_max)}, verdicts)
 
 

@@ -143,6 +143,17 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: invalid params: malformed prime set 'x'\n"
 
+    def test_malformed_descriptor_is_usage_error(self, capsys):
+        for argv, msg in (
+            (("--id", "fT-sym", "--T", "le(x)"), "malformed set descriptor: malformed part-set descriptor 'le(x)'"),
+            (("--id", "fT-sym", "--T", "mod1(x)"), "malformed set descriptor: malformed part-set descriptor 'mod1(x)'"),
+            (("--id", "meta-sym", "--weight", "ramanujan:x"), "malformed weight descriptor 'ramanujan:x'"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: invalid params: {msg}\n"
+
     def test_param_passing(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "symLS", "--S", "2,5", "--max-degree", "6",
                            "--format", "json")

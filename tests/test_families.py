@@ -77,6 +77,12 @@ class TestPartSet:
         with pytest.raises(ValueError):
             PartSet.parse("banana")
 
+    def test_parse_names_the_malformed_descriptor(self):
+        for text in ("le(x)", "div(x)", "mod1(x)", "pow(x)", "le()", "pow(2.5)", "1,x"):
+            with pytest.raises(ValueError) as exc:
+                PartSet.parse(text)
+            assert str(exc.value) == f"malformed part-set descriptor {text!r}"
+
     def test_members_up_to(self):
         assert PartSet.powers_of(3).members_up_to(30) == (1, 3, 9, 27)
         assert PartSet.mod_one(4).members_up_to(14) == (1, 5, 9, 13)

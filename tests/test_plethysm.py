@@ -28,9 +28,11 @@ from symlie import (
     pleth_p,
     product_series,
     product_slice,
+    product_slice_schur,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
+    to_schur,
 )
 
 from symlie import SymFunc
@@ -236,12 +238,17 @@ class TestProductSlice:
             for d in range(1, n + 1):
                 assert product_slice(factors, d) == s.component(d), (factors, d)
 
+    def test_schur_engine_against_to_schur(self):
+        # the rim-hook DP against the character route, mixed signs and exponents
+        for factors in self.MIXED:
+            for d in range(13):
+                assert product_slice_schur(factors, d) == to_schur(product_slice(factors, d)), (factors, d)
+
     def test_malformed_and_duplicate_factors_rejected(self):
         for bad in ([(0, -1, -1)], [(2, 0, 1)], [(2, 1, 2)], [(2, -1, -1), (2, 1, 1)], [(3, 1, 1), (1, 1, 1), (3, -1, -1)]):
-            with pytest.raises(ValueError):
-                product_slice(bad, 4)
-            with pytest.raises(ValueError):
-                product_series(bad, 4)
+            for build in (product_slice, product_series, product_slice_schur):
+                with pytest.raises(ValueError):
+                    build(bad, 4)
 
 
 class TestPlethInverse:

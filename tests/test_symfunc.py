@@ -23,7 +23,7 @@ from symlie import (
     z_of,
 )
 from symlie.partitions import Partition
-from symlie.symfunc import ZERO, d_dp1
+from symlie.symfunc import ZERO, _strips, d_dp1
 
 from helpers import P, frac, hook_length_dimension, random_symfunc
 
@@ -157,6 +157,17 @@ class TestSchur:
             expw = to_schur(f.omega())
             for lam in partitions_of(deg):
                 assert exp.coefficient(lam) == expw.coefficient(lam.conjugate())
+
+    def test_strips_are_multiplication_by_p_m(self):
+        # p_m * s_mu = sum of (-1)^{height} s_lam over the m-border strips lam/mu
+        for m in range(1, 7):
+            for d in range(9):
+                added = {mu.parts: {} for mu in partitions_of(d)}
+                for lam in partitions_of(d + m):
+                    for mu, sign in _strips(lam.parts, m):
+                        added[mu][lam] = sign
+                for mu in partitions_of(d):
+                    assert SchurExpansion(d + m, added[mu.parts]) == to_schur(p_of((m,)) * s_of(mu)), (m, mu)
 
     def test_require_integer(self):
         to_schur(h_of(4), require_integer=True)

@@ -21,7 +21,7 @@ from symlie import (
 )
 from symlie.partitions import partitions_of
 from symlie.plethysm import Series
-from symlie.symfunc import SymFunc, p_of
+from symlie.symfunc import SymFunc, p_of, to_schur
 from symlie.verify import _SCANS, _series_mismatch, build_clauses
 
 from helpers import P
@@ -317,6 +317,14 @@ class TestScanSlices:
                 for n in range(1, 11):
                     brute = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
                     assert _SCANS[family].build(n, p) == brute, (family, p, n)
+
+    def test_rim_hook_engine_against_to_schur(self):
+        # each product scan's verdicts read the DP; the character route is the oracle
+        for family, psets in self.PARAMS.items():
+            for p in psets:
+                for n in range(1, 13):
+                    scan = _SCANS[family]
+                    assert scan.expand(n, p) == to_schur(scan.build(n, p)), (family, p, n)
 
 
 class TestLifting:
