@@ -511,11 +511,12 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     One integer map per degree 0..d starts from the constant 1, and the
     factors are applied one at a time, smallest m first, in the Schur basis
     through p_m * s_mu = sum (-1)^{height} s_lam over the m-border strips
-    lam/mu (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m contributes, a factor
-    (1 + s p_m)^{-1} solves b = a + w p_m b in ascending degree, and a factor
-    1 + s p_m adds w p_m a in descending degree, so either way the degree-k
-    map is rebuilt from the degree k - m map the rule needs.  No character is
-    evaluated: ``to_schur(product_slice(...))`` is an independent second route.
+    lam/mu (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m
+    contributes, a factor (1 + s p_m)^{-1} solves b = a + w p_m b in
+    ascending degree, and a factor 1 + s p_m adds w p_m a in descending
+    degree, so either way the degree-k map is rebuilt from the degree k - m
+    map the rule needs.  No character is evaluated:
+    ``to_schur(product_slice(...))`` is an independent second route.
     """
     weights, once = _factor_weights(factors)
     shapes = [[lam.parts for lam in partitions_of(k)] for k in range(d + 1)]

@@ -254,7 +254,7 @@ class TestScanCommand:
             assert err == f"error: {msg}\n"
 
     def test_product_scans_exact_bytes(self, capsys):
-        # witnesses included: fT-product T=1,2,6 and altsymLS-sum S=3 go negative
+        # witnesses included: fT-product, mod1k-product and altsymLS-sum go negative
         for family, (flag, value) in GOLDEN_SCANS.items():
             code, out, err = run(capsys, "scan", "--family", family, flag, value,
                                  "--n-from", "1", "--n-to", "14", "--format", "json")
