@@ -36,12 +36,11 @@ from .symfunc import (
 from .plethysm import (
     Series,
     alt_omega,
-    e_pm_series,
     e_series,
     ext_power_layers,
     ext_powers,
     ext_powers_signed,
-    h_pm_series,
+    graded_product_series,
     h_series,
     higher_module,
     p1_series,

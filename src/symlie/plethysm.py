@@ -16,12 +16,11 @@ from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _strips, e_of, h_of, p_
 __all__ = [
     "Series",
     "alt_omega",
-    "e_pm_series",
     "e_series",
     "ext_power_layers",
     "ext_powers",
     "ext_powers_signed",
-    "h_pm_series",
+    "graded_product_series",
     "h_series",
     "higher_module",
     "p1_series",
@@ -216,15 +215,6 @@ def h_series(n: int) -> Series:
 
 def e_series(n: int) -> Series:
     return Series(n, {d: e_of(d) for d in range(1, n + 1)}, constant=1)
-
-
-def h_pm_series(n: int) -> Series:
-    """H^pm = sum (-1)^r h_r."""
-    return Series(n, {d: h_of(d) if d % 2 == 0 else -h_of(d) for d in range(1, n + 1)}, constant=1)
-
-
-def e_pm_series(n: int) -> Series:
-    return Series(n, {d: e_of(d) if d % 2 == 0 else -e_of(d) for d in range(1, n + 1)}, constant=1)
 
 
 def alt_omega(F: Series) -> Series:
@@ -556,6 +546,49 @@ def product_series(factors, n: int) -> Series:
     """prod (1 + sign*p_m)^{exponent} truncated at n: 1 plus product_slice for d = 1..n."""
     weights, once = _factor_weights(factors)
     return Series(n, {d: _weighted_slice(weights, once, d) for d in range(1, n + 1)}, constant=1)
+
+
+def graded_product_series(factors, n: int) -> list[Series]:
+    """prod (1 + sign*p_m)^{P_m(v)} truncated at n, as the list of its v^0, v^1, ..., v^n parts.
+
+    ``factors`` holds (m, sign, P_m), checked as by ``product_slice``, with
+    P_m a map v-exponent -> coefficient (``families.exponent_poly``).  By the
+    binomial theorem the coefficient of p_lam is the product, over each part
+    value m of multiplicity j in lam, of sign^j * binom(P_m(v), j); powers of
+    v above n are dropped.  Like ``product_series`` it multiplies no series.
+    """
+
+    def mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for i, x in a.items():
+            for k, y in b.items():
+                if i + k <= n:
+                    out[i + k] = out.get(i + k, 0) + x * y
+        return {e: c for e, c in out.items() if c}
+
+    factors = list(factors)
+    _factor_weights((m, s, 1) for m, s, _ in factors)
+    # binoms[m][j] = sign^j * binom(P_m(v), j) = binoms[m][j-1] * sign * (P_m(v) - j + 1) / j
+    binoms: dict[int, list[dict[int, Fraction]]] = {}
+    for m, s, P in factors:
+        row = [{0: Fraction(1)}]
+        for j in range(1, n // m + 1):
+            step = {e: Fraction(c) * s / j for e, c in P.items()}
+            step[0] = step.get(0, 0) - Fraction(s * (j - 1), j)
+            row.append(mul(row[-1], step))
+        binoms[int(m)] = row
+    layers: list[dict[int, dict[Partition, Fraction]]] = [{} for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for lam in partitions_of(d):
+            c = {0: Fraction(1)}
+            for m, j in lam.multiplicities().items():
+                c = mul(c, binoms[m][j]) if m in binoms else {}
+            for r, x in c.items():
+                layers[r].setdefault(d, {})[lam] = x
+    return [
+        Series(n, {d: SymFunc._make(d, t) for d, t in comps.items()}, constant=int(r == 0))
+        for r, comps in enumerate(layers)
+    ]
 
 
 def pleth_inverse(F: Series) -> Series:

@@ -2,13 +2,15 @@
 
 Each catalog entry is a named, parameterized identity between truncated
 symmetric-function series, checked by exact equality per graded slice.
-Right-hand sides of product identities are products of factors
-(1 + s p_m)^{+/-1} read off the partition enumeration
-(``product_series``/``product_slice``), never re-derived through the
-plethysm path that produced the left side, so the two routes stay
-independent.  The eight p_lam-sum scans take the same factor lists but
-expand them directly in the Schur basis (``product_slice_schur``); the
-character route ``to_schur(product_slice(...))`` is their test oracle.
+Every product side is read off the partition enumeration, never
+re-derived through the plethysm path that produced the left side, so the
+two routes stay independent: products of factors (1 + s p_m)^{+/-1}
+through ``product_series``/``product_slice``, and the length-graded
+products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
+through ``graded_product_series``.  The eight p_lam-sum scans take the
+same factor lists but expand them directly in the Schur basis
+(``product_slice_schur``); the character route
+``to_schur(product_slice(...))`` is their test oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .plethysm import (
     ext_power_layers,
     ext_powers,
     ext_powers_signed,
+    graded_product_series,
     h_series,
     higher_module,
     p1_series,
@@ -196,62 +199,13 @@ def _series_mismatch(lhs: Series, rhs: Series) -> dict | None:
     return None
 
 
-def _vgraded_mismatch(lhs: dict[int, Series], rhs: dict[int, Series], n: int) -> dict | None:
-    for r in range(n + 1):
-        a = lhs.get(r, Series.zero(n))
-        b = rhs.get(r, Series.zero(n))
+def _vgraded_mismatch(lhs: list[Series], rhs: list[Series]) -> dict | None:
+    for r, (a, b) in enumerate(zip(lhs, rhs)):
         m = _series_mismatch(a, b)
         if m is not None:
             m["length"] = r
             return m
     return None
-
-
-# ---------------------------------------------------------------------------
-# Length-graded product expansion prod (1 + s p_m)^{poly_m(v)}
-# ---------------------------------------------------------------------------
-
-
-def _v_product(factors, n: int) -> dict[int, Series]:
-    """Expand prod (1 + s*p_m)^{poly_m(v)} as a map v-power -> Series.
-
-    ``factors`` is a list of (m, s, poly) with poly a map from v-exponent to
-    rational coefficient.  Computed as exp of the explicit logarithm, so the
-    v-grading is carried exactly.
-    """
-    log_terms: dict[int, Series] = {}
-    for m, s, poly in factors:
-        j = 1
-        while m * j <= n:
-            c = Fraction((s**j) * (-1 if j % 2 == 0 else 1), j)
-            f = p_of((m,) * j).scaled(c)
-            for e, ce in poly.items():
-                g = f.scaled(ce)
-                if g.is_zero:
-                    continue
-                cur = log_terms.get(e, Series.zero(n))
-                log_terms[e] = cur + Series.from_symfunc(g, n)
-            j += 1
-
-    def vmul(A: dict[int, Series], B: dict[int, Series]) -> dict[int, Series]:
-        out: dict[int, Series] = {}
-        zero = Series.zero(n)
-        for a, fa in A.items():
-            for b, fb in B.items():
-                if a + b > n:
-                    continue
-                p = fa * fb
-                cur = out.get(a + b)
-                out[a + b] = p if cur is None else cur + p
-        return {k: v for k, v in out.items() if v != zero}
-
-    result = {0: Series.one(n)}
-    for j in range(n, 0, -1):
-        scaled = {e: f.scaled(Fraction(1, j)) for e, f in log_terms.items()}
-        result = vmul(scaled, result)
-        base = result.get(0, Series.zero(n))
-        result[0] = base + Series.one(n)
-    return result
 
 
 def _negpoly(p: dict) -> dict:
@@ -263,11 +217,9 @@ def _flippoly(p: dict) -> dict:
     return {e: (c if e % 2 == 0 else -c) for e, c in p.items()}
 
 
-def _layer_dict(layers: list[Series], signed: bool = False) -> dict[int, Series]:
-    out = {}
-    for r, s in enumerate(layers):
-        out[r] = s.scaled(-1) if signed and r % 2 else s
-    return out
+def _signed_layers(layers: list[Series]) -> list[Series]:
+    # [L_0, L_1, L_2, ...] -> [L_0, -L_1, L_2, ...]: the layers of the signed powers
+    return [-s if r % 2 else s for r, s in enumerate(layers)]
 
 
 # ---------------------------------------------------------------------------
@@ -872,27 +824,26 @@ def _b_meta(which):
         F = family_series(w, n)
         polys = {m: exponent_poly(m, w) for m in range(1, n + 1)}
         if which == "sym":
-            lhs = _layer_dict(sym_power_layers(F))
-            rhs = _v_product([(m, -1, _negpoly(polys[m])) for m in polys], n)
-            label = "H(v)[F] = prod (1-p_m)^{-poly_m(v)}"
-            return [_vclause(label, lhs, rhs)]
+            lhs = sym_power_layers(F)
+            rhs = graded_product_series([(m, -1, _negpoly(polys[m])) for m in polys], n)
+            return [_vclause("H(v)[F] = prod (1-p_m)^{-poly_m(v)}", lhs, rhs)]
         if which == "ext":
-            lhs = _layer_dict(ext_power_layers(F))
-            rhs = _v_product([(m, -1, _flippoly(polys[m])) for m in polys], n)
+            lhs = ext_power_layers(F)
+            rhs = graded_product_series([(m, -1, _flippoly(polys[m])) for m in polys], n)
             return [_vclause("E(v)[F] = prod (1-p_m)^{poly_m(-v)}", lhs, rhs)]
         if which == "altext":
-            lhs = _layer_dict(sym_power_layers(alt_omega(F)))
-            rhs = _v_product([(m, 1, polys[m]) for m in polys], n)
+            lhs = sym_power_layers(alt_omega(F))
+            rhs = graded_product_series([(m, 1, polys[m]) for m in polys], n)
             return [_vclause("H(v)[alt-w(F)] = prod (1+p_m)^{poly_m(v)}", lhs, rhs)]
         if which == "altsym":
-            lhs = _layer_dict(ext_power_layers(alt_omega(F)))
-            rhs = _v_product([(m, 1, _negpoly(_flippoly(polys[m]))) for m in polys], n)
+            lhs = ext_power_layers(alt_omega(F))
+            rhs = graded_product_series([(m, 1, _negpoly(_flippoly(polys[m]))) for m in polys], n)
             return [_vclause("E(v)[alt-w(F)] = prod (1+p_m)^{-poly_m(-v)}", lhs, rhs)]
         if which == "equiv":
-            lhs1 = _layer_dict(ext_power_layers(F), signed=True)
-            rhs1 = _v_product([(m, -1, polys[m]) for m in polys], n)
-            lhs2 = _layer_dict(sym_power_layers(F), signed=True)
-            rhs2 = _v_product([(m, -1, _negpoly(_flippoly(polys[m]))) for m in polys], n)
+            lhs1 = _signed_layers(ext_power_layers(F))
+            rhs1 = graded_product_series([(m, -1, polys[m]) for m in polys], n)
+            lhs2 = _signed_layers(sym_power_layers(F))
+            rhs2 = graded_product_series([(m, -1, _negpoly(_flippoly(polys[m]))) for m in polys], n)
             return [
                 _vclause("Epm(v)[F] = prod (1-p_m)^{poly_m(v)}", lhs1, rhs1),
                 _vclause("Hpm(v)[F] = prod (1-p_m)^{-poly_m(-v)}", lhs2, rhs2),
@@ -963,7 +914,7 @@ _W_SCHEMA = {
     )
 }
 _G_SCHEMA = {"g": _one_of("one", "id")}
-_LIFT_SCHEMA = {"q": _PRIME_Q_SCHEMA["q"], "n_max": Param("scan ceiling", lambda v: isinstance(v, int))}
+_LIFT_SCHEMA = {"q": _PRIME_Q_SCHEMA["q"], "n_max": _int_at_least(2)}
 
 _register("thrall", "H[Lie](t) = (1 - t p_1)^{-1}  (Thrall)", _b_thrall)
 _register("cadogan", "H[sum (-1)^{d-1} w(Lie_d)](t) = 1 + t p_1  (Cadogan)", _b_cadogan)
@@ -1141,7 +1092,7 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
         return VerifyReport(id, printable, n, status, mismatch, [], (time.perf_counter() - t0) * 1000, details)
     status, mismatch = "pass", None
     for label, kind, lhs, rhs in entry.builder(p, n):
-        m = _series_mismatch(lhs, rhs) if kind == "series" else _vgraded_mismatch(lhs, rhs, n)
+        m = _series_mismatch(lhs, rhs) if kind == "series" else _vgraded_mismatch(lhs, rhs)
         if m is not None:
             m["clause"] = label
             status, mismatch = "fail", m

@@ -275,6 +275,16 @@ class TestLiftCommand:
         negs = [v["n"] for v in payload["verdicts"] if not v["positive"]]
         assert negs == [5, 6]
 
+    def test_empty_or_negative_ceiling_is_usage_error(self, capsys):
+        for n_max, fmt in (("0", "text"), ("-5", "json"), ("1", "text")):
+            code, out, err = run(capsys, "lift", "--q", "3", "--n-max", n_max, "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: lifting: n_max must be integer >= 2, got {n_max}\n"
+        code, out, err = run(capsys, "verify", "--id", "lifting", "--n-max", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid params: lifting: n_max must be integer >= 2, got 1\n"
+
 
 class TestListCommand:
     def test_text_contains_ids(self, capsys):

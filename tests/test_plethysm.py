@@ -8,13 +8,18 @@ from fractions import Fraction
 import pytest
 
 from symlie import (
+    MOEBIUS,
     Series,
+    TOTIENT,
     alt_omega,
     conj_series,
     e_of,
     ext_power_layers,
     ext_powers,
     ext_powers_signed,
+    exponent_eval,
+    exponent_poly,
+    graded_product_series,
     h_of,
     higher_module,
     lie,
@@ -249,6 +254,44 @@ class TestProductSlice:
             for build in (product_slice, product_series, product_slice_schur):
                 with pytest.raises(ValueError):
                     build(bad, 4)
+
+
+class TestGradedProductSeries:
+    def test_necklace_polynomials_and_constant_exponents(self):
+        # At v = t the exponent polynomial of mu or phi counts necklaces, an
+        # integer, so sum_r t^r * layer_r must be an integer power product of
+        # (1 - p_m)^{-1} factors, multiplied out as Series.
+        for w in (MOEBIUS, TOTIENT):
+            for n in range(1, 9):
+                for t in (2, 3):
+                    counts = {m: exponent_eval(m, w, t) for m in range(1, n + 1)}
+                    assert all(c.denominator == 1 and c >= 0 for c in counts.values()), (w.tag, t)
+                    layers = graded_product_series(
+                        [(m, -1, {e: -c for e, c in exponent_poly(m, w).items()}) for m in range(1, n + 1)], n
+                    )
+                    assert len(layers) == n + 1
+                    at_t = Series.zero(n)
+                    for r, layer in enumerate(layers):
+                        at_t = at_t + layer.scaled(t**r)
+                    want = Series.one(n)
+                    for m, c in counts.items():
+                        for _ in range(int(c)):
+                            want = want * product_series([(m, -1, -1)], n)
+                    assert at_t == want, (w.tag, n, t)
+        # a constant exponent k: (1 + p_m)^k, all of it in layer 0
+        n = 8
+        layers = graded_product_series([(m, 1, {0: Fraction(m + 1)}) for m in (1, 2, 3)], n)
+        want = Series.one(n)
+        for m in (1, 2, 3):
+            for _ in range(m + 1):
+                want = want * product_series([(m, 1, 1)], n)
+        assert layers[0] == want
+        assert all(layer == Series.zero(n) for layer in layers[1:])
+
+    def test_malformed_and_duplicate_factors_rejected(self):
+        for bad in ([(0, -1, {1: 1})], [(2, 0, {1: 1})], [(2, -1, {1: 1}), (2, 1, {2: 1})]):
+            with pytest.raises(ValueError):
+                graded_product_series(bad, 4)
 
 
 class TestPlethInverse:

@@ -354,6 +354,14 @@ class TestLifting:
         with pytest.raises(ValueError, match="N must equal n_max"):
             verify("lifting", N=8)
 
+    def test_ceiling_below_two_rejected(self):
+        for n_max in (1, 0, -5):
+            with pytest.raises(ValueError, match="n_max must be integer >= 2"):
+                lifting_check(3, n_max)
+            with pytest.raises(ValueError, match="n_max must be integer >= 2"):
+                verify("lifting", params={"n_max": n_max}, N=n_max)
+        assert lifting_check(3, 2).negatives() == []
+
 
 class TestHooks:
     def test_n5_exceptions(self):
