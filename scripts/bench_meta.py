@@ -1,17 +1,23 @@
-"""Time the five length-graded ``meta-*`` identities, one id and N per fresh interpreter.
+"""Time catalog identities at raised windows, one id and N per fresh interpreter.
 
-    PYTHONPATH=src python3 scripts/bench_meta.py [label=SRC_DIR ...] > BENCH_7.json
+    PYTHONPATH=src python3 scripts/bench_meta.py [--table NAME] [--timeout S] [label=SRC_DIR ...]
 
-Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
-example ``parent=../parent/src change=src`` to compare two checkouts); with
-none, the tree on PYTHONPATH is timed under the label ``here``.  Each entry
-records the wall time of one cold ``verify(id, N=N)`` at the default weight
-mu, its status, and the peak memory tracemalloc traces in a second cold
-call.
+``--table meta`` (the default) times the five length-graded ``meta-*``
+identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times the four
+plethystic-inverse identities at N = 10..16 (BENCH_8.json).  Each
+``label=SRC_DIR`` names a source tree to import ``symlie`` from (for example
+``parent=../parent/src change=src`` to compare two checkouts); with none,
+the tree on PYTHONPATH is timed under the label ``here``.  Each entry records
+the wall time of one cold ``verify(id, N=N)`` at the id's default
+parameters, its status, and the peak memory tracemalloc traces in a second
+cold call.  A call that runs past ``--timeout`` seconds (default 60) is
+stopped: the untraced one is recorded with status ``timeout`` and is not
+traced, and a traced one leaves ``peak_traced_mb`` null.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -20,8 +26,18 @@ import sys
 import time
 import tracemalloc
 
-IDS = ("meta-sym", "meta-ext", "meta-altext", "meta-altsym", "meta-equiv")
-NS = (8, 10, 12, 14)
+TABLES = {
+    "meta": (
+        "verify(meta-*, N) at weight mu",
+        ("meta-sym", "meta-ext", "meta-altext", "meta-altsym", "meta-equiv"),
+        (8, 10, 12, 14),
+    ),
+    "inverse": (
+        "verify(inverse id, N) at default parameters",
+        ("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"),
+        (10, 12, 14, 16),
+    ),
+}
 
 
 def one(id: str, n: int, traced: bool) -> dict:
@@ -41,22 +57,33 @@ def main() -> None:
     if sys.argv[1:2] == ["--one"]:
         print(json.dumps(one(sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1")))
         return
-    trees = dict(arg.split("=", 1) for arg in sys.argv[1:]) or {"here": None}
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--table", choices=sorted(TABLES), default="meta")
+    ap.add_argument("--timeout", type=float, default=60.0)
+    ap.add_argument("trees", nargs="*", metavar="label=SRC_DIR")
+    args = ap.parse_args()
+    workload, ids, ns = TABLES[args.table]
+    trees = dict(arg.split("=", 1) for arg in args.trees) or {"here": None}
     entries = []
     for label, src in trees.items():
         env = dict(os.environ)
         if src is not None:
             env["PYTHONPATH"] = os.path.abspath(src)
-        for id in IDS:
-            for n in NS:
+        for id in ids:
+            for n in ns:
                 entry = {"tree": label, "id": id, "N": n}
                 for traced in ("0", "1"):
                     argv = [sys.executable, __file__, "--one", id, str(n), traced]
-                    run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
+                    try:
+                        run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=args.timeout)
+                    except subprocess.TimeoutExpired:
+                        entry.update({"peak_traced_mb": None} if traced == "1" else {"status": "timeout"})
+                        entry["timeout_s"] = args.timeout
+                        break
                     entry.update(json.loads(run.stdout))
                 entries.append(entry)
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
-    report = {"workload": "verify(meta-*, N) at weight mu, one id and N per cold interpreter", "host": host, "entries": entries}
+    report = {"workload": f"{workload}, one id and N per cold interpreter", "host": host, "entries": entries}
     print(json.dumps(report, indent=1))
 
 

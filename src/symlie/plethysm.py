@@ -266,84 +266,101 @@ def pleth_homog(f: SymFunc, g: SymFunc) -> SymFunc:
     return out
 
 
-def _components_slice(parts: tuple[int, ...], g: Series, target: int) -> SymFunc:
-    """Degree-``target`` component of prod_i p_{parts[i]}[g] for constant-free g."""
-    degs = sorted(g.components)
-    if not degs:
-        return ZERO
-    dmin, dmax = degs[0], degs[-1]
-    order = tuple(sorted(parts, reverse=True))
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + order[i]
-
-    total = ZERO
-
-    def rec(idx: int, remaining: int, acc: SymFunc) -> None:
-        nonlocal total
-        if idx == len(order):
-            if remaining == 0:
-                total = total + acc
-            return
-        a = order[idx]
-        rest = suffix[idx + 1]
-        for j in degs:
-            d = a * j
-            if d > remaining - rest * dmin:
-                break
-            if remaining - d > rest * dmax:
-                continue
-            rec(idx + 1, remaining - d, acc * _stretch(g.components[j], a))
-
-    rec(0, target, ONE)
-    return total
-
-
 def _monomials(fs) -> list[tuple[tuple[int, ...], Fraction]]:
     """The (parts, coefficient) pairs of the p-monomials of ``fs``, the empty partition left out."""
     return [(part.parts, c) for f in fs for part, c in f.terms.items() if part.parts]
 
 
-def _pleth_slice(monos, g: Series, target: int) -> SymFunc:
-    """Degree-``target`` component of sum_c c * p_parts[g] over ``monos``, for constant-free g."""
-    acc = ZERO
+def _pleth_degrees(monos, g: Series):
+    """Yield (t, degree-t component of sum_c c * prod_i p_{a_i}[g]) over ``monos`` for t = 1..N.
+
+    g is constant-free.  The monomials sit on a trie of their (descending)
+    parts, and each node keeps, by degree, the components of its prefix
+    product: the degree-t one is the sum over s of its parent's degree-s
+    component times the degree-(t - s) component of p_a[g], a stretched
+    component of g cached per (j, a).  A one-part node is that factor itself,
+    so the node (1,) is g.  A node is computed only up to the top degree
+    that some monomial below it needs, each remaining part a adding at least
+    a times g's lowest degree.  Step t reads g only below degree t, save
+    through the monomial p_1, so a caller may set g's degree-t component
+    after step t: that is how ``pleth_inverse`` solves online.
+    """
+    n = g.max_degree
+    comps = g.components
+    low = min(comps, default=n + 1)
+    stretched: dict[tuple[int, int], SymFunc] = {}
+
+    def factor(a: int, u: int) -> SymFunc:
+        # the degree-u component of p_a[g]; an unknown component is not cached
+        j, r = divmod(u, a)
+        f = None if r else comps.get(j)
+        if f is None:
+            return ZERO
+        out = stretched.get((j, a))
+        if out is None:
+            out = stretched[(j, a)] = _stretch(f, a)
+        return out
+
+    ends: dict[tuple[int, ...], Fraction] = {}
+    tops: dict[tuple[int, ...], int] = {}
     for parts, c in monos:
-        if sum(parts) > target:
+        if sum(parts) * low > n:
             continue
-        piece = _components_slice(parts, g, target)
-        if not piece.is_zero:
-            acc = acc + piece.scaled(c)
-    return acc
+        ends[parts] = ends.get(parts, 0) + c
+        for i in range(2, len(parts) + 1):
+            tops[parts[:i]] = max(tops.get(parts[:i], 0), n - low * sum(parts[i:]))
+    nodes: dict[tuple[int, ...], dict[int, SymFunc]] = {key: {} for key in tops}
+
+    def at(key: tuple[int, ...], t: int) -> SymFunc:
+        return factor(key[0], t) if len(key) == 1 else nodes[key].get(t, ZERO)
+
+    for t in range(1, n + 1):
+        for key, top in tops.items():
+            if t > top:
+                continue
+            head, a = key[:-1], key[-1]
+            acc = ZERO
+            for u in range(a, t, a):
+                y = factor(a, u)
+                if not y.is_zero:
+                    x = at(head, t - u)
+                    if not x.is_zero:
+                        acc = acc + x * y
+            if not acc.is_zero:
+                nodes[key][t] = acc
+        total = ZERO
+        for parts, c in ends.items():
+            x = at(parts, t)
+            if not x.is_zero:
+                total = total + x.scaled(c)
+        yield t, total
 
 
 def pleth(f, g) -> Series:
     """Plethysm f[g] with f a SymFunc or Series, truncated at g's window.
 
     g must be constant-free (plethysm of an infinite sum into a constant is
-    not defined here).  A SymFunc inner argument is wrapped as a series
-    truncated at f.degree * g.degree.
+    not defined here), and a Series f must reach g's window, since f[g]
+    above f's window needs components of f that are unknown.  A SymFunc
+    inner argument is wrapped as a series truncated at f.degree * g.degree.
     """
     if isinstance(g, SymFunc):
         if isinstance(f, SymFunc):
             return Series.from_symfunc(pleth_homog(f, g), max((f.degree or 0) * (g.degree or 0), 1))
         g = Series.from_symfunc(g, g.degree * f.max_degree if not g.is_zero else f.max_degree)
+    elif isinstance(f, Series) and f.max_degree < g.max_degree:
+        raise ValueError(f"outer series truncated at {f.max_degree} is below the inner window {g.max_degree}")
     if not g.is_constant_free:
         raise ValueError("plethysm requires a constant-free inner series")
-    n = g.max_degree
     if isinstance(f, SymFunc):
         monos = _monomials([f])
         const = f.coefficient(EMPTY)
     else:
         monos = _monomials(f.components.values())
         const = f.constant
-    comps: dict[int, SymFunc] = {}
-    for target in range(1, n + 1):
-        acc = _pleth_slice(monos, g, target)
-        if not acc.is_zero:
-            comps[target] = acc
-    out = Series(n)
+    out = Series(g.max_degree)
     out.constant = const
-    out.components = comps
+    out.components = {t: acc for t, acc in _pleth_degrees(monos, g) if not acc.is_zero}
     return out
 
 
@@ -594,8 +611,9 @@ def graded_product_series(factors, n: int) -> list[Series]:
 def pleth_inverse(F: Series) -> Series:
     """The series G with F[G] = G[F] = p_1 up to the truncation window.
 
-    Requires F constant-free with degree-1 component exactly p_1; computed
-    by degree-by-degree back-substitution.
+    Requires F constant-free with degree-1 component exactly p_1.  With
+    F = p_1 + T, G = p_1 - T[G] degree by degree: the plethysm kernel runs
+    over the monomials of T, and G's degree-t component is set from step t.
     """
     n = F.max_degree
     if not F.is_constant_free:
@@ -605,8 +623,8 @@ def pleth_inverse(F: Series) -> Series:
     tail_monos = _monomials(F.components[d] for d in range(2, n + 1) if d in F.components)
     g = Series(n)
     g.components = {1: p_of((1,))}
-    for target in range(2, n + 1):
-        acc = _pleth_slice(tail_monos, g, target)
+    # step t reads g below degree t only, so its degree-t component is solved right after
+    for t, acc in _pleth_degrees(tail_monos, g):
         if not acc.is_zero:
-            g.components[target] = -acc
+            g.components[t] = -acc
     return g

@@ -24,6 +24,14 @@ GOLDEN_SCANS = {
     "altsymLS-sum": ("--S", "3"),
     "extLS-sum": ("--S", "3,5"),
 }
+GOLDEN_PLETHS = (
+    ("p:2", "lie", 8),
+    ("h:3", "conj", 9),
+    ("e", "lie", 7),
+    ("s:2,1", "lie", 9),
+    ("conj", "lie", 8),
+    ("h", "lie", 8),
+)
 
 
 def run(capsys, *argv):
@@ -96,6 +104,14 @@ class TestPleth:
         code, out, _ = run(capsys, "pleth", "--outer", "lie", "--inner", "p1", "--max-degree", "3", "--degree", "1")
         assert code == 0
         assert out == "deg 1: p[1]\n"
+
+    def test_exact_bytes(self, capsys):
+        for outer, inner, n in GOLDEN_PLETHS:
+            name = f"pleth-{outer}-{inner}-{n}".replace(":", "").replace(",", "")
+            code, out, err = run(capsys, "pleth", "--outer", outer, "--inner", inner,
+                                 "--max-degree", str(n), "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / f"{name}.json").read_text(), name
 
 
 class TestPlethErrors:

@@ -45,6 +45,47 @@ from symlie.symfunc import ZERO
 
 from helpers import P, frac, random_series, random_symfunc, random_unit_series
 
+
+def series_pleth(f, g: Series) -> Series:
+    """f[g] as sum_c c * prod_i p_{a_i}[g], each product taken by Series.__mul__.
+
+    An oracle for ``pleth`` that shares none of its prefix products.
+    """
+    n = g.max_degree
+    if isinstance(f, SymFunc):
+        comps, const = [f], f.coefficient(())
+    else:
+        comps, const = f.components.values(), f.constant
+    powers = {}
+    out = Series.one(n).scaled(const)
+    for comp in comps:
+        for part, c in comp.terms.items():
+            prod = Series.one(n)
+            for a in part.parts:
+                if a not in powers:
+                    powers[a] = pleth_p(a, g)
+                prod = prod * powers[a]
+            out = out + prod.scaled(c)
+    return out
+
+
+def series_pleth_inverse(F: Series) -> Series:
+    """The inverse of F = p_1 + T by n rounds of G <- p_1 - T[G] through ``series_pleth``."""
+    n = F.max_degree
+    tail = F - p1_series(n)
+    G = p1_series(n)
+    for _ in range(n):
+        G = p1_series(n) - series_pleth(tail, G)
+    return G
+
+
+def nonzero_symfunc(rng, degree: int) -> SymFunc:
+    while True:
+        f = random_symfunc(rng, degree)
+        if not f.is_zero:
+            return f
+
+
 H2_STRETCHED = SymFunc(4, {P(2, 2): frac(1, 2), P(4): frac(1, 2)})
 LIE2_STRETCHED = SymFunc(4, {P(2, 2): frac(1, 2), P(4): frac(-1, 2)})
 
@@ -130,6 +171,31 @@ class TestPleth:
                 lhs = pleth(pleth(f, g), k)
                 rhs = pleth(f, pleth(g, k))
                 assert lhs == rhs
+
+    def test_outer_window_below_inner_refused(self):
+        # degrees 4 and 5 of F[p_1] would need components of F above its window 3
+        F = Series(3, {1: p_of((1,)), 2: h_of(2)})
+        with pytest.raises(ValueError, match="truncated at 3 is below the inner window 5"):
+            pleth(F, p1_series(5))
+        assert pleth(F, p1_series(3)) == F
+        assert pleth(F, p_of((2,))).max_degree == 6
+
+    def test_against_series_products(self):
+        rng = random.Random(29)
+        for n in (5, 7, 9):
+            inners = [
+                Series(n, {d: nonzero_symfunc(rng, d) for d in range(1, n + 1)}),
+                Series(n, {1: nonzero_symfunc(rng, 1), 3: nonzero_symfunc(rng, 3)}),
+                Series(n, {2: nonzero_symfunc(rng, 2), 5: nonzero_symfunc(rng, 5)}),
+            ]
+            outer = random_series(rng, n).scaled(frac(2, 3)) + Series(
+                n, {2: p_of((1, 1)), 4: p_of((2, 2)) - p_of((2, 1, 1)), 5: p_of((2, 2, 1))}, constant=frac(3, 2)
+            )
+            outers = [outer, random_symfunc(rng, 4) + p_of((2, 2)) + p_of((1, 1, 1, 1)), p_of((3, 1, 1))]
+            for g in inners:
+                assert len(g.components) == (n if g is inners[0] else 2)
+                for f in outers:
+                    assert pleth(f, g) == series_pleth(f, g)
 
     def test_omega_transport_odd_inner(self):
         # w(f[g]) = w(f)[w(g)] when g is homogeneous of odd degree
@@ -322,6 +388,13 @@ class TestPlethInverse:
         rng = random.Random(43)
         for F in (lie_series(8), random_unit_series(rng, 7)):
             assert pleth_inverse(pleth_inverse(F)) == F
+
+    def test_against_fixed_point_iteration(self):
+        rng = random.Random(47)
+        cases = [random_unit_series(rng, n) for n in (4, 6, 8)]
+        cases += [lie_series(8), conj_series(8), Series(8, {d: h_of(d) for d in range(1, 9)})]
+        for F in cases:
+            assert pleth_inverse(F) == series_pleth_inverse(F)
 
     def test_requires_unit_degree_one(self):
         with pytest.raises(ValueError):
