@@ -1,6 +1,6 @@
 """Time catalog identities at raised windows, one id and N per fresh interpreter.
 
-    PYTHONPATH=src python3 scripts/bench_meta.py [--table NAME] [--timeout S] [label=SRC_DIR ...]
+    PYTHONPATH=src python3 scripts/bench_meta.py [--table NAME] [label=SRC_DIR ...]
 
 ``--table meta`` (the default) times the five length-graded ``meta-*``
 identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times the four
@@ -10,9 +10,8 @@ plethystic-inverse identities at N = 10..16 (BENCH_8.json).  Each
 the tree on PYTHONPATH is timed under the label ``here``.  Each entry records
 the wall time of one cold ``verify(id, N=N)`` at the id's default
 parameters, its status, and the peak memory tracemalloc traces in a second
-cold call.  A call that runs past ``--timeout`` seconds (default 60) is
-stopped: the untraced one is recorded with status ``timeout`` and is not
-traced, and a traced one leaves ``peak_traced_mb`` null.
+cold call.  A point whose untraced or traced call runs past TIMEOUT_S
+seconds is stopped and recorded with status ``timeout`` alone.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+
+TIMEOUT_S = 60
 
 TABLES = {
     "meta": (
@@ -59,7 +60,6 @@ def main() -> None:
         return
     ap = argparse.ArgumentParser()
     ap.add_argument("--table", choices=sorted(TABLES), default="meta")
-    ap.add_argument("--timeout", type=float, default=60.0)
     ap.add_argument("trees", nargs="*", metavar="label=SRC_DIR")
     args = ap.parse_args()
     workload, ids, ns = TABLES[args.table]
@@ -75,10 +75,9 @@ def main() -> None:
                 for traced in ("0", "1"):
                     argv = [sys.executable, __file__, "--one", id, str(n), traced]
                     try:
-                        run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=args.timeout)
+                        run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=TIMEOUT_S)
                     except subprocess.TimeoutExpired:
-                        entry.update({"peak_traced_mb": None} if traced == "1" else {"status": "timeout"})
-                        entry["timeout_s"] = args.timeout
+                        entry = {"tree": label, "id": id, "N": n, "status": "timeout"}
                         break
                     entry.update(json.loads(run.stdout))
                 entries.append(entry)

@@ -275,15 +275,16 @@ def _pleth_degrees(monos, g: Series):
     """Yield (t, degree-t component of sum_c c * prod_i p_{a_i}[g]) over ``monos`` for t = 1..N.
 
     g is constant-free.  The monomials sit on a trie of their (descending)
-    parts, and each node keeps, by degree, the components of its prefix
-    product: the degree-t one is the sum over s of its parent's degree-s
-    component times the degree-(t - s) component of p_a[g], a stretched
-    component of g cached per (j, a).  A one-part node is that factor itself,
-    so the node (1,) is g.  A node is computed only up to the top degree
-    that some monomial below it needs, each remaining part a adding at least
-    a times g's lowest degree.  Step t reads g only below degree t, save
-    through the monomial p_1, so a caller may set g's degree-t component
-    after step t: that is how ``pleth_inverse`` solves online.
+    parts.  The degree-t component of a node's prefix product is the sum
+    over s of its parent's degree-s component times the degree-(t - s)
+    component of p_a[g], a stretched component of g cached per (j, a); a
+    one-part node is that factor itself, so the node (1,) is g.  Each part
+    still to come adds at least a times g's lowest degree, so a node is
+    computed only up to the top degree that a monomial through it needs,
+    and it keeps a component only where a longer node reads it.  Step t
+    reads g only below degree t, save through the monomial p_1, so a caller
+    may set g's degree-t component after step t: that is how
+    ``pleth_inverse`` solves online.
     """
     n = g.max_degree
     comps = g.components
@@ -302,37 +303,39 @@ def _pleth_degrees(monos, g: Series):
         return out
 
     ends: dict[tuple[int, ...], Fraction] = {}
-    tops: dict[tuple[int, ...], int] = {}
+    keeps: dict[tuple[int, ...], int] = {}
     for parts, c in monos:
         if sum(parts) * low > n:
             continue
         ends[parts] = ends.get(parts, 0) + c
-        for i in range(2, len(parts) + 1):
-            tops[parts[:i]] = max(tops.get(parts[:i], 0), n - low * sum(parts[i:]))
-    nodes: dict[tuple[int, ...], dict[int, SymFunc]] = {key: {} for key in tops}
-
-    def at(key: tuple[int, ...], t: int) -> SymFunc:
-        return factor(key[0], t) if len(key) == 1 else nodes[key].get(t, ZERO)
+        for i in range(2, len(parts)):
+            keeps[parts[:i]] = max(keeps.get(parts[:i], 0), n - low * sum(parts[i:]))
+    tops = {**keeps, **dict.fromkeys(ends, n)}
+    nodes: dict[tuple[int, ...], dict[int, SymFunc]] = {key: {} for key in keeps}
 
     for t in range(1, n + 1):
+        total = ZERO
         for key, top in tops.items():
             if t > top:
                 continue
             head, a = key[:-1], key[-1]
-            acc = ZERO
-            for u in range(a, t, a):
-                y = factor(a, u)
-                if not y.is_zero:
-                    x = at(head, t - u)
-                    if not x.is_zero:
-                        acc = acc + x * y
-            if not acc.is_zero:
+            if not head:
+                acc = factor(a, t)
+            else:
+                acc = ZERO
+                for u in range(a, t, a):
+                    y = factor(a, u)
+                    if not y.is_zero:
+                        x = factor(head[0], t - u) if len(head) == 1 else nodes[head].get(t - u, ZERO)
+                        if not x.is_zero:
+                            acc = acc + x * y
+            if acc.is_zero:
+                continue
+            if t <= keeps.get(key, 0):
                 nodes[key][t] = acc
-        total = ZERO
-        for parts, c in ends.items():
-            x = at(parts, t)
-            if not x.is_zero:
-                total = total + x.scaled(c)
+            c = ends.get(key)
+            if c:
+                total = total + acc.scaled(c)
         yield t, total
 
 
@@ -340,16 +343,21 @@ def pleth(f, g) -> Series:
     """Plethysm f[g] with f a SymFunc or Series, truncated at g's window.
 
     g must be constant-free (plethysm of an infinite sum into a constant is
-    not defined here), and a Series f must reach g's window, since f[g]
-    above f's window needs components of f that are unknown.  A SymFunc
-    inner argument is wrapped as a series truncated at f.degree * g.degree.
+    not defined here).  A Series f truncated at M is refused when
+    (M + 1) * low reaches g's window, low being g's lowest degree: from that
+    degree on f[g] needs components of f that are unknown.  A SymFunc inner
+    argument is wrapped as a series truncated at f.degree * g.degree.
     """
     if isinstance(g, SymFunc):
         if isinstance(f, SymFunc):
             return Series.from_symfunc(pleth_homog(f, g), max((f.degree or 0) * (g.degree or 0), 1))
         g = Series.from_symfunc(g, g.degree * f.max_degree if not g.is_zero else f.max_degree)
-    elif isinstance(f, Series) and f.max_degree < g.max_degree:
-        raise ValueError(f"outer series truncated at {f.max_degree} is below the inner window {g.max_degree}")
+    elif isinstance(f, Series):
+        unknown = (f.max_degree + 1) * min(g.components, default=g.max_degree + 1)
+        if unknown <= g.max_degree:
+            raise ValueError(
+                f"outer series truncated at {f.max_degree} leaves degree {unknown} of the window {g.max_degree} unknown"
+            )
     if not g.is_constant_free:
         raise ValueError("plethysm requires a constant-free inner series")
     if isinstance(f, SymFunc):

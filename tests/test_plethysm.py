@@ -175,10 +175,16 @@ class TestPleth:
     def test_outer_window_below_inner_refused(self):
         # degrees 4 and 5 of F[p_1] would need components of F above its window 3
         F = Series(3, {1: p_of((1,)), 2: h_of(2)})
-        with pytest.raises(ValueError, match="truncated at 3 is below the inner window 5"):
+        with pytest.raises(ValueError, match="truncated at 3 leaves degree 4 of the window 5 unknown"):
             pleth(F, p1_series(5))
         assert pleth(F, p1_series(3)) == F
         assert pleth(F, p_of((2,))).max_degree == 6
+        # an inner series starting at degree 2 reads F only up to degree 3 below degree 8
+        G = Series(6, {2: p_of((2,))})
+        assert pleth(F, G) == series_pleth(F, G)
+        assert pleth(F, G).component(4) == pleth_homog(h_of(2), p_of((2,)))
+        with pytest.raises(ValueError, match="truncated at 3 leaves degree 8 of the window 8 unknown"):
+            pleth(F, Series(8, {2: p_of((2,))}))
 
     def test_against_series_products(self):
         rng = random.Random(29)
