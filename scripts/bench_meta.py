@@ -4,8 +4,10 @@
 
 ``--table meta`` (the default) times the five length-graded ``meta-*``
 identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times the four
-plethystic-inverse identities at N = 10..16 (BENCH_8.json).  Each
-``label=SRC_DIR`` names a source tree to import ``symlie`` from (for example
+plethystic-inverse identities at N = 10..16 (BENCH_8.json); ``--table
+powers`` times four identities whose left sides are power series of modules
+(``series_exp``) at N = 12..24 (BENCH_9.json).  Each ``label=SRC_DIR``
+names a source tree to import ``symlie`` from (for example
 ``parent=../parent/src change=src`` to compare two checkouts); with none,
 the tree on PYTHONPATH is timed under the label ``here``.  Each entry records
 the wall time of one cold ``verify(id, N=N)`` at the id's default
@@ -37,6 +39,11 @@ TABLES = {
         "verify(inverse id, N) at default parameters",
         ("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"),
         (10, 12, 14, 16),
+    ),
+    "powers": (
+        "verify(power-series id, N) at default parameters",
+        ("solomon", "extLieConj2", "fT-sym", "conj-inverse"),
+        (12, 16, 20, 24),
     ),
 }
 

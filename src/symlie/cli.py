@@ -11,6 +11,7 @@ failure or negative scan verdict under --expect-positive; 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -308,6 +309,7 @@ def cmd_list(args) -> int:
     return 0
 
 
+@functools.cache  # parsing keeps no state in the parser, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="symlie", description="Exact symmetric-function families, plethysm identities, and Schur-positivity scans.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -383,9 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

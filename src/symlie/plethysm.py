@@ -377,15 +377,31 @@ def pleth(f, g) -> Series:
 # ---------------------------------------------------------------------------
 
 
+def _newton(P, one):
+    """[X_0 = one, X_1, ..., X_N] with r X_r = sum_{k=1..r} P[k] X_{r-k}, N = len(P) - 1.
+
+    Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2) as a recurrence
+    on SymFuncs or Series alike; P[0] is not read, and the 1/r scaling is exact.
+    """
+    X = [one]
+    for r in range(1, len(P)):
+        acc = one.scaled(0)
+        for k in range(1, r + 1):
+            acc = acc + P[k] * X[r - k]
+        X.append(acc.scaled(Fraction(1, r)))
+    return X
+
+
 def series_exp(x: Series) -> Series:
-    """exp(x) for a constant-free series, truncated at x's window."""
+    """exp(x) for a constant-free series, truncated at x's window.
+
+    The degree-d component solves the Newton recurrence d E_d = sum_k k x_k E_{d-k}.
+    """
     if not x.is_constant_free:
         raise ValueError("series_exp requires a constant-free argument")
     n = x.max_degree
-    out = Series.one(n)
-    for j in range(n, 0, -1):
-        out = Series.one(n) + (x * out).scaled(Fraction(1, j))
-    return out
+    E = _newton([None] + [x.component(k).scaled(k) for k in range(1, n + 1)], ONE)
+    return Series(n, {d: E[d] for d in range(1, n + 1)}, constant=1)
 
 
 def _log_sum(F: Series, alternating: bool) -> Series:
@@ -421,17 +437,13 @@ def ext_powers_signed(F: Series) -> Series:
 
 
 def _power_layers(F: Series, alternating: bool) -> list[Series]:
-    # r*h_r[F] = sum p_k[F] h_{r-k}[F], or with signs (-1)^{k-1} for e_r[F]
+    """[h_0[F], ..., h_N[F]] by the Newton recurrence r X_r = sum_k P_k X_{r-k} on layers.
+
+    P_k = p_k[F]; with ``alternating`` it is (-1)^{k-1} p_k[F], and X_r = e_r[F].
+    """
     n = F.max_degree
-    P = [None] + [pleth_p(k, F) for k in range(1, n + 1)]
-    layers = [Series.one(n)]
-    for r in range(1, n + 1):
-        acc = Series.zero(n)
-        for k in range(1, r + 1):
-            t = P[k] * layers[r - k]
-            acc = acc + (-t if alternating and k % 2 == 0 else t)
-        layers.append(acc.scaled(Fraction(1, r)))
-    return layers
+    P = [None] + [pleth_p(k, F).scaled(-1 if alternating and k % 2 == 0 else 1) for k in range(1, n + 1)]
+    return _newton(P, Series.one(n))
 
 
 def sym_power_layers(F: Series) -> list[Series]:

@@ -432,11 +432,10 @@ def _b_extLieConj2(p, n):
 
 
 def _b_extLieConj3(p, n):
-    direct = Series(n)
+    L = lie_series(n)
     comps = {}
     for d in range(1, n + 1):
         acc = SymFunc.zero()
-        L = lie_series(n)
         for lam in partitions_of(d):
             t = higher_module(L, lam)
             if (d - lam.length) % 2:
@@ -651,10 +650,8 @@ def _b_conj_via_lieq(p, n):
     q = p["q"]
     L = lie_series(n)
     B = Series.zero(n)
-    qk = 1
-    while qk <= n:
+    for qk in PartSet.powers_of(q).members_up_to(n):
         B = B + pleth_p(qk, L)
-        qk *= q
     acc = Series.zero(n)
     for m in range(1, n + 1):
         if m % q:
@@ -676,23 +673,14 @@ def _b_conj_via_lieq(p, n):
 def _b_pq(p, n):
     q = p["q"]
     A = _p1_pq(q, -1, n)
-    comps = {}
-    qk = 1
-    while qk <= n:
-        comps[qk] = p_of((qk,))
-        qk *= q
+    comps = {qk: p_of((qk,)) for qk in PartSet.powers_of(q).members_up_to(n)}
     return _inverse_pair(A, Series(n, comps), "p_1 - p_q", "sum p_{q^k}", n)
 
 
 def _b_pq_alt(p, n):
     q = p["q"]
     A = _p1_pq(q, 1, n)
-    comps = {}
-    qk, sign = 1, 1
-    while qk <= n:
-        comps[qk] = p_of((qk,)).scaled(sign)
-        qk *= q
-        sign = -sign
+    comps = {qk: p_of((qk,)).scaled((-1) ** k) for k, qk in enumerate(PartSet.powers_of(q).members_up_to(n))}
     return _inverse_pair(A, Series(n, comps), "p_1 + p_q", "sum (-1)^k p_{q^k}", n)
 
 
@@ -710,10 +698,8 @@ def _b_HE(p, n):
 def _b_HFEG(p, n):
     F = lie_series(n) if p["family"] == "lie" else conj_series(n)
     G = Series.zero(n)
-    k = 1
-    while k <= n:
+    for k in PartSet.powers_of(2).members_up_to(n):
         G = G + pleth_p(k, F)
-        k *= 2
     return [
         _clause("H[F] = E[sum_k F[p_{2^k}]]", sym_powers(F), ext_powers(G)),
         _clause("F = G - G[p_2]", F, G - pleth_p(2, G)),

@@ -98,3 +98,16 @@ def frac(num: int, den: int = 1) -> Fraction:
 
 def P(*parts: int) -> Partition:
     return Partition.of(parts)
+
+
+def horner_exp(x: Series) -> Series:
+    """sum_{j<=n} x^j/j! for a constant-free x truncated at n, by Horner's rule in Series products.
+
+    The reference for ``series_exp``, which solves the Newton recurrence
+    degree by degree instead.
+    """
+    n = x.max_degree
+    out = Series.one(n)
+    for j in range(n, 0, -1):
+        out = Series.one(n) + (x * out).scaled(Fraction(1, j))
+    return out

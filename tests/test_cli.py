@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from symlie import cli
@@ -338,6 +341,24 @@ class TestDeterminism:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+    def test_reused_parser_matches_fresh_interpreter(self, capsys):
+        # main parses with one parser per process; an error exit must leave it
+        # as a fresh interpreter's
+        def fresh(*argv):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+            proc = subprocess.run([sys.executable, "-m", "symlie.cli", *argv], capture_output=True, text=True, env=env)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        usage = run(capsys, "verify")
+        assert usage[0] == 2
+        assert usage == fresh("verify")
+        argv = ("verify", "--id", "HE", "--format", "json")
+        want = fresh(*argv)
+        assert want[0] == 0
+        assert run(capsys, *argv) == want
+        assert run(capsys, *argv) == want
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestWriterBytes:

@@ -9,11 +9,14 @@ import pytest
 
 from symlie import (
     MOEBIUS,
+    PartSet,
+    PrimeSet,
     Series,
     TOTIENT,
     alt_omega,
     conj_series,
     e_of,
+    e_series,
     ext_power_layers,
     ext_powers,
     ext_powers_signed,
@@ -21,11 +24,14 @@ from symlie import (
     exponent_poly,
     graded_product_series,
     h_of,
+    h_series,
     higher_module,
     lie,
+    lie_primes_series,
     lie_series,
     p1_series,
     p_of,
+    part_family_series,
     partitions_of,
     pleth,
     pleth_homog,
@@ -41,9 +47,10 @@ from symlie import (
 )
 
 from symlie import SymFunc
+from symlie.plethysm import series_exp
 from symlie.symfunc import ZERO
 
-from helpers import P, frac, random_series, random_symfunc, random_unit_series
+from helpers import P, frac, horner_exp, random_series, random_symfunc, random_unit_series
 
 
 def series_pleth(f, g: Series) -> Series:
@@ -214,6 +221,37 @@ class TestPleth:
 
 
 class TestPowerOperators:
+    def test_series_exp_against_horner(self):
+        rng = random.Random(37)
+        for n in (0, 1, 6, 9):
+            dense = Series(n, {d: nonzero_symfunc(rng, d) for d in range(1, n + 1)})
+            gaps = Series(n, {d: nonzero_symfunc(rng, d) for d in (1, 4, 5) if d <= n})
+            no_linear = Series(n, {d: nonzero_symfunc(rng, d) for d in (2, 3, 7) if d <= n})
+            for x in (dense, gaps, no_linear, random_series(rng, n)):
+                assert series_exp(x) == horner_exp(x)
+        with pytest.raises(ValueError, match="constant-free"):
+            series_exp(Series.one(3))
+
+    def test_power_series_against_pleth(self):
+        # H[F], E[F] and their signed forms against pleth of h, e, (-1)^r h_r, (-1)^r e_r
+        # into F through the plethysm kernel, which shares no step with series_exp
+        for n in range(1, 13):
+            H, E = h_series(n), e_series(n)
+            signed = [Series(n, {d: f.component(d).scaled((-1) ** d) for d in range(1, n + 1)}, constant=1) for f in (H, E)]
+            families = [
+                lie_series(n),
+                conj_series(n),
+                lie_primes_series(PrimeSet((2,)), n),
+                alt_omega(lie_series(n)),
+                part_family_series(PartSet.of(1, 3), n),
+                p1_series(n) - Series.from_symfunc(p_of((3,)), n),
+            ]
+            for F in families:
+                assert sym_powers(F) == pleth(H, F)
+                assert ext_powers(F) == pleth(E, F)
+                assert sym_powers_signed(F) == pleth(signed[0], F)
+                assert ext_powers_signed(F) == pleth(signed[1], F)
+
     def test_layers_match_higher_modules(self):
         for Q in (lie_series(8), conj_series(8)):
             layers = sym_power_layers(Q)
