@@ -1,4 +1,4 @@
-"""Time catalog identities at raised windows, one id and N per fresh interpreter.
+"""Time catalog identities and Schur expansions, one point per fresh interpreter.
 
     PYTHONPATH=src python3 scripts/bench_meta.py [--table NAME] [label=SRC_DIR ...]
 
@@ -6,13 +6,19 @@
 identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times the four
 plethystic-inverse identities at N = 10..16 (BENCH_8.json); ``--table
 powers`` times four identities whose left sides are power series of modules
-(``series_exp``) at N = 12..24 (BENCH_9.json).  Each ``label=SRC_DIR``
-names a source tree to import ``symlie`` from (for example
-``parent=../parent/src change=src`` to compare two checkouts); with none,
-the tree on PYTHONPATH is timed under the label ``here``.  Each entry records
-the wall time of one cold ``verify(id, N=N)`` at the id's default
-parameters, its status, and the peak memory tracemalloc traces in a second
-cold call.  A point whose untraced or traced call runs past TIMEOUT_S
+(``series_exp``) at N = 12..24 (BENCH_9.json).  These three time one cold
+``verify(id, N=N)`` at the id's default parameters and record its status.
+``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
+product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
+rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
+(BENCH_6.json); ``--table lifting`` runs ``lifting_check(q, n, budget=32)``
+and records its negatives (BENCH_10.json).
+Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
+example ``parent=../parent/src change=src`` to compare two checkouts); with
+none, the tree on PYTHONPATH is timed under the label ``here``.  Each entry
+records the wall time of one cold call, the sizes of the ``_char`` and
+``_strips`` memos it leaves, and the peak memory tracemalloc traces in a
+second cold call.  A point whose untraced or traced call runs past TIMEOUT_S
 seconds is stopped and recorded with status ``timeout`` alone.
 """
 
@@ -29,67 +35,98 @@ import tracemalloc
 
 TIMEOUT_S = 60
 
+
+def _verify_points(ids, ns):
+    return [{"id": id, "N": n} for id in ids for n in ns]
+
+
 TABLES = {
     "meta": (
         "verify(meta-*, N) at weight mu",
-        ("meta-sym", "meta-ext", "meta-altext", "meta-altsym", "meta-equiv"),
-        (8, 10, 12, 14),
+        _verify_points(("meta-sym", "meta-ext", "meta-altext", "meta-altsym", "meta-equiv"), (8, 10, 12, 14)),
     ),
     "inverse": (
         "verify(inverse id, N) at default parameters",
-        ("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"),
-        (10, 12, 14, 16),
+        _verify_points(("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"), (10, 12, 14, 16)),
     ),
     "powers": (
         "verify(power-series id, N) at default parameters",
-        ("solomon", "extLieConj2", "fT-sym", "conj-inverse"),
-        (12, 16, 20, 24),
+        _verify_points(("solomon", "extLieConj2", "fT-sym", "conj-inverse"), (12, 16, 20, 24)),
+    ),
+    "routes": (
+        "the degree-n slice of fT-product T=all by the Schur DP and by to_schur",
+        [{"route": "dp", "n": n} for n in (16, 20, 24, 28)] + [{"route": "to_schur", "n": n} for n in (16, 18, 20)],
+    ),
+    "lifting": (
+        "lifting_check(q, n, budget=32)",
+        [{"q": 3, "n": n} for n in (20, 24, 28, 32)] + [{"q": 5, "n": n} for n in (26, 32)],
     ),
 }
 
 
-def one(id: str, n: int, traced: bool) -> dict:
+def _call(table: str, point: dict) -> dict:
+    """Run one point; return what it answered."""
+    if table == "routes":
+        from symlie.plethysm import product_slice, product_slice_schur
+        from symlie.symfunc import to_schur
+
+        factors = [(m, -1, -1) for m in range(1, point["n"] + 1)]
+        if point["route"] == "dp":
+            product_slice_schur(factors, point["n"])
+        else:
+            to_schur(product_slice(factors, point["n"]))
+        return {}
+    if table == "lifting":
+        from symlie.verify import lifting_check
+
+        return {"negatives": lifting_check(point["q"], point["n"], budget=32).negatives()}
     from symlie.verify import verify
+
+    return {"status": verify(point["id"], N=point["N"]).status}
+
+
+def one(table: str, point: dict, traced: bool) -> dict:
+    from symlie.symfunc import _char, _strips
 
     if traced:
         tracemalloc.start()
     t0 = time.perf_counter()
-    report = verify(id, N=n)
+    answer = _call(table, point)
     wall = time.perf_counter() - t0
     if traced:
         return {"peak_traced_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 1)}
-    return {"wall_s": round(wall, 3), "status": report.status}
+    memos = {"char_entries": _char.cache_info().currsize, "strips_entries": _strips.cache_info().currsize}
+    return {"wall_s": round(wall, 3), **answer, **memos}
 
 
 def main() -> None:
     if sys.argv[1:2] == ["--one"]:
-        print(json.dumps(one(sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1")))
+        print(json.dumps(one(sys.argv[2], json.loads(sys.argv[3]), sys.argv[4] == "1")))
         return
     ap = argparse.ArgumentParser()
     ap.add_argument("--table", choices=sorted(TABLES), default="meta")
     ap.add_argument("trees", nargs="*", metavar="label=SRC_DIR")
     args = ap.parse_args()
-    workload, ids, ns = TABLES[args.table]
+    workload, points = TABLES[args.table]
     trees = dict(arg.split("=", 1) for arg in args.trees) or {"here": None}
     entries = []
     for label, src in trees.items():
         env = dict(os.environ)
         if src is not None:
             env["PYTHONPATH"] = os.path.abspath(src)
-        for id in ids:
-            for n in ns:
-                entry = {"tree": label, "id": id, "N": n}
-                for traced in ("0", "1"):
-                    argv = [sys.executable, __file__, "--one", id, str(n), traced]
-                    try:
-                        run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=TIMEOUT_S)
-                    except subprocess.TimeoutExpired:
-                        entry = {"tree": label, "id": id, "N": n, "status": "timeout"}
-                        break
-                    entry.update(json.loads(run.stdout))
-                entries.append(entry)
+        for point in points:
+            entry = {"tree": label, **point}
+            for traced in ("0", "1"):
+                argv = [sys.executable, __file__, "--one", args.table, json.dumps(point), traced]
+                try:
+                    run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    entry = {"tree": label, **point, "status": "timeout"}
+                    break
+                entry.update(json.loads(run.stdout))
+            entries.append(entry)
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
-    report = {"workload": f"{workload}, one id and N per cold interpreter", "host": host, "entries": entries}
+    report = {"workload": f"{workload}, one point per cold interpreter", "host": host, "entries": entries}
     print(json.dumps(report, indent=1))
 
 

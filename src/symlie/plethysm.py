@@ -195,14 +195,6 @@ class Series:
             bits.append(f"({self.components[d].to_text()})")
         return " + ".join(bits) if bits else "0"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "constant_num": str(self.constant.numerator),
-            "constant_den": str(self.constant.denominator),
-            "components": [self.components[d].to_json_dict() for d in sorted(self.components)],
-        }
-
 
 def p1_series(n: int) -> Series:
     return Series(n, {1: p_of((1,))})
@@ -542,8 +534,10 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     contributes, a factor (1 + s p_m)^{-1} solves b = a + w p_m b in
     ascending degree, and a factor 1 + s p_m adds w p_m a in descending
     degree, so either way the degree-k map is rebuilt from the degree k - m
-    map the rule needs.  No character is evaluated:
-    ``to_schur(product_slice(...))`` is an independent second route.
+    map the rule needs.  No character is evaluated, but
+    ``to_schur(product_slice(...))`` is no independent second route: its
+    characters recurse over the same strip walk (``symfunc._border_strips``),
+    which the tests check against strips enumerated from cell sets.
     """
     weights, once = _factor_weights(factors)
     shapes = [[lam.parts for lam in partitions_of(k)] for k in range(d + 1)]

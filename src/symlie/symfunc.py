@@ -3,9 +3,13 @@
 A SymFunc is homogeneous: a degree n together with a map from partitions of
 n to nonzero rationals, read as f = sum_mu c_mu * p_mu.  The zero function
 carries no degree and absorbs additions.  Schur expansions go through
-symmetric-group characters computed by the Murnaghan-Nakayama rule on
-beta-sets, memoized across all calls; the same rule read as multiplication
-by p_m (``_strips``) drives the Schur-basis product engine in plethysm.
+symmetric-group characters computed by the Murnaghan-Nakayama rule,
+memoized across all calls.  The rule is one walk over the m-border strips
+of a shape on its beta-set (``_border_strips``): characters recurse over
+it, and read as multiplication by p_m it drives the Schur-basis product
+engine in plethysm through its memo ``_strips``.  Since ``to_schur`` and
+that engine share the walk, the tests check the walk itself against strips
+enumerated from cell sets.
 """
 
 from __future__ import annotations
@@ -212,16 +216,10 @@ def h_of(n: int) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def e_of(n: int) -> SymFunc:
-    """Elementary e_n via n*e_n = sum (-1)^{k-1} p_k e_{n-k}."""
+    """Elementary e_n = omega(h_n)."""
     if n < 0:
         raise ValueError("e_of requires n >= 0")
-    if n == 0:
-        return ONE
-    acc = ZERO
-    for k in range(1, n + 1):
-        t = _p1(k) * e_of(n - k)
-        acc = acc + (t if k % 2 else -t)
-    return acc.scaled(Fraction(1, n))
+    return h_of(n).omega()
 
 
 def d_dp1(f: SymFunc) -> SymFunc:
@@ -249,41 +247,14 @@ def d_dp1(f: SymFunc) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _char(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1 if not lam else 0
-    r = mu[0]
-    rest = mu[1:]
-    L = len(lam)
-    beta = tuple(lam[i] + L - 1 - i for i in range(L))
-    bset = set(beta)
-    total = 0
-    for i in range(L):
-        nb = beta[i] - r
-        if nb < 0 or nb in bset:
-            continue
-        leg = 0
-        for c in beta:
-            if nb < c < beta[i]:
-                leg += 1
-        nbeta = sorted([nb] + [c for j, c in enumerate(beta) if j != i], reverse=True)
-        lam2 = []
-        for j, c in enumerate(nbeta):
-            a = c - (L - 1 - j)
-            if a:
-                lam2.append(a)
-        sub = _char(tuple(lam2), rest)
-        total += -sub if leg % 2 else sub
-    return total
-
-
-@lru_cache(maxsize=None)
-def _strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _border_strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The m-border strips lam/mu of lam, as (mu, (-1)^{height}) pairs.
 
-    Read backwards this is the Murnaghan-Nakayama rule as multiplication:
-    p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu such a strip.
+    This is the one Murnaghan-Nakayama walk of the package.  Read forwards it
+    is the recursion chi^lam(m, rest) = sum (-1)^{height} chi^mu(rest) of
+    ``_char``; read backwards it is multiplication by p_m,
+    p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu such a strip,
+    which drives the Schur-basis DP through its memo ``_strips``.
     On the beta-set (strictly decreasing) a strip moves the bead of row i
     from b to the free position b - m; it spans rows i..j, where j is the
     last row whose bead lies above b - m, and its height is j - i.
@@ -306,6 +277,24 @@ def _strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], 
         mu = lam[:i] + tuple([a - 1 for a in lam[i + 1 : j + 1] if a > 1]) + ((r,) if r else ()) + lam[j + 1 :]
         out.append((mu, -1 if (j - i) % 2 else 1))
     return tuple(out)
+
+
+# The DP reads the strips of each (lam, m) again at every scan degree, so it
+# walks through a memo.  Characters memoize chi^lam(mu) and walk without one:
+# a strip memo over every shape they visit more than doubles the peak memory
+# of a lifting check.
+_strips = lru_cache(maxsize=None)(_border_strips)
+
+
+@lru_cache(maxsize=None)
+def _char(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    if not mu:
+        return 1 if not lam else 0
+    rest = mu[1:]
+    total = 0
+    for nu, sign in _border_strips(lam, mu[0]):
+        total += sign * _char(nu, rest)
+    return total
 
 
 def character(lam, mu) -> int:

@@ -9,8 +9,10 @@ through ``product_series``/``product_slice``, and the length-graded
 products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
 through ``graded_product_series``.  The eight p_lam-sum scans take the
 same factor lists but expand them directly in the Schur basis
-(``product_slice_schur``); the character route
-``to_schur(product_slice(...))`` is their test oracle.
+(``product_slice_schur``).  That DP and the character route
+``to_schur(product_slice(...))`` share one Murnaghan-Nakayama strip walk,
+so comparing them checks the two assemblies; the walk itself is checked
+against strips enumerated from cell sets.
 """
 
 from __future__ import annotations
@@ -206,6 +208,16 @@ def _vgraded_mismatch(lhs: list[Series], rhs: list[Series]) -> dict | None:
             m["length"] = r
             return m
     return None
+
+
+def _run_clauses(clauses) -> tuple[str, dict | None]:
+    """("pass", None), or ("fail", the first mismatch, tagged with its clause label)."""
+    for label, kind, lhs, rhs in clauses:
+        m = _series_mismatch(lhs, rhs) if kind == "series" else _vgraded_mismatch(lhs, rhs)
+        if m is not None:
+            m["clause"] = label
+            return "fail", m
+    return "pass", None
 
 
 def _negpoly(p: dict) -> dict:
@@ -758,35 +770,6 @@ def _b_lie2_cadogan_inverse(p, n):
     return [_clause("(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)", pleth_inverse(Em1), alt_omega(_lieq_series(2, n)))]
 
 
-def _b_mod1k_beta(p, n):
-    k = p["k"]
-    A = _mod1_h(k, n)
-    B = pleth_inverse(A)
-    filtered = Series(n, {d: f for d, f in B.components.items() if d % k == 1 % k})
-    clauses = [
-        _clause("(sum_{d=1 mod k} h_d)[candidate inverse] is inverted back to p_1", pleth(B, A), p1_series(n)),
-        _clause("the inverse is supported in degrees = 1 mod k", B, filtered),
-    ]
-    if k % 2 == 0:
-        Ae = _mod1_h(k, n, elementary=True)
-        clauses.append(
-            _clause("omega transport: (sum_{d=1 mod k} e_d)[w-transported inverse] = p_1", pleth(Ae, B.omega_each()), p1_series(n))
-        )
-    return clauses
-
-
-def _details_mod1k_beta(p, n):
-    k = p["k"]
-    B = pleth_inverse(_mod1_h(k, n))
-    out = []
-    for d in sorted(B.components):
-        idx = (d - 1) // k
-        f = B.component(d) if idx % 2 == 0 else -B.component(d)
-        pos, _ = is_schur_positive(f)
-        out.append(f"homology candidate at degree {d}: schur-positive={pos} (informational)")
-    return out
-
-
 def _b_jordan_eta(p, n):
     # Stand-in derivative family: d/dp_1 of e_{2m} is e_{2m-1}; the genuine
     # even-block homology modules are out of scope, so the transport
@@ -847,6 +830,29 @@ def _b_selfconj_powq(p, n):
 
 
 # -- custom runners -------------------------------------------------------------
+
+
+def _c_mod1k_beta(p, n):
+    k = p["k"]
+    A = _mod1_h(k, n)
+    B = pleth_inverse(A)
+    filtered = Series(n, {d: f for d, f in B.components.items() if d % k == 1 % k})
+    clauses = [
+        _clause("(sum_{d=1 mod k} h_d)[candidate inverse] is inverted back to p_1", pleth(B, A), p1_series(n)),
+        _clause("the inverse is supported in degrees = 1 mod k", B, filtered),
+    ]
+    if k % 2 == 0:
+        Ae = _mod1_h(k, n, elementary=True)
+        clauses.append(
+            _clause("omega transport: (sum_{d=1 mod k} e_d)[w-transported inverse] = p_1", pleth(Ae, B.omega_each()), p1_series(n))
+        )
+    status, mismatch = _run_clauses(clauses)
+    details = []
+    if status == "pass":
+        for d in sorted(B.components):
+            f = B.component(d) if ((d - 1) // k) % 2 == 0 else -B.component(d)
+            details.append(f"homology candidate at degree {d}: schur-positive={is_schur_positive(f)[0]} (informational)")
+    return status, mismatch, details
 
 
 def _c_conj_hooks(p, n):
@@ -977,9 +983,10 @@ _register("lie2-cadogan-inverse", "(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)", _b
 _register(
     "mod1k-beta",
     "inversion of sum_{d=1 mod k} h_d: support, composition, and even-k omega transport",
-    _b_mod1k_beta,
+    None,
     _K_SCHEMA,
     {"k": 2},
+    custom=_c_mod1k_beta,
 )
 _register(
     "jordan-eta",
@@ -1008,8 +1015,6 @@ _register(
     18,
     custom=_c_lifting,
 )
-
-_DETAILS = {"mod1k-beta": _details_mod1k_beta}
 
 
 # ---------------------------------------------------------------------------
@@ -1075,15 +1080,9 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
     t0 = time.perf_counter()
     if entry.custom is not None:
         status, mismatch, details = entry.custom(p, n)
-        return VerifyReport(id, printable, n, status, mismatch, [], (time.perf_counter() - t0) * 1000, details)
-    status, mismatch = "pass", None
-    for label, kind, lhs, rhs in entry.builder(p, n):
-        m = _series_mismatch(lhs, rhs) if kind == "series" else _vgraded_mismatch(lhs, rhs)
-        if m is not None:
-            m["clause"] = label
-            status, mismatch = "fail", m
-            break
-    details = _DETAILS[id](p, n) if id in _DETAILS and status == "pass" else []
+    else:
+        status, mismatch = _run_clauses(entry.builder(p, n))
+        details = []
     return VerifyReport(id, printable, n, status, mismatch, [], (time.perf_counter() - t0) * 1000, details)
 
 

@@ -1,8 +1,8 @@
 """Independent oracles and random generators shared across the test suite.
 
 Everything here deliberately avoids the library's own code paths where an
-independent route exists: brute-force partition enumeration, hook-length
-dimensions, and naive arithmetic functions.
+independent route exists: brute-force partition enumeration, border strips
+found on cell sets, hook-length dimensions, and naive arithmetic functions.
 """
 
 from __future__ import annotations
@@ -43,6 +43,33 @@ def hook_length_dimension(shape: tuple[int, ...]) -> int:
         for j in range(row):
             denom *= row - j + cols[j] - i - 1
     return factorial(n) // denom
+
+
+def brute_border_strips(lam: tuple[int, ...], shapes) -> list[tuple[tuple[int, ...], int]]:
+    """The (mu, (-1)^{rows - 1}) with mu among ``shapes`` and lam/mu a border strip.
+
+    Works on cell sets: lam/mu must be edge-connected and hold no 2x2 block.
+    """
+    cells = {(r, c) for r, a in enumerate(lam) for c in range(a)}
+    out = []
+    for mu in shapes:
+        inner = {(r, c) for r, a in enumerate(mu) for c in range(a)}
+        if not inner <= cells:
+            continue
+        skew = cells - inner
+        if any({(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= skew for r, c in skew):
+            continue
+        seen, todo = set(), [next(iter(skew))]
+        while todo:
+            r, c = todo.pop()
+            if (r, c) in seen:
+                continue
+            seen.add((r, c))
+            todo.extend(x for x in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)) if x in skew)
+        if seen == skew:
+            rows = len({r for r, _ in skew})
+            out.append((mu, (-1) ** (rows - 1)))
+    return out
 
 
 def naive_moebius(n: int) -> int:

@@ -354,7 +354,8 @@ class TestProductSlice:
                 assert product_slice(factors, d) == s.component(d), (factors, d)
 
     def test_schur_engine_against_to_schur(self):
-        # the rim-hook DP against the character route, mixed signs and exponents
+        # the rim-hook DP against the character route, mixed signs and exponents; both
+        # read the one strip walk, which test_symfunc checks against cell sets
         for factors in self.MIXED:
             for d in range(13):
                 assert product_slice_schur(factors, d) == to_schur(product_slice(factors, d)), (factors, d)

@@ -23,9 +23,9 @@ from symlie import (
     z_of,
 )
 from symlie.partitions import Partition
-from symlie.symfunc import ZERO, _strips, d_dp1
+from symlie.symfunc import ZERO, _border_strips, _strips, d_dp1
 
-from helpers import P, frac, hook_length_dimension, random_symfunc
+from helpers import P, brute_border_strips, brute_partitions, frac, hook_length_dimension, random_symfunc
 
 
 class TestRingOps:
@@ -117,7 +117,7 @@ class TestCharacters:
         assert character((2, 2), (1, 1, 1, 1)) == 2
 
     def test_dimension_vs_hook_lengths(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             for lam in partitions_of(n):
                 assert character(lam, P(*(1,) * n)) == hook_length_dimension(lam.parts)
 
@@ -126,7 +126,7 @@ class TestCharacters:
             character((2,), (1, 1, 1))
 
     def test_orthogonality(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             table = character_table(n)
             for mu in partitions_of(n):
                 for nu in partitions_of(n):
@@ -157,6 +157,15 @@ class TestSchur:
             expw = to_schur(f.omega())
             for lam in partitions_of(deg):
                 assert exp.coefficient(lam) == expw.coefficient(lam.conjugate())
+
+    def test_strip_walk_against_cell_sets(self):
+        # the one walk behind both to_schur and the Schur DP, against strips found by brute force
+        for d in range(1, 13):
+            shapes = {k: sorted(brute_partitions(k)) for k in range(d)}
+            for lam in sorted(brute_partitions(d)):
+                for m in range(1, d + 1):
+                    expected = sorted(brute_border_strips(lam, shapes[d - m]))
+                    assert sorted(_border_strips(lam, m)) == expected, (lam, m)
 
     def test_strips_are_multiplication_by_p_m(self):
         # p_m * s_mu = sum of (-1)^{height} s_lam over the m-border strips lam/mu

@@ -319,7 +319,8 @@ class TestScanSlices:
                     assert _SCANS[family].build(n, p) == brute, (family, p, n)
 
     def test_rim_hook_engine_against_to_schur(self):
-        # each product scan's verdicts read the DP; the character route is the oracle
+        # each product scan's verdicts read the DP, checked against the character route;
+        # both share one strip walk, which test_symfunc checks against cell sets
         for family, psets in self.PARAMS.items():
             for p in psets:
                 for n in range(1, 13):
