@@ -23,8 +23,6 @@ from .symfunc import (
     SchurExpansion,
     SymFunc,
     character,
-    character_table,
-    d_dp1,
     e_of,
     h_of,
     is_schur_positive,

@@ -45,9 +45,6 @@ from .verify import (
 )
 
 
-_JOBS_HELP = "accepted and has no effect: degrees are checked one after another"
-
-
 class UsageError(ValueError):
     pass
 
@@ -83,10 +80,11 @@ def parse_weight(text: str) -> DivisorWeight:
 def family_to_series(desc: str, n: int) -> Series:
     """Resolve a family descriptor to a series truncated at n.
 
-    Descriptors: lie | conj | foulkes:r | lieS:2,3 | lieSbar:2 | fT:<set> |
-    gT:<set> | h | e | p | p1 | weight:<weight>.
+    Descriptors: lie | conj | foulkes:r | lieS | lieS:<primes> | lieSbar |
+    lieSbar:<primes> | fT:<set> | gT:<set> | h | e | p | p1 | weight:<weight>.
     """
     t = desc.strip()
+    head, _, rest = t.partition(":")
     try:
         if t == "lie":
             return lie_series(n)
@@ -101,19 +99,17 @@ def family_to_series(desc: str, n: int) -> Series:
         if t == "p":
             return Series(n, {d: p_of((d,)) for d in range(1, n + 1)})
         if t.startswith("foulkes:"):
-            return foulkes_series(int(t.split(":", 1)[1]), n)
-        if t.startswith("lieSbar"):
-            rest = t.split(":", 1)[1] if ":" in t else ""
+            return foulkes_series(int(rest), n)
+        if head == "lieSbar":
             return lie_primes_bar_series(PrimeSet.from_text(rest), n)
-        if t.startswith("lieS"):
-            rest = t.split(":", 1)[1] if ":" in t else ""
+        if head == "lieS":
             return lie_primes_series(PrimeSet.from_text(rest), n)
         if t.startswith("fT:"):
-            return part_family_series(parse_part_set(t.split(":", 1)[1]), n)
+            return part_family_series(parse_part_set(rest), n)
         if t.startswith("gT:"):
-            return part_family_ext_series(parse_part_set(t.split(":", 1)[1]), n)
+            return part_family_ext_series(parse_part_set(rest), n)
         if t.startswith("weight:"):
-            return family_series(parse_weight(t.split(":", 1)[1]), n)
+            return family_series(parse_weight(rest), n)
     except UsageError:
         raise
     except (ValueError, KeyError) as exc:
@@ -268,7 +264,7 @@ def cmd_scan(args) -> int:
             params["T"] = parse_part_set(args.T)
         if args.S is not None:
             params["S"] = PrimeSet.from_text(args.S)
-        report = scan_positivity(args.family, ns, params, budget=args.budget, jobs=args.jobs)
+        report = scan_positivity(args.family, ns, params, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
@@ -285,7 +281,7 @@ def cmd_scan(args) -> int:
 
 def cmd_lift(args) -> int:
     try:
-        report = lifting_check(args.q, args.n_max, budget=args.budget, jobs=args.jobs)
+        report = lifting_check(args.q, args.n_max, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
@@ -365,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S")
     p.add_argument("--expect-positive", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     add_common(p)
     p.set_defaults(fn=cmd_scan)
 
@@ -373,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_LIFT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     add_common(p)
     p.set_defaults(fn=cmd_lift)
 

@@ -170,9 +170,6 @@ class PartSet:
         except ValueError:
             raise ValueError(malformed) from None
 
-    def key(self) -> str:
-        return self.descriptor()
-
     def __eq__(self, other):
         return isinstance(other, PartSet) and self.kind == other.kind and self.param == other.param
 
@@ -190,21 +187,16 @@ class DivisorWeight:
     weight, so weights constructed twice with equal parameters share caches.
     """
 
-    __slots__ = ("tag", "_fn", "_cache")
+    __slots__ = ("tag", "_fn")
 
     def __init__(self, tag: str, fn):
         self.tag = tag
         self._fn = fn
-        self._cache: dict[int, int] = {}
 
     def __call__(self, d: int) -> int:
         if d < 1:
             raise ValueError("weights are defined on positive integers only")
-        hit = self._cache.get(d)
-        if hit is None:
-            hit = self._fn(d)
-            self._cache[d] = hit
-        return hit
+        return self._fn(d)
 
     @classmethod
     def moebius_weight(cls) -> "DivisorWeight":
@@ -243,7 +235,7 @@ class DivisorWeight:
         def fn(d: int) -> int:
             return sum(m * moebius(d // m) for m in divisors(d) if m in parts)
 
-        return cls(f"parts[{parts.key()}]", fn)
+        return cls(f"parts[{parts.descriptor()}]", fn)
 
     @classmethod
     def ramanujan(cls, r: int) -> "DivisorWeight":
@@ -265,18 +257,6 @@ class DivisorWeight:
             return num // den
 
         return cls(f"ramanujan[{r}]", fn)
-
-    @classmethod
-    def table(cls, mapping: dict[int, int]) -> "DivisorWeight":
-        vals = {int(k): int(v) for k, v in mapping.items()}
-
-        def fn(d: int) -> int:
-            if d not in vals:
-                raise KeyError(f"table weight not defined at {d}")
-            return vals[d]
-
-        body = ",".join(f"{k}:{v}" for k, v in sorted(vals.items()))
-        return cls(f"table[{body}]", fn)
 
     def __eq__(self, other):
         return isinstance(other, DivisorWeight) and self.tag == other.tag

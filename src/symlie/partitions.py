@@ -9,7 +9,7 @@ deterministic layout for every table in the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial
 
 __all__ = [
     "EMPTY",
@@ -19,7 +19,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "moebius",
-    "partition_index",
     "partitions_of",
     "totient",
     "z_of",
@@ -64,9 +63,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def multiplicity(self, i: int) -> int:
-        return self.parts.count(i)
-
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for a in self.parts:
@@ -81,10 +77,6 @@ class Partition:
             for j in range(a):
                 cols[j] += 1
         return Partition.of(tuple(cols))
-
-    def index(self) -> int:
-        """Rank of this partition within partitions_of(self.size)."""
-        return partition_index(self)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -139,16 +131,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _index_map(n: int) -> dict[tuple[int, ...], int]:
-    return {p.parts: i for i, p in enumerate(_partitions_interned(n))}
-
-
-def partition_index(p: Partition) -> int:
-    """Position of p in the descending-lex enumeration of its degree."""
-    return _index_map(p.size)[p.parts]
-
-
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) by trial division."""
     if n < 1:
@@ -199,17 +181,8 @@ def totient(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    """Whether n is prime, read off its factorization."""
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def z_of(p: Partition) -> int:

@@ -23,8 +23,6 @@ __all__ = [
     "SchurExpansion",
     "SymFunc",
     "character",
-    "character_table",
-    "d_dp1",
     "e_of",
     "h_of",
     "is_schur_positive",
@@ -222,26 +220,6 @@ def e_of(n: int) -> SymFunc:
     return h_of(n).omega()
 
 
-def d_dp1(f: SymFunc) -> SymFunc:
-    """Partial derivative with respect to p_1 (removes one part equal to 1)."""
-    if f.is_zero:
-        return ZERO
-    out: dict[Partition, Fraction] = {}
-    for part, c in f.terms.items():
-        m1 = 0
-        for a in reversed(part.parts):
-            if a != 1:
-                break
-            m1 += 1
-        if not m1:
-            continue
-        smaller = Partition.of(part.parts[:-1])
-        s = out.get(smaller)
-        v = c * m1
-        out[smaller] = v if s is None else s + v
-    return SymFunc._make(f.degree - 1, {k: v for k, v in out.items() if v})
-
-
 # ---------------------------------------------------------------------------
 # Characters of the symmetric group (Murnaghan-Nakayama on beta-sets)
 # ---------------------------------------------------------------------------
@@ -306,13 +284,6 @@ def character(lam, mu) -> int:
     return _char(lam.parts, mu.parts)
 
 
-@lru_cache(maxsize=None)
-def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
-    """Full character table of S_n, keyed by (irreducible, class)."""
-    ps = partitions_of(n)
-    return {(lam, mu): _char(lam.parts, mu.parts) for lam in ps for mu in ps}
-
-
 # ---------------------------------------------------------------------------
 # Schur expansions
 # ---------------------------------------------------------------------------
@@ -340,12 +311,8 @@ def s_of(lam) -> SymFunc:
     return SymFunc._make(lam.size, out)
 
 
-def to_schur(f: SymFunc, require_integer: bool = False) -> SchurExpansion:
-    """Expand f in the Schur basis: coefficient of s_lam is sum_mu c_mu chi^lam(mu).
-
-    With ``require_integer`` the expansion is checked to have denominator 1
-    everywhere (true for Frobenius images of genuine virtual characters).
-    """
+def to_schur(f: SymFunc) -> SchurExpansion:
+    """Expand f in the Schur basis: coefficient of s_lam is sum_mu c_mu chi^lam(mu)."""
     if f.is_zero:
         return SchurExpansion(0, {})
     items = list(f.terms.items())
@@ -358,10 +325,6 @@ def to_schur(f: SymFunc, require_integer: bool = False) -> SchurExpansion:
                 c += coef * chi
         if c:
             out[lam] = c
-    if require_integer:
-        bad = {k: v for k, v in out.items() if v.denominator != 1}
-        if bad:
-            raise ValueError(f"non-integer Schur coefficients: {bad}")
     return SchurExpansion(f.degree, out)
 
 

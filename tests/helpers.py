@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
-from symlie import Partition, Series, SymFunc, p_of, partitions_of
+from symlie import Partition, Series, SymFunc, character, p_of, partitions_of
 
 
 def brute_partitions(n: int) -> set[tuple[int, ...]]:
@@ -70,6 +70,21 @@ def brute_border_strips(lam: tuple[int, ...], shapes) -> list[tuple[tuple[int, .
             rows = len({r for r, _ in skew})
             out.append((mu, (-1) ** (rows - 1)))
     return out
+
+
+def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
+    """Full character table of S_n, keyed by (irreducible, class), built afresh on each call."""
+    ps = partitions_of(n)
+    return {(lam, mu): character(lam, mu) for lam in ps for mu in ps}
+
+
+def sieve_primes(n: int) -> set[int]:
+    """The primes up to n by the sieve of Eratosthenes."""
+    flags = [False, False] + [True] * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(flags[p * p :: p])
+    return {p for p, is_p in enumerate(flags) if is_p}
 
 
 def naive_moebius(n: int) -> int:

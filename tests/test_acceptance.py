@@ -18,7 +18,6 @@ from symlie import (
     PrimeSet,
     Series,
     TOTIENT,
-    character_table,
     exponent_eval,
     ext_powers_signed,
     foulkes,
@@ -42,7 +41,7 @@ from symlie import (
 from symlie.plethysm import alt_omega
 from symlie.symfunc import SchurExpansion
 
-from helpers import P, random_series, random_symfunc
+from helpers import P, character_table, random_series, random_symfunc
 
 S_SETS = [PrimeSet(c) for c in ((), (2,), (3,), (2, 3), (2, 5))]
 T_SETS = [

@@ -60,15 +60,17 @@ class TestExpand:
         ]
 
     def test_family_descriptors(self, capsys):
-        for fam in ("conj", "foulkes:2", "lieS:2,3", "lieSbar:2", "fT:1,5", "fT:div(12)",
-                    "fT:mod1(4)", "fT:pow(3)", "fT:le(5)", "gT:1"):
+        for fam in ("conj", "foulkes:2", "lieS:2,3", "lieSbar:2", "lieS", "lieS:", "lieSbar", "fT:1,5",
+                    "fT:div(12)", "fT:mod1(4)", "fT:pow(3)", "fT:le(5)", "gT:1"):
             code, out, _ = run(capsys, "expand", "--family", fam, "--n", "4")
             assert code == 0 and out.strip()
 
     def test_unknown_family_usage_error(self, capsys):
-        code, _, err = run(capsys, "expand", "--family", "nope", "--n", "3")
-        assert code == 2
-        assert "unknown family" in err
+        # lieS/lieSbar stand alone or take ":<primes>"; a longer name is not a prefix match
+        for fam in ("nope", "lieSxyz", "lieSbarQQ", "lieS2", "lieSbar,3"):
+            code, out, err = run(capsys, "expand", "--family", fam, "--n", "3")
+            assert (code, out) == (2, ""), fam
+            assert err == f"error: unknown family {fam!r}\n"
 
     def test_malformed_set_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "--family", "fT:le(x)", "--n", "3")
@@ -179,6 +181,15 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["params"] == {"S": "{2,5}"}
 
+    def test_part_set_weight_bytes(self, capsys):
+        # the weight tag parts[1,3] is the part set's descriptor
+        code, out, err = run(capsys, "verify", "--id", "meta-sym", "--weight", "parts:1,3", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"N": 8, "details": [], "elapsed_ms": null, "first_mismatch": null, "id": "meta-sym", '
+            '"params": {"weight": "parts[1,3]"}, "status": "pass", "witnesses": []}\n'
+        )
+
     def test_unknown_parameter_is_usage_error(self, capsys):
         # no catalog identity takes r; thrall takes no parameter at all
         code, out, err = run(capsys, "verify", "--id", "thrall", "--r", "3", "--max-degree", "6")
@@ -226,11 +237,16 @@ class TestScanCommand:
                          "--expect-positive")
         assert code == 1
 
-    def test_range_with_jobs(self, capsys):
+    def test_range(self, capsys):
         code, out, _ = run(capsys, "scan", "--family", "symLS-sum", "--S", "3",
-                           "--n-from", "1", "--n-to", "9", "--jobs", "3")
+                           "--n-from", "1", "--n-to", "9")
         assert code == 0
         assert out.count("positive") == 9
+
+    def test_jobs_flag_is_refused(self, capsys):
+        for argv in (("scan", "--family", "powk", "--k", "4", "--n", "4"), ("lift", "--q", "3", "--n-max", "6")):
+            code, out, err = run(capsys, *argv, "--jobs", "2")
+            assert (code, out) == (2, "") and "--jobs" in err, argv
 
     def test_budget_error(self, capsys):
         code, _, err = run(capsys, "scan", "--family", "powk", "--k", "4", "--n", "30")

@@ -129,12 +129,6 @@ class TestWeights:
                 assert w_T(d) == w_S(d)
                 assert w_Tbar(d) == w_Sbar(d)
 
-    def test_table_weight(self):
-        w = DivisorWeight.table({1: 1, 2: 5})
-        assert w(2) == 5
-        with pytest.raises(KeyError):
-            w(3)
-
 
 class TestFamilyMembers:
     def test_lie2_frozen(self):
@@ -326,8 +320,8 @@ class TestSchurSide:
     def test_foulkes_positive_integer_coefficients(self):
         for n in range(1, 10):
             for r in range(1, n + 1):
-                exp = to_schur(foulkes(n, r), require_integer=True)
-                assert all(c >= 0 for c in exp.terms.values())
+                exp = to_schur(foulkes(n, r))
+                assert all(c.denominator == 1 and c >= 0 for c in exp.terms.values())
 
     def test_foulkes_matches_syt_major_index_counts(self):
         for n in range(1, 9):

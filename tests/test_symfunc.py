@@ -11,7 +11,6 @@ from symlie import (
     SchurExpansion,
     SymFunc,
     character,
-    character_table,
     e_of,
     h_of,
     is_schur_positive,
@@ -23,9 +22,9 @@ from symlie import (
     z_of,
 )
 from symlie.partitions import Partition
-from symlie.symfunc import ZERO, _border_strips, _strips, d_dp1
+from symlie.symfunc import ZERO, _border_strips, _strips
 
-from helpers import P, brute_border_strips, brute_partitions, frac, hook_length_dimension, random_symfunc
+from helpers import P, brute_border_strips, brute_partitions, character_table, frac, hook_length_dimension, random_symfunc
 
 
 class TestRingOps:
@@ -92,13 +91,6 @@ class TestBases:
         for deg in range(1, 9):
             f = random_symfunc(rng, deg)
             assert f.omega().omega() == f
-
-    def test_d_dp1(self):
-        assert d_dp1(p_of((1, 1))) == 2 * p_of((1,))
-        assert d_dp1(p_of((2,))).is_zero
-        for n in range(1, 9):
-            assert d_dp1(e_of(n)) == e_of(n - 1)
-            assert d_dp1(h_of(n)) == h_of(n - 1)
 
 
 class TestCharacters:
@@ -177,11 +169,6 @@ class TestSchur:
                         added[mu][lam] = sign
                 for mu in partitions_of(d):
                     assert SchurExpansion(d + m, added[mu.parts]) == to_schur(p_of((m,)) * s_of(mu)), (m, mu)
-
-    def test_require_integer(self):
-        to_schur(h_of(4), require_integer=True)
-        with pytest.raises(ValueError):
-            to_schur(p_of((1,)).scaled(frac(1, 2)), require_integer=True)
 
     def test_positivity(self):
         ok, neg = is_schur_positive(h_of(5))

@@ -22,7 +22,7 @@ from symlie import (
 from symlie.partitions import partitions_of
 from symlie.plethysm import Series
 from symlie.symfunc import SymFunc, p_of, to_schur
-from symlie.verify import _SCANS, _series_mismatch, build_clauses
+from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _series_mismatch, build_clauses
 
 from helpers import P
 
@@ -348,6 +348,16 @@ class TestLifting:
     def test_catalog_entry(self):
         r = verify("lifting", params={"q": 3, "n_max": 12})
         assert r.passed
+
+    def test_wrong_exception_list_fails_at_first_difference(self, monkeypatch):
+        # the computed negatives up to 12 are [3, 6, 9, 10]
+        for recorded, degree in (((3, 6, 10, 18), 9), ((3, 4, 6, 9, 10), 4), ((3, 6, 9, 10, 11), 11)):
+            monkeypatch.setitem(LIFTING_EXCEPTIONS, 3, recorded)
+            r = verify("lifting", params={"q": 3, "n_max": 12})
+            assert r.status == "fail"
+            assert r.first_mismatch["degree"] == degree, recorded
+            expected = str([m for m in recorded if m <= 12])
+            assert r.first_mismatch["diffs"] == [{"partition": [], "lhs": "[3, 6, 9, 10]", "rhs": expected}]
 
     def test_catalog_window_is_the_scan_ceiling(self):
         assert verify("lifting").N == 18
