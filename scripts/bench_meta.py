@@ -12,14 +12,16 @@ powers`` times four identities whose left sides are power series of modules
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
 (BENCH_6.json); ``--table lifting`` runs ``lifting_check(q, n, budget=32)``
-and records its negatives (BENCH_10.json).
+and records its negatives (BENCH_10.json); ``--table partitions`` enumerates
+``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
 none, the tree on PYTHONPATH is timed under the label ``here``.  Each entry
 records the wall time of one cold call, the sizes of the ``_char`` and
-``_strips`` memos it leaves, and the peak memory tracemalloc traces in a
-second cold call.  A point whose untraced or traced call runs past TIMEOUT_S
-seconds is stopped and recorded with status ``timeout`` alone.
+``_strips`` memos and the number of interned partitions it leaves, and the
+peak memory tracemalloc traces in a second cold call.  A point whose
+untraced or traced call runs past TIMEOUT_S seconds is stopped and recorded
+with status ``timeout`` alone.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ TABLES = {
         "lifting_check(q, n, budget=32)",
         [{"q": 3, "n": n} for n in (20, 24, 28, 32)] + [{"q": 5, "n": n} for n in (26, 32)],
     ),
+    "partitions": ("partitions_of(k) for every k <= n", [{"n": n} for n in (20, 24, 28, 32)]),
 }
 
 
@@ -76,6 +79,12 @@ def _call(table: str, point: dict) -> dict:
         else:
             to_schur(product_slice(factors, point["n"]))
         return {}
+    if table == "partitions":
+        from symlie.partitions import partitions_of
+
+        for k in range(point["n"] + 1):
+            partitions_of(k)
+        return {}
     if table == "lifting":
         from symlie.verify import lifting_check
 
@@ -86,6 +95,7 @@ def _call(table: str, point: dict) -> dict:
 
 
 def one(table: str, point: dict, traced: bool) -> dict:
+    from symlie.partitions import _interned
     from symlie.symfunc import _char, _strips
 
     if traced:
@@ -95,7 +105,11 @@ def one(table: str, point: dict, traced: bool) -> dict:
     wall = time.perf_counter() - t0
     if traced:
         return {"peak_traced_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 1)}
-    memos = {"char_entries": _char.cache_info().currsize, "strips_entries": _strips.cache_info().currsize}
+    memos = {
+        "char_entries": _char.cache_info().currsize,
+        "strips_entries": _strips.cache_info().currsize,
+        "interned": len(_interned),
+    }
     return {"wall_s": round(wall, 3), **answer, **memos}
 
 

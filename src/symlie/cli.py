@@ -136,36 +136,23 @@ def basis_or_family(desc: str, n: int) -> Series:
     return family_to_series(t, n)
 
 
-def _emit(args, payload_json: dict, payload_text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload_json, sort_keys=True))
-    else:
-        print(payload_text)
-
-
-def _symfunc_payload(f: SymFunc, basis: str) -> tuple[dict, str]:
-    if basis == "schur":
-        exp = to_schur(f)
-        return exp.to_json_dict(), exp.to_text()
-    return f.to_json_dict(), f.to_text()
+def _member(args) -> SymFunc:
+    """The degree-n member of --family, n = --n."""
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
+    return family_to_series(args.family, args.n).component(args.n)
 
 
 def cmd_expand(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    series = family_to_series(args.family, args.n)
-    f = series.component(args.n)
-    j, t = _symfunc_payload(f, args.basis)
-    _emit(args, j, t)
+    f = _member(args)
+    if args.basis == "schur":
+        f = to_schur(f)
+    print(json.dumps(f.to_json_dict(), sort_keys=True) if args.format == "json" else f.to_text())
     return 0
 
 
 def cmd_schur(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    series = family_to_series(args.family, args.n)
-    f = series.component(args.n)
-    exp = to_schur(f)
+    exp = to_schur(_member(args))
     neg = exp.negatives()
     positive = not neg
     if args.format == "json":
@@ -208,32 +195,18 @@ def cmd_pleth(args) -> int:
     return 0
 
 
-def _coerce_identity_params(args) -> dict:
-    params = {}
-    if args.S is not None:
-        params["S"] = PrimeSet.from_text(args.S)
-    if args.T is not None:
-        params["T"] = parse_part_set(args.T)
-    if args.q is not None:
-        params["q"] = args.q
-    if args.k is not None:
-        params["k"] = args.k
-    if args.n_max is not None:
-        params["n_max"] = args.n_max
-    if args.weight is not None:
-        params["weight"] = parse_weight(args.weight)
-    if args.g is not None:
-        params["g"] = args.g
-    if args.fam is not None:
-        params["family"] = args.fam
-    if args.sign is not None:
-        params["sign"] = args.sign
-    return params
+_PARSE = {"S": PrimeSet.from_text, "T": parse_part_set, "weight": parse_weight}
+
+
+def _params(args, keys) -> dict:
+    """The flags among ``keys`` that were given, in that order, with --S, --T and --weight parsed."""
+    return {k: _PARSE[k](v) if k in _PARSE else v for k in keys if (v := getattr(args, k)) is not None}
 
 
 def cmd_verify(args) -> int:
     try:
-        report = verify(args.id, _coerce_identity_params(args), args.max_degree)
+        params = _params(args, ("S", "T", "q", "k", "n_max", "weight", "g", "family", "sign"))
+        report = verify(args.id, params, args.max_degree)
     except UnknownIdentityError as exc:
         raise UsageError(exc.args[0]) from None
     except ValueError as exc:
@@ -256,15 +229,8 @@ def cmd_scan(args) -> int:
         ns = range(args.n_from, args.n_to + 1)
     else:
         raise UsageError("scan needs --n or both --n-from and --n-to")
-    params = {}
     try:
-        if args.k is not None:
-            params["k"] = args.k
-        if args.T is not None:
-            params["T"] = parse_part_set(args.T)
-        if args.S is not None:
-            params["S"] = PrimeSet.from_text(args.S)
-        report = scan_positivity(args.family, ns, params, budget=args.budget)
+        report = scan_positivity(args.family, ns, _params(args, ("k", "T", "S")), budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
@@ -346,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--weight")
     p.add_argument("--g")
-    p.add_argument("--fam", help="series family for identities parameterized by one (e.g. HF-EG)")
+    p.add_argument("--fam", dest="family", metavar="FAM", help="series family for identities parameterized by one (e.g. HF-EG)")
     p.add_argument("--sign", type=int, choices=(1, -1))
     add_common(p)
     p.set_defaults(fn=cmd_verify)

@@ -8,6 +8,7 @@ deterministic layout for every table in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
 
@@ -108,19 +109,20 @@ EMPTY = Partition.of(())
 
 
 @lru_cache(maxsize=None)
-def _partitions_raw(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_raw(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _partitions_interned(n: int) -> tuple[Partition, ...]:
-    return tuple(Partition.of(t) for t in _partitions_raw(n, max(n, 1)))
+    """The partitions of n, descending: each first part, then a suffix of the partitions of n - first.
+
+    In descending order the partitions of n - first whose parts are all at
+    most ``first`` are a suffix, found by bisection on the first part.
+    """
+    if n == 0:
+        return (EMPTY,)
+    out = []
+    for first in range(n, 0, -1):
+        rest = _partitions_interned(n - first)
+        start = bisect_left(rest, -first, key=lambda p: -p.parts[0] if p.parts else 0)
+        out.extend(Partition.of((first,) + p.parts) for p in rest[start:])
+    return tuple(out)
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -1,7 +1,7 @@
 """Plethysm of symmetric functions and truncated generating series.
 
-A Series holds homogeneous components for degrees 1..N plus a rational
-constant term.  N is a mandatory explicit truncation window: every
+A Series holds homogeneous components for degrees 0..N, the constant term
+at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
 the catalog into a finite exact check.
 """
@@ -39,22 +39,29 @@ __all__ = [
 
 
 class Series:
-    """Symmetric-function series truncated at a fixed maximum degree."""
+    """Symmetric-function series truncated at a fixed maximum degree.
 
-    __slots__ = ("max_degree", "constant", "components")
+    ``components`` maps each degree 0..N to its nonzero homogeneous
+    component; the constant term c is the degree-0 component c * 1.
+    """
 
-    def __init__(self, max_degree: int, components=None, constant=0):
+    __slots__ = ("max_degree", "components")
+
+    def __init__(self, max_degree: int, components=None, constant=None):
+        """``constant``, when given, sets the degree-0 component to ``constant`` * 1."""
         n = int(max_degree)
         if n < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = n
-        self.constant = Fraction(constant)
+        items = dict(components or {})
+        if constant is not None:
+            items[0] = ONE.scaled(constant)
         comps: dict[int, SymFunc] = {}
-        for d, f in dict(components or {}).items():
+        for d, f in items.items():
             if f.is_zero:
                 continue
-            if not 1 <= d <= n:
-                raise ValueError(f"component degree {d} outside 1..{n}")
+            if not 0 <= d <= n:
+                raise ValueError(f"component degree {d} outside 0..{n}")
             if f.degree != d:
                 raise ValueError(f"component at degree {d} has degree {f.degree}")
             comps[d] = f
@@ -70,22 +77,22 @@ class Series:
 
     @classmethod
     def from_symfunc(cls, f: SymFunc, n: int) -> "Series":
-        if f.is_zero:
-            return cls(n)
-        if f.degree == 0:
-            return cls(n, constant=f.coefficient(EMPTY))
-        if f.degree > n:
+        if f.is_zero or f.degree > n:
             return cls(n)
         return cls(n, {f.degree: f})
 
     def component(self, d: int) -> SymFunc:
-        if not 1 <= d <= self.max_degree:
-            raise ValueError(f"degree {d} outside the truncation window 1..{self.max_degree}")
+        if not 0 <= d <= self.max_degree:
+            raise ValueError(f"degree {d} outside the truncation window 0..{self.max_degree}")
         return self.components.get(d, ZERO)
 
     @property
+    def constant(self) -> Fraction:
+        return self.component(0).coefficient(EMPTY)
+
+    @property
     def is_constant_free(self) -> bool:
-        return not self.constant
+        return 0 not in self.components
 
     def _require_same_window(self, other: "Series") -> None:
         if self.max_degree != other.max_degree:
@@ -104,7 +111,6 @@ class Series:
             else:
                 comps[d] = s
         out = Series(self.max_degree)
-        out.constant = self.constant + other.constant
         out.components = comps
         return out
 
@@ -113,7 +119,6 @@ class Series:
 
     def __neg__(self) -> "Series":
         out = Series(self.max_degree)
-        out.constant = -self.constant
         out.components = {d: -f for d, f in self.components.items()}
         return out
 
@@ -121,7 +126,6 @@ class Series:
         c = Fraction(c)
         out = Series(self.max_degree)
         if c:
-            out.constant = self.constant * c
             out.components = {d: f.scaled(c) for d, f in self.components.items()}
         return out
 
@@ -131,29 +135,16 @@ class Series:
         self._require_same_window(other)
         n = self.max_degree
         comps: dict[int, SymFunc] = {}
-
-        def bump(d: int, f: SymFunc) -> None:
-            if f.is_zero:
-                return
-            g = comps.get(d)
-            s = f if g is None else g + f
-            if s.is_zero:
-                comps.pop(d, None)
-            else:
-                comps[d] = s
-
-        if self.constant:
-            for d, f in other.components.items():
-                bump(d, f.scaled(self.constant))
-        if other.constant:
-            for d, f in self.components.items():
-                bump(d, f.scaled(other.constant))
         for a, fa in self.components.items():
             for b, fb in other.components.items():
                 if a + b <= n:
-                    bump(a + b, fa * fb)
+                    g = comps.get(a + b)
+                    s = fa * fb if g is None else g + fa * fb
+                    if s.is_zero:
+                        comps.pop(a + b, None)
+                    else:
+                        comps[a + b] = s
         out = Series(n)
-        out.constant = self.constant * other.constant
         out.components = comps
         return out
 
@@ -163,37 +154,22 @@ class Series:
     def omega_each(self) -> "Series":
         """Apply the omega involution to every homogeneous component."""
         out = Series(self.max_degree)
-        out.constant = self.constant
         out.components = {d: f.omega() for d, f in self.components.items()}
         return out
 
     def alt_omega(self) -> "Series":
         """Degree-d component becomes (-1)^{d-1} omega(component)."""
-        if self.constant:
+        if not self.is_constant_free:
             raise ValueError("alt_omega requires a constant-free series")
         out = Series(self.max_degree)
-        comps = {}
-        for d, f in self.components.items():
-            g = f.omega()
-            comps[d] = g if d % 2 else -g
-        out.components = comps
+        out.components = {d: f.omega() if d % 2 else -f.omega() for d, f in self.components.items()}
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.max_degree == other.max_degree
-            and self.constant == other.constant
-            and self.components == other.components
-        )
+        return isinstance(other, Series) and self.max_degree == other.max_degree and self.components == other.components
 
     def __repr__(self):
-        bits = []
-        if self.constant:
-            bits.append(str(self.constant))
-        for d in sorted(self.components):
-            bits.append(f"({self.components[d].to_text()})")
-        return " + ".join(bits) if bits else "0"
+        return " + ".join(f"({self.components[d].to_text()})" for d in sorted(self.components)) or "0"
 
 
 def p1_series(n: int) -> Series:
@@ -201,12 +177,12 @@ def p1_series(n: int) -> Series:
 
 
 def h_series(n: int) -> Series:
-    """H = sum h_i, constant term 1."""
-    return Series(n, {d: h_of(d) for d in range(1, n + 1)}, constant=1)
+    """H = sum h_i, constant term h_0 = 1."""
+    return Series(n, {d: h_of(d) for d in range(n + 1)})
 
 
 def e_series(n: int) -> Series:
-    return Series(n, {d: e_of(d) for d in range(1, n + 1)}, constant=1)
+    return Series(n, {d: e_of(d) for d in range(n + 1)})
 
 
 def alt_omega(F: Series) -> Series:
@@ -236,7 +212,6 @@ def pleth_p(k: int, g):
         return _stretch(g, k)
     n = g.max_degree
     out = Series(n)
-    out.constant = g.constant
     out.components = {d * k: _stretch(f, k) for d, f in g.components.items() if d * k <= n}
     return out
 
@@ -345,23 +320,16 @@ def pleth(f, g) -> Series:
             return Series.from_symfunc(pleth_homog(f, g), max((f.degree or 0) * (g.degree or 0), 1))
         g = Series.from_symfunc(g, g.degree * f.max_degree if not g.is_zero else f.max_degree)
     elif isinstance(f, Series):
-        unknown = (f.max_degree + 1) * min(g.components, default=g.max_degree + 1)
+        unknown = (f.max_degree + 1) * min((d for d in g.components if d), default=g.max_degree + 1)
         if unknown <= g.max_degree:
             raise ValueError(
                 f"outer series truncated at {f.max_degree} leaves degree {unknown} of the window {g.max_degree} unknown"
             )
     if not g.is_constant_free:
         raise ValueError("plethysm requires a constant-free inner series")
-    if isinstance(f, SymFunc):
-        monos = _monomials([f])
-        const = f.coefficient(EMPTY)
-    else:
-        monos = _monomials(f.components.values())
-        const = f.constant
-    out = Series(g.max_degree)
-    out.constant = const
-    out.components = {t: acc for t, acc in _pleth_degrees(monos, g) if not acc.is_zero}
-    return out
+    fs = [f] if isinstance(f, SymFunc) else list(f.components.values())
+    # _monomials leaves out f's constant term, which is f[g]'s since g is constant-free
+    return Series(g.max_degree, dict(_pleth_degrees(_monomials(fs), g)), constant=sum(h.coefficient(EMPTY) for h in fs))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +361,7 @@ def series_exp(x: Series) -> Series:
         raise ValueError("series_exp requires a constant-free argument")
     n = x.max_degree
     E = _newton([None] + [x.component(k).scaled(k) for k in range(1, n + 1)], ONE)
-    return Series(n, {d: E[d] for d in range(1, n + 1)}, constant=1)
+    return Series(n, dict(enumerate(E)))
 
 
 def _log_sum(F: Series, alternating: bool) -> Series:

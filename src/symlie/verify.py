@@ -189,12 +189,7 @@ def _diff_symfunc(a: SymFunc, b: SymFunc) -> list[dict]:
 
 
 def _series_mismatch(lhs: Series, rhs: Series) -> dict | None:
-    if lhs.constant != rhs.constant:
-        return {
-            "degree": 0,
-            "diffs": [{"partition": [], "lhs": _fmt_frac(lhs.constant), "rhs": _fmt_frac(rhs.constant)}],
-        }
-    for d in range(1, min(lhs.max_degree, rhs.max_degree) + 1):
+    for d in range(min(lhs.max_degree, rhs.max_degree) + 1):
         fa, fb = lhs.component(d), rhs.component(d)
         if fa != fb:
             return {"degree": d, "diffs": _diff_symfunc(fa, fb)}
@@ -291,6 +286,11 @@ def _p1_pq(q: int, sign: int, n: int) -> Series:
 def _mod1_h(k: int, n: int, elementary: bool = False) -> Series:
     base = e_of if elementary else h_of
     return Series(n, {d: base(d) for d in range(1, n + 1) if d % k == 1 % k})
+
+
+def _pm_sum(ms, X: Series) -> Series:
+    """sum over m in ms of p_m[X]."""
+    return sum((pleth_p(m, X) for m in ms), Series.zero(X.max_degree))
 
 
 def _inverse_pair(A: Series, B: Series, a: str, b: str, n: int) -> list:
@@ -471,11 +471,7 @@ def _b_extLieConj4(p, n):
 
 
 def _b_dualityA(p, n):
-    rhs = _geom([1], n)
-    return [
-        _clause("H[Lie] = (1-p_1)^{-1}", sym_powers(lie_series(n)), rhs),
-        _clause("E[L^(2)] = (1-p_1)^{-1}", ext_powers(_lieq_series(2, n)), rhs),
-    ]
+    return _b_thrall(p, n) + _b_lie2_reg(p, n)
 
 
 def _b_dualityB(p, n):
@@ -523,11 +519,7 @@ def _b_fT_ext(p, n):
 
 
 def _b_conj_decomp(p, n):
-    L = lie_series(n)
-    acc = Series.zero(n)
-    for m in range(1, n + 1):
-        acc = acc + pleth_p(m, L)
-    return [_clause("sum_m p_m[Lie] = sum Conj_d", acc, conj_series(n))]
+    return [_clause("sum_m p_m[Lie] = sum Conj_d", _pm_sum(range(1, n + 1), lie_series(n)), conj_series(n))]
 
 
 def _b_conj_psums(p, n):
@@ -572,28 +564,21 @@ def _b_lieq_inverse(p, n):
     return _inverse_of(Lq, B, "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", "L^(q)[candidate inverse] = p_1", n)
 
 
+def _lie_plus_pk(X: Series, k: int) -> Series:
+    """Lie + X[p_k]: Lie_d, plus X_{d/k}[p_k] when k | d."""
+    return lie_series(X.max_degree) + pleth_p(k, X)
+
+
 def _b_powk_recurrence(p, n):
     k = p["k"]
-    T = PartSet.powers_of(k)
-    comps = {}
-    for d in range(1, n + 1):
-        f = lie(d)
-        if d % k == 0:
-            f = f + pleth_p(k, part_family(d // k, T))
-        comps[d] = f
-    return [_clause("f_d = Lie_d (+ f_{d/k}[p_k] when k | d)", part_family_series(T, n), Series(n, comps))]
+    F = part_family_series(PartSet.powers_of(k), n)
+    return [_clause("f_d = Lie_d (+ f_{d/k}[p_k] when k | d)", F, _lie_plus_pk(F, k))]
 
 
 def _b_onek(p, n):
     k = p["k"]
     T = PartSet.of(1, k)
-    comps = {}
-    for d in range(1, n + 1):
-        f = lie(d)
-        if d % k == 0:
-            f = f + pleth_p(k, lie(d // k))
-        comps[d] = f
-    clauses = [_clause("f_d = Lie_d (+ Lie_{d/k}[p_k] when k | d)", part_family_series(T, n), Series(n, comps))]
+    clauses = [_clause("f_d = Lie_d (+ Lie_{d/k}[p_k] when k | d)", part_family_series(T, n), _lie_plus_pk(lie_series(n), k))]
     if is_prime(k):
         clauses.append(
             _clause("for prime k the family is the eigenvalue-k induced character", part_family_series(T, n), foulkes_series(k, n))
@@ -610,21 +595,20 @@ def _b_onek_ext(p, n):
     return [_clause("w(E[F]) = (1-p_1)^{-1}(1-(-1)^{k-1}p_k)^{-1}(1+p_2)(1+p_{2k})", lhs, rhs)]
 
 
-def _b_lek(p, n):
-    k = p["k"]
-    T = PartSet.up_to(k)
+def _fT_forms(T: PartSet, n: int) -> list:
+    """[the product form, the Lie decomposition] of the family of T: the clauses of fT-sym and fT-decomp."""
     return _b_fT_sym({"T": T}, n) + _b_fT_decomp({"T": T}, n)
+
+
+def _b_lek(p, n):
+    return _fT_forms(PartSet.up_to(p["k"]), n)
 
 
 def _b_divk(p, n):
     k = p["k"]
     T = PartSet.divisors_of(k)
-    clauses = [
-        _clause("f_d equals the eigenvalue-k induced character", part_family_series(T, n), foulkes_series(k, n)),
-    ]
-    clauses += _b_fT_decomp({"T": T}, n)
-    clauses += _b_fT_sym({"T": T}, n)
-    return clauses
+    product, decomp = _fT_forms(T, n)
+    return [_clause("f_d equals the eigenvalue-k induced character", part_family_series(T, n), foulkes_series(k, n)), decomp, product]
 
 
 def _b_regdecomp(p, n):
@@ -647,9 +631,7 @@ def _b_regdecomp(p, n):
 
 
 def _b_mod1k(p, n):
-    k = p["k"]
-    T = PartSet.mod_one(k)
-    return _b_fT_sym({"T": T}, n) + _b_fT_decomp({"T": T}, n)
+    return _fT_forms(PartSet.mod_one(p["k"]), n)
 
 
 def _b_oddlie(p, n):
@@ -660,22 +642,11 @@ def _b_oddlie(p, n):
 
 def _b_conj_via_lieq(p, n):
     q = p["q"]
-    L = lie_series(n)
-    B = Series.zero(n)
-    for qk in PartSet.powers_of(q).members_up_to(n):
-        B = B + pleth_p(qk, L)
-    acc = Series.zero(n)
-    for m in range(1, n + 1):
-        if m % q:
-            acc = acc + pleth_p(m, B)
-    clauses = [_clause("sum over m coprime-position of p_m[sum_k Lie[p_{q^k}]] = sum Conj", acc, conj_series(n))]
+    B = _pm_sum(PartSet.powers_of(q).members_up_to(n), lie_series(n))
+    C, positions = conj_series(n), [m for m in range(1, n + 1) if m % q]
+    clauses = [_clause("sum over m coprime-position of p_m[sum_k Lie[p_{q^k}]] = sum Conj", _pm_sum(positions, B), C)]
     if is_prime(q):
-        acc2 = Series.zero(n)
-        Lq = _lieq_series(q, n)
-        for m in range(1, n + 1):
-            if m % q:
-                acc2 = acc2 + pleth_p(m, Lq)
-        clauses.append(_clause("for prime q: sum_{q not | m} p_m[L^(q)] = sum Conj", acc2, conj_series(n)))
+        clauses.append(_clause("for prime q: sum_{q not | m} p_m[L^(q)] = sum Conj", _pm_sum(positions, _lieq_series(q, n)), C))
     return clauses
 
 
@@ -709,9 +680,7 @@ def _b_HE(p, n):
 
 def _b_HFEG(p, n):
     F = lie_series(n) if p["family"] == "lie" else conj_series(n)
-    G = Series.zero(n)
-    for k in PartSet.powers_of(2).members_up_to(n):
-        G = G + pleth_p(k, F)
+    G = _pm_sum(PartSet.powers_of(2).members_up_to(n), F)
     return [
         _clause("H[F] = E[sum_k F[p_{2^k}]]", sym_powers(F), ext_powers(G)),
         _clause("F = G - G[p_2]", F, G - pleth_p(2, G)),

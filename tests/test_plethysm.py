@@ -48,7 +48,7 @@ from symlie import (
 
 from symlie import SymFunc
 from symlie.plethysm import series_exp
-from symlie.symfunc import ZERO
+from symlie.symfunc import ONE, ZERO
 
 from helpers import P, frac, horner_exp, random_series, random_symfunc, random_unit_series
 
@@ -62,7 +62,7 @@ def series_pleth(f, g: Series) -> Series:
     if isinstance(f, SymFunc):
         comps, const = [f], f.coefficient(())
     else:
-        comps, const = f.components.values(), f.constant
+        comps, const = [c for d, c in f.components.items() if d], f.constant
     powers = {}
     out = Series.one(n).scaled(const)
     for comp in comps:
@@ -110,6 +110,20 @@ class TestSeries:
             Series(5, {3: h_of(2)})
         with pytest.raises(ValueError):
             Series(2, {3: h_of(3)})
+
+    def test_constant_is_the_degree_zero_component(self):
+        with_constant = (h_series(6), Series(6, {2: h_of(2)}, constant=frac(-3, 2)), Series.one(0))
+        for s in with_constant + (lie_series(6), Series(6, {2: h_of(2)}), Series.zero(3)):
+            assert Series(s.max_degree, s.components) == s
+            assert s.component(0) == ONE.scaled(s.constant)
+            assert s.is_constant_free == (s not in with_constant)
+        assert h_series(6).component(0) == ONE
+        assert Series(4, {0: ONE.scaled(5)}).constant == 5
+        assert Series(4, {0: ONE.scaled(5)}, constant=0).is_constant_free
+        with pytest.raises(ValueError):
+            lie_series(6).component(-1)
+        with pytest.raises(ValueError):
+            Series(4, {0: p_of((1,))})
 
     def test_arithmetic(self):
         a = Series(4, {1: p_of((1,))}, constant=1)

@@ -112,6 +112,9 @@ class TestFailureLocalization:
             assert m["degree"] == d
             diffs = {tuple(x["partition"]): (x["lhs"], x["rhs"]) for x in m["diffs"]}
             assert diffs == {(d,): ("0", "1")}
+        # only the constant term differs: the report names degree 0 and the empty partition
+        bad = Series(8, rhs.components, constant=2)
+        assert _series_mismatch(lhs, bad) == {"degree": 0, "diffs": [{"partition": [], "lhs": "1", "rhs": "2"}]}
 
     def test_failure_reported_through_verify(self):
         r = verify("lieq-decomp", params={"q": 5}, N=6)
