@@ -4,10 +4,11 @@
 
 ``--table meta`` (the default) times the five length-graded ``meta-*``
 identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times the four
-plethystic-inverse identities at N = 10..16 (BENCH_8.json); ``--table
-powers`` times four identities whose left sides are power series of modules
-(``series_exp``) at N = 12..24 (BENCH_9.json).  These three time one cold
-``verify(id, N=N)`` at the id's default parameters and record its status.
+plethystic-inverse identities at N = 10, 12, 16, 20 and 24 (BENCH_13.json;
+BENCH_8.json ran N = 10..16); ``--table powers`` times four identities whose
+left sides are power series of modules (``series_exp``) at N = 12..24
+(BENCH_9.json).  These three time one cold ``verify(id, N=N)`` at the id's
+default parameters and record its status.
 ``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
@@ -49,7 +50,7 @@ TABLES = {
     ),
     "inverse": (
         "verify(inverse id, N) at default parameters",
-        _verify_points(("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"), (10, 12, 14, 16)),
+        _verify_points(("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"), (10, 12, 16, 20, 24)),
     ),
     "powers": (
         "verify(power-series id, N) at default parameters",

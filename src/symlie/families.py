@@ -289,8 +289,8 @@ def from_divisor_weight(n: int, w: DivisorWeight) -> SymFunc:
         for d in divisors(n):
             c = w(d)
             if c:
-                terms[Partition.of((d,) * (n // d))] = Fraction(c, n)
-        hit = SymFunc._make(n, terms)
+                terms[Partition.of((d,) * (n // d))] = c
+        hit = SymFunc._make(n, terms, n)
         _family_cache[key] = hit
     return hit
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of
-from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _strips, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _strips, _sum_products, _sum_scaled, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -200,7 +200,8 @@ def _stretch(f: SymFunc, k: int) -> SymFunc:
         return f
     return SymFunc._make(
         f.degree * k,
-        {Partition.of(tuple(a * k for a in part.parts)): c for part, c in f.terms.items()},
+        {Partition.of(tuple(a * k for a in part.parts)): c for part, c in f.num.items()},
+        f.den,
     )
 
 
@@ -281,7 +282,7 @@ def _pleth_degrees(monos, g: Series):
     nodes: dict[tuple[int, ...], dict[int, SymFunc]] = {key: {} for key in keeps}
 
     for t in range(1, n + 1):
-        total = ZERO
+        total = []
         for key, top in tops.items():
             if t > top:
                 continue
@@ -289,21 +290,22 @@ def _pleth_degrees(monos, g: Series):
             if not head:
                 acc = factor(a, t)
             else:
-                acc = ZERO
+                pairs = []
                 for u in range(a, t, a):
                     y = factor(a, u)
                     if not y.is_zero:
                         x = factor(head[0], t - u) if len(head) == 1 else nodes[head].get(t - u, ZERO)
                         if not x.is_zero:
-                            acc = acc + x * y
+                            pairs.append((x, y))
+                acc = _sum_products(pairs)
             if acc.is_zero:
                 continue
             if t <= keeps.get(key, 0):
                 nodes[key][t] = acc
             c = ends.get(key)
             if c:
-                total = total + acc.scaled(c)
-        yield t, total
+                total.append((c, acc))
+        yield t, _sum_scaled(total)
 
 
 def pleth(f, g) -> Series:
@@ -445,9 +447,6 @@ def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-_UNIT = {1: Fraction(1), -1: Fraction(-1)}
-
-
 def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
     """Check (m, sign, exponent) factors: the sign each part m contributes, and the m allowed once."""
     weights: dict[int, int] = {}
@@ -465,22 +464,30 @@ def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
 
 
 def _weighted_slice(weights: dict[int, int], once: set[int], d: int) -> SymFunc:
-    terms = {}
-    for lam in partitions_of(d):
-        c, prev = 1, 0
-        for a in lam.parts:
-            w = weights.get(a)
-            if w is None or (a == prev and a in once):
-                break
-            c *= w
-            prev = a
-        else:
-            terms[lam] = _UNIT[c]
+    """The degree-d slice: every partition of d into factor parts, descending, with its sign product.
+
+    The partitions are built part by part, largest first, so no partition
+    with a part outside the factors is visited; a part in ``once`` is used
+    at most once.
+    """
+    parts = sorted(weights, reverse=True)
+    terms: dict[Partition, int] = {}
+
+    def extend(rest: int, i: int, prefix: tuple[int, ...], c: int) -> None:
+        if not rest:
+            terms[Partition.of(prefix)] = c
+            return
+        for j in range(i, len(parts)):
+            a = parts[j]
+            if a <= rest:
+                extend(rest - a, j + (a in once), prefix + (a,), c * weights[a])
+
+    extend(d, 0, (), 1)
     return SymFunc._make(d, terms)
 
 
 def product_slice(factors, d: int) -> SymFunc:
-    """The degree-d component of prod (1 + sign*p_m)^{exponent}, read off partitions_of(d).
+    """The degree-d component of prod (1 + sign*p_m)^{exponent}, read off the partitions of d into factor parts.
 
     ``factors`` is an iterable of (m, sign, exponent) with sign and exponent
     in {+1, -1}; part values m must be distinct.  The coefficient of p_lam is
@@ -538,7 +545,7 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
                     new[lam] = c
             levels[k] = new
     top = levels[d]
-    return SchurExpansion._make(d, {lam: Fraction(top[lam.parts]) for lam in partitions_of(d) if lam.parts in top})
+    return SchurExpansion._make(d, {lam: top[lam.parts] for lam in partitions_of(d) if lam.parts in top})
 
 
 def product_series(factors, n: int) -> Series:
@@ -585,7 +592,7 @@ def graded_product_series(factors, n: int) -> list[Series]:
             for r, x in c.items():
                 layers[r].setdefault(d, {})[lam] = x
     return [
-        Series(n, {d: SymFunc._make(d, t) for d, t in comps.items()}, constant=int(r == 0))
+        Series(n, {d: SymFunc(d, t) for d, t in comps.items()}, constant=int(r == 0))
         for r, comps in enumerate(layers)
     ]
 

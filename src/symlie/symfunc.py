@@ -1,21 +1,27 @@
 """Sparse exact symmetric functions in the power-sum basis.
 
 A SymFunc is homogeneous: a degree n together with a map from partitions of
-n to nonzero rationals, read as f = sum_mu c_mu * p_mu.  The zero function
-carries no degree and absorbs additions.  Schur expansions go through
-symmetric-group characters computed by the Murnaghan-Nakayama rule,
-memoized across all calls.  The rule is one walk over the m-border strips
-of a shape on its beta-set (``_border_strips``): characters recurse over
-it, and read as multiplication by p_m it drives the Schur-basis product
-engine in plethysm through its memo ``_strips``.  Since ``to_schur`` and
-that engine share the walk, the tests check the walk itself against strips
-enumerated from cell sets.
+n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
+numerators over one denominator.  The zero function carries no degree and
+absorbs additions.  Sums and products run on the integers (``_sum_scaled``,
+``_sum_products``), and the plethysm kernel sums its products through the
+same loop.  Schur expansions go through symmetric-group characters computed
+by the Murnaghan-Nakayama rule, memoized across all calls.  The rule is one
+walk over the m-border strips of a shape on its beta-set
+(``_border_strips``): characters recurse over it, and read as
+multiplication by p_m it drives the Schur-basis product engine in plethysm
+through its memo ``_strips``.  Since ``to_schur`` and that engine share the
+walk, the tests check the walk itself against strips enumerated from cell
+sets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .partitions import EMPTY, Partition, partitions_of, z_of
 
@@ -34,11 +40,7 @@ __all__ = [
 ]
 
 
-def _merge_parts(a: Partition, b: Partition) -> Partition:
-    return Partition.of(tuple(sorted(a.parts + b.parts, reverse=True)))
-
-
-def terms_json(terms: dict[Partition, Fraction]) -> list[dict]:
+def terms_json(terms: Mapping[Partition, Fraction]) -> list[dict]:
     """The JSON rows of a partition -> coefficient map, largest partition first."""
     return [
         {"partition": list(part.parts), "num": str(c.numerator), "den": str(c.denominator)}
@@ -49,11 +51,16 @@ def terms_json(terms: dict[Partition, Fraction]) -> list[dict]:
 class _TermMap:
     """A homogeneous map from partitions of one degree to nonzero rationals.
 
-    ``symbol`` names the basis element in text and ``basis`` names the basis
-    in JSON; the empty partition prints as its bare coefficient.
+    The coefficients are stored as integer numerators ``num`` over one
+    denominator ``den > 0`` with gcd(den, *num.values()) == 1, so equal
+    maps store equal (num, den) and a result is reduced by one gcd, not
+    one per term.  Fractions appear only at the edge: ``terms``,
+    ``coefficient`` and the text and JSON forms.  ``symbol`` names the
+    basis element in text and ``basis`` names the basis in JSON; the empty
+    partition prints as its bare coefficient.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "num", "den")
 
     def __init__(self, degree, terms=None):
         clean: dict[Partition, Fraction] = {}
@@ -65,40 +72,53 @@ class _TermMap:
             if part.size != degree:
                 raise ValueError(f"term {part} has size {part.size}, expected degree {degree}")
             clean[part] = c
-        self.terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.num = {part: c.numerator * (den // c.denominator) for part, c in clean.items()}
+        self.den = den
         self.degree = degree if clean else None
 
     @classmethod
-    def _make(cls, degree, terms: dict[Partition, Fraction]):
-        # internal fast path: terms already clean (Partition keys, no zeros)
+    def _make(cls, degree, num: dict[Partition, int], den: int = 1):
+        # internal fast path: Partition keys of size degree, no zero numerator, den > 0
+        if den != 1 and num:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
         obj = cls.__new__(cls)
-        obj.terms = terms
-        obj.degree = degree if terms else None
+        obj.num = num
+        obj.den = den if num else 1
+        obj.degree = degree if num else None
         return obj
 
     @property
+    def terms(self) -> Mapping[Partition, Fraction]:
+        """The coefficients as a fresh, read-only partition -> Fraction map."""
+        return MappingProxyType({k: Fraction(v, self.den) for k, v in self.num.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def coefficient(self, part) -> Fraction:
         key = part if isinstance(part, Partition) else Partition.of(part)
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.num.get(key, 0), self.den)
 
     def support(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self.terms, key=lambda q: q.parts, reverse=True))
+        return tuple(sorted(self.num, key=lambda q: q.parts, reverse=True))
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        return hash((self.degree, self.den, frozenset(self.num.items())))
 
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
         pieces = []
         for part in self.support():
-            c = self.terms[part]
+            c = Fraction(self.num[part], self.den)
             if not part.parts:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -137,39 +157,25 @@ class SymFunc(_TermMap):
             return self
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch in add: {self.degree} vs {other.degree}")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return SymFunc._make(self.degree, out)
+        return _sum_scaled(((1, self), (1, other)))
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-other)
 
     def __neg__(self) -> "SymFunc":
-        return SymFunc._make(self.degree, {k: -c for k, c in self.terms.items()})
+        return SymFunc._make(self.degree, {k: -c for k, c in self.num.items()}, self.den)
 
     def scaled(self, c) -> "SymFunc":
         c = Fraction(c)
         if not c or self.is_zero:
             return ZERO
-        return SymFunc._make(self.degree, {k: v * c for k, v in self.terms.items()})
+        return _sum_scaled(((c, self),))
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
             if self.is_zero or other.is_zero:
                 return ZERO
-            out: dict[Partition, Fraction] = {}
-            for pa, ca in self.terms.items():
-                for pb, cb in other.terms.items():
-                    key = _merge_parts(pa, pb)
-                    s = out.get(key)
-                    out[key] = ca * cb if s is None else s + ca * cb
-            return SymFunc._make(self.degree + other.degree, {k: v for k, v in out.items() if v})
+            return _sum_products(((self, other),))
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -180,19 +186,78 @@ class SymFunc(_TermMap):
         if self.is_zero:
             return ZERO
         out = {}
-        for k, c in self.terms.items():
+        for k, c in self.num.items():
             out[k] = c if (k.size - k.length) % 2 == 0 else -c
-        return SymFunc._make(self.degree, out)
+        return SymFunc._make(self.degree, out, self.den)
+
+
+def _sum_products(pairs) -> SymFunc:
+    """sum x * y over (x, y) pairs of nonzero SymFuncs whose degrees add up to one degree.
+
+    Every pair is brought to the lcm of the pairs' den_x * den_y once, its
+    integer numerators are multiplied term by term, and the sum is reduced
+    by one gcd at the end.  While summing, a partition of at most the
+    product's degree d is keyed by its multiplicity vector packed into one
+    integer, sum_i m_i << (w * (i - 1)) with w bits per part size: no
+    multiplicity reaches 2^w > d, so the key of a product of p-monomials
+    is the sum of their keys.
+    """
+    if not pairs:
+        return ZERO
+    x, y = pairs[0]
+    degree = x.degree + y.degree
+    w = degree.bit_length()
+    unit = [0] + [1 << (w * i) for i in range(degree)]  # unit[a]: the key of p_a
+    den = lcm(*(x.den * y.den for x, y in pairs))
+    out: dict[int, int] = {}
+    get = out.get
+    for x, y in pairs:
+        scale = den // (x.den * y.den)
+        ys = [(sum(map(unit.__getitem__, pb.parts)), cb) for pb, cb in y.num.items()]
+        for pa, ca in x.num.items():
+            ka, ca = sum(map(unit.__getitem__, pa.parts)), ca * scale
+            for kb, cb in ys:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+    return SymFunc._make(degree, {_unpack(k, w): v for k, v in out.items() if v}, den)
+
+
+def _unpack(key: int, w: int) -> Partition:
+    """The partition whose multiplicity vector ``key`` packs with w bits per part size."""
+    mask, a, parts = (1 << w) - 1, 1, []
+    while key:
+        parts += [a] * (key & mask)
+        key >>= w
+        a += 1
+    return Partition.of(tuple(reversed(parts)))
+
+
+def _sum_scaled(pairs) -> SymFunc:
+    """sum c * f over (c, f) pairs, c a nonzero int or Fraction and f a nonzero SymFunc of one common degree.
+
+    Like ``_sum_products``: one lcm of the pairs' denominators, integer
+    sums, one gcd at the end.
+    """
+    if not pairs:
+        return ZERO
+    den = lcm(*(c.denominator * f.den for c, f in pairs))
+    out: dict[Partition, int] = {}
+    get = out.get
+    for c, f in pairs:
+        scale = den // (c.denominator * f.den) * c.numerator
+        for k, v in f.num.items():
+            out[k] = get(k, 0) + v * scale
+    return SymFunc._make(pairs[0][1].degree, {k: v for k, v in out.items() if v}, den)
 
 
 ZERO = SymFunc._make(0, {})
-ONE = SymFunc._make(0, {EMPTY: Fraction(1)})
+ONE = SymFunc._make(0, {EMPTY: 1})
 
 
 def p_of(parts) -> SymFunc:
     """The power-sum basis element p_lambda."""
     part = parts if isinstance(parts, Partition) else Partition.of(parts)
-    return SymFunc._make(part.size, {part: Fraction(1)})
+    return SymFunc._make(part.size, {part: 1})
 
 
 def _p1(k: int) -> SymFunc:
@@ -297,35 +362,36 @@ class SchurExpansion(_TermMap):
     basis = "schur"
 
     def negatives(self) -> dict[Partition, Fraction]:
-        return {k: c for k, c in self.terms.items() if c < 0}
+        return {k: Fraction(c, self.den) for k, c in self.num.items() if c < 0}
 
 
 def s_of(lam) -> SymFunc:
     """Schur function s_lam in the power-sum basis: sum_mu chi^lam(mu)/z_mu p_mu."""
     lam = lam if isinstance(lam, Partition) else Partition.of(lam)
-    out: dict[Partition, Fraction] = {}
-    for mu in partitions_of(lam.size):
-        chi = _char(lam.parts, mu.parts)
-        if chi:
-            out[mu] = Fraction(chi, z_of(mu))
-    return SymFunc._make(lam.size, out)
+    terms = {mu: Fraction(_char(lam.parts, mu.parts), z_of(mu)) for mu in partitions_of(lam.size)}
+    return SymFunc(lam.size, terms)
 
 
 def to_schur(f: SymFunc) -> SchurExpansion:
-    """Expand f in the Schur basis: coefficient of s_lam is sum_mu c_mu chi^lam(mu)."""
+    """Expand f in the Schur basis: coefficient of s_lam is sum_mu c_mu chi^lam(mu).
+
+    The sums run over f's integer numerators; the common denominator is
+    divided out once per expansion.
+    """
     if f.is_zero:
-        return SchurExpansion(0, {})
-    items = list(f.terms.items())
-    out: dict[Partition, Fraction] = {}
+        return SchurExpansion._make(0, {})
+    items = [(mu.parts, c) for mu, c in f.num.items()]
+    out: dict[Partition, int] = {}
     for lam in partitions_of(f.degree):
-        c = Fraction(0)
+        lp = lam.parts
+        c = 0
         for mu, coef in items:
-            chi = _char(lam.parts, mu.parts)
+            chi = _char(lp, mu)
             if chi:
                 c += coef * chi
         if c:
             out[lam] = c
-    return SchurExpansion(f.degree, out)
+    return SchurExpansion._make(f.degree, out, f.den)
 
 
 def is_schur_positive(f: SymFunc) -> tuple[bool, dict[Partition, Fraction]]:

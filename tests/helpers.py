@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths where an
 independent route exists: brute-force partition enumeration, border strips
-found on cell sets, hook-length dimensions, and naive arithmetic functions.
+found on cell sets, hook-length dimensions, naive arithmetic functions, and
+p-basis arithmetic on plain partition -> Fraction maps.
 """
 
 from __future__ import annotations
@@ -132,6 +133,46 @@ def random_unit_series(rng: random.Random, n: int) -> Series:
     comps = dict(s.components)
     comps[1] = p_of((1,))
     return Series(n, comps)
+
+
+# Large primes and small composites, so that a product's denominators share
+# some factors and not others.
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 12, 101, 65537, 1000003, 2**61 - 1)
+
+
+def random_sparse_symfunc(rng: random.Random, degree: int, nterms: int = 4) -> SymFunc:
+    """Up to ``nterms`` terms with signed numerators over the mixed ``DENOMINATORS``."""
+    parts = list(partitions_of(degree))
+    return SymFunc(degree, {rng.choice(parts): Fraction(rng.randint(-50, 50), rng.choice(DENOMINATORS)) for _ in range(nterms)})
+
+
+def fraction_terms(f) -> dict[tuple[int, ...], Fraction]:
+    """The plain parts -> Fraction map of a SymFunc or SchurExpansion."""
+    return {lam.parts: c for lam, c in f.terms.items()}
+
+
+def fraction_sum(a: dict, b: dict, c: Fraction = Fraction(1)) -> dict[tuple[int, ...], Fraction]:
+    """a + c * b on parts -> Fraction maps, zero coefficients dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def fraction_product(a: dict, b: dict) -> dict[tuple[int, ...], Fraction]:
+    """The p-basis product p_lam * p_mu = p_{lam u mu} on parts -> Fraction maps."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            key = tuple(sorted(pa + pb, reverse=True))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def fraction_schur(a: dict, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Schur coefficients sum_mu c_mu chi^lam(mu) of a degree-n parts -> Fraction map."""
+    out = {lam.parts: sum((c * character(lam, mu) for mu, c in a.items()), Fraction(0)) for lam in partitions_of(n)}
+    return {k: v for k, v in out.items() if v}
 
 
 def frac(num: int, den: int = 1) -> Fraction:

@@ -359,6 +359,23 @@ class TestProductSlice:
         assert [lam.parts for lam in odd.terms] == [(5, 1), (3, 3), (3, 1, 1, 1), (1, 1, 1, 1, 1, 1)]
         assert set(odd.terms.values()) == {1}
 
+    def test_direct_enumeration_against_partition_filter(self):
+        # the slice builds only partitions into factor parts; filtering every
+        # partition of d must find the same terms, signs and descending order
+        for factors in self.MIXED + ([(m, -1, -1) for m in (1, 3, 5)], [(1, -1, -1)], [(2, 1, 1), (1, 1, 1)]):
+            sign = {m: s if e == 1 else -s for m, s, e in factors}
+            once = {m for m, _, e in factors if e == 1}
+            for d in range(15):
+                want = []
+                for lam in partitions_of(d):
+                    mult = lam.multiplicities()
+                    if all(a in sign and (k == 1 or a not in once) for a, k in mult.items()):
+                        c = 1
+                        for a in lam.parts:
+                            c *= sign[a]
+                        want.append((lam, c))
+                assert list(product_slice(factors, d).terms.items()) == want, (factors, d)
+
     def test_is_the_component_of_product_series(self):
         n = 9
         for factors in self.MIXED:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,9 +23,23 @@ from symlie import (
     z_of,
 )
 from symlie.partitions import Partition
-from symlie.symfunc import ZERO, _border_strips, _strips
+from symlie.families import lie
+from symlie.symfunc import ZERO, _border_strips, _strips, _sum_products, _sum_scaled
 
-from helpers import P, brute_border_strips, brute_partitions, character_table, frac, hook_length_dimension, random_symfunc
+from helpers import (
+    P,
+    brute_border_strips,
+    brute_partitions,
+    character_table,
+    frac,
+    fraction_product,
+    fraction_schur,
+    fraction_sum,
+    fraction_terms,
+    hook_length_dimension,
+    random_sparse_symfunc,
+    random_symfunc,
+)
 
 
 class TestRingOps:
@@ -56,6 +71,73 @@ class TestRingOps:
         assert f.coefficient((1, 1)) == frac(1, 2)
         assert f.coefficient((2,)) == frac(1, 2)
         assert f.coefficient((3,)) == 0
+
+
+class TestIntegerNumerators:
+    """Integer numerators over one denominator, against p-basis arithmetic on Fractions."""
+
+    def test_against_fraction_reference(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            da, db = rng.randint(0, 6), rng.randint(0, 6)
+            f, h = random_sparse_symfunc(rng, da), random_sparse_symfunc(rng, da)
+            g, k = random_sparse_symfunc(rng, db), random_sparse_symfunc(rng, db)
+            rf, rg, rh = fraction_terms(f), fraction_terms(g), fraction_terms(h)
+            c, e = (Fraction(rng.randint(-30, 30), rng.choice((1, 7, 65537, 2**61 - 1))) for _ in "ce")
+            assert fraction_terms(f * g) == fraction_product(rf, rg)
+            assert fraction_terms(f + h) == fraction_sum(rf, rh)
+            assert fraction_terms(f - h) == fraction_sum(rf, rh, Fraction(-1))
+            assert fraction_terms(f.scaled(c)) == fraction_sum({}, rf, c)
+            assert fraction_terms(to_schur(f)) == fraction_schur(rf, da)
+            # the kernel's sums of several products and of several multiples
+            pairs = [(x, y) for x, y in ((f, g), (h, k), (h, g)) if not (x.is_zero or y.is_zero)]
+            want = {}
+            for x, y in pairs:
+                want = fraction_sum(want, fraction_product(fraction_terms(x), fraction_terms(y)))
+            many = [(a, x) for a, x in ((c, f), (e, h), (3, f)) if a and not x.is_zero]
+            want_many = {}
+            for a, x in many:
+                want_many = fraction_sum(want_many, fraction_terms(x), Fraction(a))
+            assert fraction_terms(_sum_products(pairs)) == want
+            assert fraction_terms(_sum_scaled(many)) == want_many
+            for r in (f, g, f * g, f + h, f - h, f.scaled(c), to_schur(f), _sum_products(pairs), _sum_scaled(many)):
+                assert r.den > 0 and gcd(r.den, *r.num.values()) == 1, r
+
+    def test_cancelling_sums_are_zero(self):
+        rng = random.Random(17)
+        for d in range(1, 7):
+            f = random_sparse_symfunc(rng, d)
+            minus_f = SymFunc(d, {lam: -c for lam, c in f.terms.items()})
+            for z in (f - f, f + minus_f, minus_f + f, f.scaled(0), f * ZERO, f + f.scaled(-1)):
+                assert z.is_zero and z.degree is None and z == ZERO and hash(z) == hash(ZERO)
+                assert (z.num, z.den) == ({}, 1)
+        # (p_11 + p_2)/3 * 3(p_11 - p_2): the two p_211 terms cancel
+        x = SymFunc(2, {(1, 1): Fraction(1, 3), (2,): Fraction(1, 3)}) * SymFunc(2, {(1, 1): 3, (2,): -3})
+        assert x == SymFunc(4, {(1, 1, 1, 1): 1, (2, 2): -1})
+
+    def test_canonical_form(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            d = rng.randint(0, 6)
+            f, g = random_sparse_symfunc(rng, d), random_sparse_symfunc(rng, d)
+            for h in (f.scaled(Fraction(2, 3)).scaled(Fraction(3, 2)), f + g - g, f * p_of(()), -(-f)):
+                assert h == f and hash(h) == hash(f) and (h.num, h.den) == (f.num, f.den)
+
+    def test_memoized_values_stay_unchanged(self):
+        def write(f):
+            f.terms[P(*([1] * f.degree))] = 5
+
+        def clear(f):
+            f.terms.clear()
+
+        for build, n in ((h_of, 3), (lie, 4)):
+            want = SymFunc(n, dict(build(n).terms))
+            for change in (write, clear):
+                try:
+                    change(build(n))
+                except (TypeError, AttributeError):
+                    pass
+                assert build(n) == want, (build.__name__, change.__name__)
 
 
 class TestBases:
