@@ -27,6 +27,20 @@ GOLDEN_SCANS = {
     "altsymLS-sum": ("--S", "3"),
     "extLS-sum": ("--S", "3,5"),
 }
+# The exact stdout of the commands whose answers expand divisor-family
+# members in the Schur basis: the lifting checks, the five part-set family
+# scans over n = 1..14, and the two catalog ids built on them.
+GOLDEN_MEMBERS = {
+    "lift-q3-28.json": ("lift", "--q", "3", "--n-max", "28", "--format", "json"),
+    "lift-q5-26.txt": ("lift", "--q", "5", "--n-max", "26"),
+    "scan-fT.json": ("scan", "--family", "fT", "--T", "all"),
+    "scan-lek.json": ("scan", "--family", "lek", "--k", "3"),
+    "scan-divk.json": ("scan", "--family", "divk", "--k", "6"),
+    "scan-powk.json": ("scan", "--family", "powk", "--k", "2"),
+    "scan-onek.json": ("scan", "--family", "onek", "--k", "3"),
+    "verify-conj-hooks.json": ("verify", "--id", "conj-hooks", "--format", "json"),
+    "verify-lifting.json": ("verify", "--id", "lifting", "--format", "json"),
+}
 GOLDEN_PLETHS = (
     ("p:2", "lie", 8),
     ("h:3", "conj", 9),
@@ -295,6 +309,16 @@ class TestScanCommand:
                                  "--n-from", "1", "--n-to", "14", "--format", "json")
             assert (code, err) == (0, "")
             assert out == (GOLDEN / f"scan-{family}.json").read_text(), family
+
+
+class TestDivisorFamilyBytes:
+    def test_exact_bytes(self, capsys):
+        for name, argv in GOLDEN_MEMBERS.items():
+            if argv[0] == "scan":
+                argv += ("--n-from", "1", "--n-to", "14", "--format", "json")
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), name
+            assert out == (GOLDEN / name).read_text(), name
 
 
 class TestLiftCommand:
