@@ -12,14 +12,16 @@ default parameters and record its status.
 ``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
-(BENCH_6.json); ``--table lifting`` runs ``lifting_check(q, n, budget=32)``
-and records its negatives (BENCH_10.json); ``--table partitions`` enumerates
+(BENCH_6.json); ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
+for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
+(BENCH_14.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
 ``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
 none, the tree on PYTHONPATH is timed under the label ``here``.  Each entry
-records the wall time of one cold call, the sizes of the ``_char`` and
-``_strips`` memos and the number of interned partitions it leaves, and the
+records the wall time of one cold call, the sizes of the ``_char``,
+``_strips`` and ``_power_schur`` memos (``power_entries`` is null in a tree
+without the last) and the number of interned partitions it leaves, and the
 peak memory tracemalloc traces in a second cold call.  A point whose
 untraced or traced call runs past TIMEOUT_S seconds is stopped and recorded
 with status ``timeout`` alone.
@@ -61,8 +63,8 @@ TABLES = {
         [{"route": "dp", "n": n} for n in (16, 20, 24, 28)] + [{"route": "to_schur", "n": n} for n in (16, 18, 20)],
     ),
     "lifting": (
-        "lifting_check(q, n, budget=32)",
-        [{"q": 3, "n": n} for n in (20, 24, 28, 32)] + [{"q": 5, "n": n} for n in (26, 32)],
+        "lifting_check(q, n, budget=n)",
+        [{"q": 3, "n": n} for n in (20, 24, 28, 32, 36, 40)] + [{"q": 5, "n": n} for n in (26, 32, 36, 40)],
     ),
     "partitions": ("partitions_of(k) for every k <= n", [{"n": n} for n in (20, 24, 28, 32)]),
 }
@@ -89,13 +91,14 @@ def _call(table: str, point: dict) -> dict:
     if table == "lifting":
         from symlie.verify import lifting_check
 
-        return {"negatives": lifting_check(point["q"], point["n"], budget=32).negatives()}
+        return {"negatives": lifting_check(point["q"], point["n"], budget=point["n"]).negatives()}
     from symlie.verify import verify
 
     return {"status": verify(point["id"], N=point["N"]).status}
 
 
 def one(table: str, point: dict, traced: bool) -> dict:
+    from symlie import symfunc
     from symlie.partitions import _interned
     from symlie.symfunc import _char, _strips
 
@@ -109,6 +112,7 @@ def one(table: str, point: dict, traced: bool) -> dict:
     memos = {
         "char_entries": _char.cache_info().currsize,
         "strips_entries": _strips.cache_info().currsize,
+        "power_entries": symfunc._power_schur.cache_info().currsize if hasattr(symfunc, "_power_schur") else None,
         "interned": len(_interned),
     }
     return {"wall_s": round(wall, 3), **answer, **memos}

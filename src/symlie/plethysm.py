@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of
-from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _strips, _sum_products, _sum_scaled, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _schur_of, _strips, _sum_products, _sum_scaled, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -200,7 +200,7 @@ def _stretch(f: SymFunc, k: int) -> SymFunc:
         return f
     return SymFunc._make(
         f.degree * k,
-        {Partition.of(tuple(a * k for a in part.parts)): c for part, c in f.num.items()},
+        {Partition.of(tuple(a * k for a in part.parts)): c for part, c in f._num.items()},
         f.den,
     )
 
@@ -509,10 +509,15 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     contributes, a factor (1 + s p_m)^{-1} solves b = a + w p_m b in
     ascending degree, and a factor 1 + s p_m adds w p_m a in descending
     degree, so either way the degree-k map is rebuilt from the degree k - m
-    map the rule needs.  No character is evaluated, but
+    map the rule needs.  It reads the rule backwards: each shape lam of
+    degree k pulls from the shapes mu its m-border strips leave
+    (``symfunc._border_strips``, through the memo ``_strips``, which every
+    scan degree reads again), where the divisor-family expansions push each
+    mu forward to the lam it reaches (``symfunc._add_ribbons``).  The tests
+    check each walk against the other and the backward one against strips
+    enumerated from cell sets.  No character is evaluated, but
     ``to_schur(product_slice(...))`` is no independent second route: its
-    characters recurse over the same strip walk (``symfunc._border_strips``),
-    which the tests check against strips enumerated from cell sets.
+    characters recurse over the same backward walk.
     """
     weights, once = _factor_weights(factors)
     shapes = [[lam.parts for lam in partitions_of(k)] for k in range(d + 1)]
@@ -544,8 +549,7 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
                 if c:
                     new[lam] = c
             levels[k] = new
-    top = levels[d]
-    return SchurExpansion._make(d, {lam: top[lam.parts] for lam in partitions_of(d) if lam.parts in top})
+    return _schur_of(d, levels[d])
 
 
 def product_series(factors, n: int) -> Series:

@@ -5,14 +5,17 @@ n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
 numerators over one denominator.  The zero function carries no degree and
 absorbs additions.  Sums and products run on the integers (``_sum_scaled``,
 ``_sum_products``), and the plethysm kernel sums its products through the
-same loop.  Schur expansions go through symmetric-group characters computed
-by the Murnaghan-Nakayama rule, memoized across all calls.  The rule is one
-walk over the m-border strips of a shape on its beta-set
-(``_border_strips``): characters recurse over it, and read as
-multiplication by p_m it drives the Schur-basis product engine in plethysm
-through its memo ``_strips``.  Since ``to_schur`` and that engine share the
-walk, the tests check the walk itself against strips enumerated from cell
-sets.
+same loop.  The Murnaghan-Nakayama rule runs on beta-sets in two
+directions.  Backwards, ``_border_strips`` removes the m-border strips of a
+shape: characters recurse over it (memoized across all calls in ``_char``),
+and read as multiplication by p_m it drives the Schur-basis product engine
+in plethysm through its memo ``_strips``.  Forwards, ``_add_ribbons`` adds
+them, computing p_m times a whole Schur expansion (Pieri for m = 1); chained
+in the memo ``_power_schur`` it gives p_d^k in the Schur basis, from which
+the divisor-family members are summed without evaluating a character.
+``to_schur`` expands any SymFunc through characters.  The tests check each
+walk against the other, the backward one against strips enumerated from
+cell sets, and p_d^k against a d-quotient formula.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ class _TermMap:
     The coefficients are stored as integer numerators ``num`` over one
     denominator ``den > 0`` with gcd(den, *num.values()) == 1, so equal
     maps store equal (num, den) and a result is reduced by one gcd, not
-    one per term.  Fractions appear only at the edge: ``terms``,
-    ``coefficient`` and the text and JSON forms.  ``symbol`` names the
-    basis element in text and ``basis`` names the basis in JSON; the empty
-    partition prints as its bare coefficient.
+    one per term.  ``num`` is a read-only view of the stored map, so a
+    memoized value cannot be changed through it.  Fractions appear only at
+    the edge: ``terms``, ``coefficient`` and the text and JSON forms.
+    ``symbol`` names the basis element in text and ``basis`` names the
+    basis in JSON; the empty partition prints as its bare coefficient.
     """
 
-    __slots__ = ("degree", "num", "den")
+    __slots__ = ("degree", "_num", "den")
 
     def __init__(self, degree, terms=None):
         clean: dict[Partition, Fraction] = {}
@@ -73,7 +77,7 @@ class _TermMap:
                 raise ValueError(f"term {part} has size {part.size}, expected degree {degree}")
             clean[part] = c
         den = lcm(*(c.denominator for c in clean.values()))
-        self.num = {part: c.numerator * (den // c.denominator) for part, c in clean.items()}
+        self._num = {part: c.numerator * (den // c.denominator) for part, c in clean.items()}
         self.den = den
         self.degree = degree if clean else None
 
@@ -86,39 +90,44 @@ class _TermMap:
                 num = {k: v // g for k, v in num.items()}
                 den //= g
         obj = cls.__new__(cls)
-        obj.num = num
+        obj._num = num
         obj.den = den if num else 1
         obj.degree = degree if num else None
         return obj
 
     @property
+    def num(self) -> Mapping[Partition, int]:
+        """The integer numerators as a read-only partition -> int view."""
+        return MappingProxyType(self._num)
+
+    @property
     def terms(self) -> Mapping[Partition, Fraction]:
         """The coefficients as a fresh, read-only partition -> Fraction map."""
-        return MappingProxyType({k: Fraction(v, self.den) for k, v in self.num.items()})
+        return MappingProxyType({k: Fraction(v, self.den) for k, v in self._num.items()})
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def coefficient(self, part) -> Fraction:
         key = part if isinstance(part, Partition) else Partition.of(part)
-        return Fraction(self.num.get(key, 0), self.den)
+        return Fraction(self._num.get(key, 0), self.den)
 
     def support(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self.num, key=lambda q: q.parts, reverse=True))
+        return tuple(sorted(self._num, key=lambda q: q.parts, reverse=True))
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.den == other.den and self.num == other.num
+        return type(other) is type(self) and self.den == other.den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.degree, self.den, frozenset(self.num.items())))
+        return hash((self.degree, self.den, frozenset(self._num.items())))
 
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
         pieces = []
         for part in self.support():
-            c = Fraction(self.num[part], self.den)
+            c = Fraction(self._num[part], self.den)
             if not part.parts:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -163,7 +172,7 @@ class SymFunc(_TermMap):
         return self + (-other)
 
     def __neg__(self) -> "SymFunc":
-        return SymFunc._make(self.degree, {k: -c for k, c in self.num.items()}, self.den)
+        return SymFunc._make(self.degree, {k: -c for k, c in self._num.items()}, self.den)
 
     def scaled(self, c) -> "SymFunc":
         c = Fraction(c)
@@ -186,7 +195,7 @@ class SymFunc(_TermMap):
         if self.is_zero:
             return ZERO
         out = {}
-        for k, c in self.num.items():
+        for k, c in self._num.items():
             out[k] = c if (k.size - k.length) % 2 == 0 else -c
         return SymFunc._make(self.degree, out, self.den)
 
@@ -213,8 +222,8 @@ def _sum_products(pairs) -> SymFunc:
     get = out.get
     for x, y in pairs:
         scale = den // (x.den * y.den)
-        ys = [(sum(map(unit.__getitem__, pb.parts)), cb) for pb, cb in y.num.items()]
-        for pa, ca in x.num.items():
+        ys = [(sum(map(unit.__getitem__, pb.parts)), cb) for pb, cb in y._num.items()]
+        for pa, ca in x._num.items():
             ka, ca = sum(map(unit.__getitem__, pa.parts)), ca * scale
             for kb, cb in ys:
                 key = ka + kb
@@ -245,7 +254,7 @@ def _sum_scaled(pairs) -> SymFunc:
     get = out.get
     for c, f in pairs:
         scale = den // (c.denominator * f.den) * c.numerator
-        for k, v in f.num.items():
+        for k, v in f._num.items():
             out[k] = get(k, 0) + v * scale
     return SymFunc._make(pairs[0][1].degree, {k: v for k, v in out.items() if v}, den)
 
@@ -322,11 +331,64 @@ def _border_strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...],
     return tuple(out)
 
 
+def _add_ribbons(E: Mapping[tuple[int, ...], int], m: int) -> dict[tuple[int, ...], int]:
+    """p_m * sum_mu E[mu] s_mu as a shape -> integer coefficient map, zeros dropped.
+
+    The forward Murnaghan-Nakayama walk, the reverse of ``_border_strips``:
+    p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu an m-border
+    strip (Macdonald I.3, ex. 11).  On the beta-set of mu padded with m
+    empty rows, a strip moves the bead of row i from b to the free position
+    b + m; it spans rows j..i, where j is the first row whose bead lies
+    below b + m, and its height is i - j.  With m = 1 the strips are the
+    addable corners (Pieri).
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    if m == 1:
+        for mu, c in E.items():
+            above = None
+            for i, a in enumerate(mu):
+                if a != above:
+                    lam = mu[:i] + (a + 1,) + mu[i + 1 :]
+                    out[lam] = get(lam, 0) + c
+                above = a
+            lam = mu + (1,)
+            out[lam] = get(lam, 0) + c
+    else:
+        for mu, c in E.items():
+            L = len(mu)
+            rows = mu + (0,) * m
+            for i in range(L + m):
+                # the bead of row i sits at content rows[i] - i and moves to t
+                t = rows[i] - i + m
+                j = i - 1
+                while j >= 0 and rows[j] - j < t:
+                    j -= 1
+                if j >= 0 and rows[j] - j == t:
+                    continue
+                # row j+1 takes the moved bead; rows j+1..i-1 move down one row, one box longer
+                lam = mu[: j + 1] + (rows[i] + m - (i - j - 1),) + tuple([a + 1 for a in rows[j + 1 : i]]) + mu[i + 1 :]
+                out[lam] = get(lam, 0) + (-c if (i - j - 1) % 2 else c)
+    return {lam: c for lam, c in out.items() if c}
+
+
 # The DP reads the strips of each (lam, m) again at every scan degree, so it
 # walks through a memo.  Characters memoize chi^lam(mu) and walk without one:
-# a strip memo over every shape they visit more than doubles the peak memory
-# of a lifting check.
+# a strip memo over every shape they visit more than doubled the peak memory
+# of a lifting check when that still ran on characters.
 _strips = lru_cache(maxsize=None)(_border_strips)
+
+
+@lru_cache(maxsize=None)
+def _power_schur(d: int, k: int) -> Mapping[tuple[int, ...], int]:
+    """p_d^k in the Schur basis, read-only: the nonzero chi^lam((d^k)) by shape lam.
+
+    Built as p_d times p_d^{k-1}, so the memo holds the whole chain
+    k = 0, 1, ... for each d, and no character is evaluated.
+    """
+    if k == 0:
+        return MappingProxyType({(): 1})
+    return MappingProxyType(_add_ribbons(_power_schur(d, k - 1), d))
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +424,17 @@ class SchurExpansion(_TermMap):
     basis = "schur"
 
     def negatives(self) -> dict[Partition, Fraction]:
-        return {k: Fraction(c, self.den) for k, c in self.num.items() if c < 0}
+        return {k: Fraction(c, self.den) for k, c in self._num.items() if c < 0}
+
+
+def _schur_of(n: int, num: Mapping[tuple[int, ...], int], den: int = 1) -> SchurExpansion:
+    """The Schur expansion of degree n with numerators ``num`` (by shape tuple) over ``den``.
+
+    The shapes are keyed through ``partitions_of(n)``, so the terms come in
+    the order ``to_schur`` gives them and no ``Partition`` is built per
+    shape; zero numerators are dropped.
+    """
+    return SchurExpansion._make(n, {lam: c for lam in partitions_of(n) if (c := num.get(lam.parts))}, den)
 
 
 def s_of(lam) -> SymFunc:
@@ -380,7 +452,7 @@ def to_schur(f: SymFunc) -> SchurExpansion:
     """
     if f.is_zero:
         return SchurExpansion._make(0, {})
-    items = [(mu.parts, c) for mu, c in f.num.items()]
+    items = [(mu.parts, c) for mu, c in f._num.items()]
     out: dict[Partition, int] = {}
     for lam in partitions_of(f.degree):
         lp = lam.parts

@@ -12,7 +12,10 @@ same factor lists but expand them directly in the Schur basis
 (``product_slice_schur``).  That DP and the character route
 ``to_schur(product_slice(...))`` share one Murnaghan-Nakayama strip walk,
 so comparing them checks the two assemblies; the walk itself is checked
-against strips enumerated from cell sets.
+against strips enumerated from cell sets.  The five part-set family scans,
+the lifting check and the hook-content check sum the Schur expansions of
+the powers p_d^{n/d} in each divisor-family member (``_member_schur``) and
+evaluate no character; the tests compare them with ``to_schur``.
 """
 
 from __future__ import annotations
@@ -44,19 +47,29 @@ from .plethysm import (
     sym_powers,
     sym_powers_signed,
 )
-from .symfunc import SchurExpansion, SymFunc, e_of, h_of, is_schur_positive, p_of, terms_json, to_schur
+from .symfunc import (
+    SchurExpansion,
+    SymFunc,
+    _add_ribbons,
+    _power_schur,
+    _schur_of,
+    e_of,
+    h_of,
+    is_schur_positive,
+    p_of,
+    terms_json,
+)
 from .families import (
     DivisorWeight,
     MOEBIUS,
     PartSet,
-    conj,
+    TOTIENT,
     conj_series,
     exponent_poly,
     family_series,
     foulkes,
     foulkes_series,
     lie,
-    lie_primes,
     lie_primes_bar_series,
     lie_primes_series,
     lie_series,
@@ -1076,13 +1089,35 @@ class _Scan(NamedTuple):
     expand: Callable[[int, dict], SchurExpansion]  # (n, params) -> its Schur expansion
 
 
+def _member_schur(n: int, w: DivisorWeight, least: int = 1) -> dict[tuple[int, ...], int]:
+    """n times the Schur expansion of the degree-n member of the family of w, by shape.
+
+    The member is (1/n) sum_{d|n} w(d) p_d^{n/d}, so this is
+    sum_{d|n} w(d) chi^lam((d^{n/d})), summed over the memoized ribbon chains
+    ``_power_schur``: the support is generated, not filtered out of every
+    lam of n, and no character is evaluated.  Only the divisors d >= ``least``
+    are summed.  Zero entries may remain.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for d in divisors(n):
+        c = w(d) if d >= least else 0
+        if c:
+            for lam, v in _power_schur(d, n // d).items():
+                out[lam] = get(lam, 0) + c * v
+    return out
+
+
 def _family_scan(schema: dict[str, Param], part_set: Callable[[dict], PartSet]) -> _Scan:
-    """The degree-n member of the family of the part set ``part_set(params)``, expanded by to_schur."""
+    """The degree-n member of the family of the part set ``part_set(params)``, expanded by its ribbon chains."""
 
     def build(n, p):
         return part_family(n, part_set(p))
 
-    return _Scan(schema, build, lambda n, p: to_schur(build(n, p)))
+    def expand(n, p):
+        return _schur_of(n, _member_schur(n, DivisorWeight.part_set(part_set(p))), n)
+
+    return _Scan(schema, build, expand)
 
 
 def _product_scan(schema: dict[str, Param], factors: Callable[[int, dict], list], even: bool = False) -> _Scan:
@@ -1184,8 +1219,33 @@ def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: i
     _check_params("lifting", _LIFT_SCHEMA, {"q": q, "n_max": n_max})
     if n_max > budget:
         raise BudgetError(f"n_max {n_max} exceeds the lifting budget {budget}; raise the budget explicitly")
-    verdicts = _verdicts(range(2, n_max + 1), lambda n: to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,))))
+    expansions = _lifting_expansions(q, n_max)
+    verdicts = _verdicts(range(2, n_max + 1), lambda n: next(expansions))
     return PositivityReport("lifting", {"q": str(q), "n_max": str(n_max)}, verdicts)
+
+
+def _lifting_expansions(q: int, n_max: int):
+    """The Schur expansions of p_1 * L^(q)_{n-1} - L^(q)_n for n = 2..n_max, in turn.
+
+    Each degree's member map is carried to the next, where adding one box
+    to each shape (Pieri) gives p_1 * L_{n-1}.  With A = (n-1) p_1 L_{n-1}
+    and B = n L_n as integer maps, the difference is (n A - (n-1) B) / (n(n-1)).
+    The p_1^{n-1} term of the member needs no Pieri step: its image p_1^n is
+    the next link of its ribbon chain, and in n A - (n-1) B it adds up to
+    w(1) p_1^n.  So only the rest R_n = sum_{d|n, d>1} w(d) p_d^{n/d} is
+    carried, and the numerators are w(1) p_1^n + n p_1 R_{n-1} - (n-1) R_n.
+    """
+    w = DivisorWeight.prime_split(PrimeSet((q,)))
+    w1, rest = w(1), {}
+    for n in range(2, n_max + 1):
+        lifted, rest = _add_ribbons(rest, 1), _member_schur(n, w, least=2)
+        out = {lam: w1 * c for lam, c in _power_schur(1, n).items()}
+        get = out.get
+        for lam, c in lifted.items():
+            out[lam] = get(lam, 0) + n * c
+        for lam, c in rest.items():
+            out[lam] = get(lam, 0) - (n - 1) * c
+        yield _schur_of(n, out, n * (n - 1))
 
 
 def hook_content_check(n: int) -> dict:
@@ -1197,7 +1257,7 @@ def hook_content_check(n: int) -> dict:
     """
     if n < 2:
         raise ValueError("hook_content_check requires n >= 2")
-    exp = to_schur(conj(n))
+    exp = _schur_of(n, _member_schur(n, TOTIENT), n)
     exceptions = {Partition.of((n - 1, 1))}
     if n % 2 and n >= 3:
         exceptions.add(Partition.of((2,) + (1,) * (n - 2)))

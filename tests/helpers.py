@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths where an
 independent route exists: brute-force partition enumeration, border strips
-found on cell sets, hook-length dimensions, naive arithmetic functions, and
-p-basis arithmetic on plain partition -> Fraction maps.
+found on cell sets, hook-length dimensions, characters on rectangular cycle
+types from d-quotients, naive arithmetic functions, and p-basis arithmetic
+on plain partition -> Fraction maps.
 """
 
 from __future__ import annotations
@@ -70,6 +71,54 @@ def brute_border_strips(lam: tuple[int, ...], shapes) -> list[tuple[tuple[int, .
         if seen == skew:
             rows = len({r for r, _ in skew})
             out.append((mu, (-1) ** (rows - 1)))
+    return out
+
+
+def _weak_compositions(k: int, parts: int):
+    if parts == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _weak_compositions(k - first, parts - 1):
+            yield (first,) + rest
+
+
+def quotient_power_schur(d: int, k: int) -> dict[tuple[int, ...], int]:
+    """chi^lam((d^k)) for every lam of size dk where it is nonzero, from the d-quotients.
+
+    chi^lam((d^k)) vanishes unless lam has an empty d-core; then it is
+    sign * k!/prod |lam^(r)|! * prod f^{lam^(r)} over the d-quotient
+    (lam^(0), ..., lam^(d-1)) (Littlewood; James-Kerber 2.7).  The support
+    is generated from the d-tuples of partitions of total size k, placed on
+    a d-runner abacus with M beads per runner: runner r holds the beads
+    d * (lam^(r)_j + M - 1 - j) + r.  The sign is the parity of those beads
+    listed runner by runner (each runner from its highest bead) against
+    the decreasing order, relative to the same parity for the empty quotient
+    with the same bead count.  No strip walk or character is used.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    shapes = {s: sorted(brute_partitions(s)) for s in range(k + 1)}
+
+    def parity(beads: list[int]) -> int:
+        return sum(1 for i in range(len(beads)) for j in range(i + 1, len(beads)) if beads[i] < beads[j]) % 2
+
+    for sizes in _weak_compositions(k, d):
+        weight = factorial(k)
+        for s in sizes:
+            weight //= factorial(s)
+        stack = [()]
+        for s in sizes:
+            stack = [q + (part,) for q in stack for part in shapes[s]]
+        for quotient in stack:
+            M = max(1, *(len(part) for part in quotient))
+            beads = [d * ((part[j] if j < len(part) else 0) + M - 1 - j) + r for r, part in enumerate(quotient) for j in range(M)]
+            empty = [d * (M - 1 - j) + r for r in range(d) for j in range(M)]
+            N = len(beads)
+            lam = tuple(b - (N - 1 - i) for i, b in enumerate(sorted(beads, reverse=True)))
+            value = weight
+            for part in quotient:
+                value *= hook_length_dimension(part)
+            out[tuple(a for a in lam if a)] = -value if parity(beads) != parity(empty) else value
     return out
 
 

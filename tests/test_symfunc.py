@@ -24,7 +24,7 @@ from symlie import (
 )
 from symlie.partitions import Partition
 from symlie.families import lie
-from symlie.symfunc import ZERO, _border_strips, _strips, _sum_products, _sum_scaled
+from symlie.symfunc import ZERO, _add_ribbons, _border_strips, _char, _power_schur, _strips, _sum_products, _sum_scaled
 
 from helpers import (
     P,
@@ -37,6 +37,7 @@ from helpers import (
     fraction_sum,
     fraction_terms,
     hook_length_dimension,
+    quotient_power_schur,
     random_sparse_symfunc,
     random_symfunc,
 )
@@ -138,6 +139,13 @@ class TestIntegerNumerators:
                 except (TypeError, AttributeError):
                     pass
                 assert build(n) == want, (build.__name__, change.__name__)
+
+
+    def test_numerators_are_read_only(self):
+        want = SymFunc(2, dict(h_of(2).terms))
+        with pytest.raises(TypeError):
+            h_of(2).num[P(2)] = 5
+        assert h_of(2) == want and str(h_of(2)) == "1/2*p[2] + 1/2*p[1,1]"
 
 
 class TestBases:
@@ -251,6 +259,52 @@ class TestSchur:
                         added[mu][lam] = sign
                 for mu in partitions_of(d):
                     assert SchurExpansion(d + m, added[mu.parts]) == to_schur(p_of((m,)) * s_of(mu)), (m, mu)
+
+    def test_forward_walk_is_the_backward_walk_reversed(self):
+        # _add_ribbons adds the m-border strips that _border_strips removes
+        for m in range(1, 8):
+            for d in range(13):
+                added = {mu.parts: {} for mu in partitions_of(d)}
+                for lam in partitions_of(d + m):
+                    for mu, sign in _border_strips(lam.parts, m):
+                        added[mu][lam.parts] = sign
+                for mu in partitions_of(d):
+                    assert _add_ribbons({mu.parts: 1}, m) == added[mu.parts], (m, mu)
+
+    def test_forward_walk_is_linear_and_drops_zeros(self):
+        rng = random.Random(14)
+        for m in (1, 2, 3, 5):
+            for d in (4, 7, 9):
+                shapes = [mu.parts for mu in partitions_of(d)]
+                E = {mu: rng.randint(-3, 3) for mu in rng.sample(shapes, 4)}
+                want: dict = {}
+                for mu, c in E.items():
+                    for lam, v in _add_ribbons({mu: 1}, m).items():
+                        want[lam] = want.get(lam, 0) + c * v
+                assert _add_ribbons(E, m) == {k: v for k, v in want.items() if v}, (m, d, E)
+        # p_1 (s_2 - s_11) = s_3 - s_111: the two s_21 cancel
+        assert _add_ribbons({(2,): 1, (1, 1): -1}, 1) == {(3,): 1, (1, 1, 1): -1}
+
+    def test_power_chains_are_characters(self):
+        # p_d^k = sum_lam chi^lam((d^k)) s_lam
+        for n in range(1, 17):
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                chain = _power_schur(d, n // d)
+                for lam in partitions_of(n):
+                    assert chain.get(lam.parts, 0) == _char(lam.parts, (d,) * (n // d)), (n, d, lam)
+                assert 0 not in chain.values()
+
+    def test_quotient_oracle_against_characters(self):
+        for n in range(1, 17):
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                want = {lam.parts: character(lam, (d,) * (n // d)) for lam in partitions_of(n)}
+                assert quotient_power_schur(d, n // d) == {k: v for k, v in want.items() if v}, (n, d)
+
+    def test_power_chains_against_quotient_oracle(self):
+        # a third route, independent of the strip walk, past the degrees characters reach cheaply
+        for n in range(24, 33):
+            for d in (d for d in range(2, n + 1) if n % d == 0):
+                assert _power_schur(d, n // d) == quotient_power_schur(d, n // d), (n, d)
 
     def test_positivity(self):
         ok, neg = is_schur_positive(h_of(5))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,9 +25,10 @@ from symlie import (
 from symlie.partitions import partitions_of
 from symlie.plethysm import Series
 from symlie.symfunc import SymFunc, p_of, to_schur
-from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _series_mismatch, build_clauses
+from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, lie_primes
+from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _lifting_expansions, _member_schur, _series_mismatch, build_clauses
 
-from helpers import P
+from helpers import P, quotient_power_schur
 
 # The exact bytes `symlie verify --id ID --format json` printed for every
 # catalog id at its default window, recorded with the benchmark's answers.
@@ -331,7 +335,63 @@ class TestScanSlices:
                     assert scan.expand(n, p) == to_schur(scan.build(n, p)), (family, p, n)
 
 
+    FAMILY_PARAMS = {
+        "powk": [{"k": k} for k in (2, 3, 4)],
+        "onek": [{"k": k} for k in (2, 3, 5)],
+        "lek": [{"k": k} for k in (2, 3, 4)],
+        "divk": [{"k": k} for k in (4, 6, 12)],
+        "fT": [{"T": T} for T in PART_SETS + [PartSet.everything()]],
+    }
+
+    def test_ribbon_chains_against_to_schur(self):
+        # the part-set family scans sum ribbon chains; to_schur evaluates characters
+        for family, psets in self.FAMILY_PARAMS.items():
+            for p in psets:
+                for n in range(1, 13):
+                    scan = _SCANS[family]
+                    got, want = scan.expand(n, p), to_schur(scan.build(n, p))
+                    assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (family, p, n)
+
+
+class TestMemberExpansions:
+    WEIGHTS = (MOEBIUS, TOTIENT, DivisorWeight.prime_split((3,)), DivisorWeight.part_set(PartSet.of(1, 3)))
+
+    def test_against_quotient_oracle(self):
+        # lie, conj, lie_primes and part_family members, where characters get costly
+        for n in (24, 32):
+            chains = {d: quotient_power_schur(d, n // d) for d in range(1, n + 1) if n % d == 0}
+            for w in self.WEIGHTS:
+                want: dict = {}
+                for d, chain in chains.items():
+                    for lam, v in chain.items():
+                        want[lam] = want.get(lam, 0) + w(d) * v
+                got = _member_schur(n, w)
+                assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}, (n, w)
+
+    def test_no_character_is_evaluated(self):
+        code = (
+            "from symlie import PartSet, hook_content_check, lifting_check, scan_positivity\n"
+            "from symlie.symfunc import _char\n"
+            "lifting_check(3, 28)\n"
+            "lifting_check(5, 20)\n"
+            "hook_content_check(16)\n"
+            "for family, p in (('powk', {'k': 2}), ('onek', {'k': 3}), ('lek', {'k': 3}), ('divk', {'k': 6}), ('fT', {'T': PartSet.everything()})):\n"
+            "    scan_positivity(family, range(1, 17), p)\n"
+            "info = _char.cache_info()\n"
+            "print(info.hits, info.misses)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
 class TestLifting:
+    def test_expansions_against_to_schur(self):
+        for q in (2, 3, 5, 7):
+            for n, got in enumerate(_lifting_expansions(q, 20), start=2):
+                want = to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
+                assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (q, n)
+
     def test_q3_small_range(self):
         report = lifting_check(3, 12)
         assert report.negatives() == [3, 6, 9, 10]
