@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .partitions import Partition, PrimeSet, divisors, moebius, totient
+from .partitions import PrimeSet, divisors, moebius, totient
 from .plethysm import Series, pleth_p
 from .symfunc import SymFunc
 
@@ -289,7 +289,7 @@ def from_divisor_weight(n: int, w: DivisorWeight) -> SymFunc:
         for d in divisors(n):
             c = w(d)
             if c:
-                terms[Partition.of((d,) * (n // d))] = c
+                terms[(d,) * (n // d)] = c
         hit = SymFunc._make(n, terms, n)
         _family_cache[key] = hit
     return hit

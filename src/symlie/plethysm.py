@@ -200,7 +200,7 @@ def _stretch(f: SymFunc, k: int) -> SymFunc:
         return f
     return SymFunc._make(
         f.degree * k,
-        {Partition.of(tuple(a * k for a in part.parts)): c for part, c in f._num.items()},
+        {tuple([a * k for a in part]): c for part, c in f._num.items()},
         f.den,
     )
 
@@ -226,9 +226,9 @@ def pleth_homog(f: SymFunc, g: SymFunc) -> SymFunc:
     if g.is_zero:
         return ZERO
     out = ZERO
-    for mu, c in f.terms.items():
-        prod = ONE.scaled(c)
-        for a in mu.parts:
+    for mu, c in f._num.items():
+        prod = ONE.scaled(Fraction(c, f.den))
+        for a in mu:
             prod = prod * _stretch(g, a)
         out = out + prod
     return out
@@ -236,7 +236,7 @@ def pleth_homog(f: SymFunc, g: SymFunc) -> SymFunc:
 
 def _monomials(fs) -> list[tuple[tuple[int, ...], Fraction]]:
     """The (parts, coefficient) pairs of the p-monomials of ``fs``, the empty partition left out."""
-    return [(part.parts, c) for f in fs for part, c in f.terms.items() if part.parts]
+    return [(part, Fraction(c, f.den)) for f in fs for part, c in f._num.items() if part]
 
 
 def _pleth_degrees(monos, g: Series):
@@ -471,11 +471,11 @@ def _weighted_slice(weights: dict[int, int], once: set[int], d: int) -> SymFunc:
     at most once.
     """
     parts = sorted(weights, reverse=True)
-    terms: dict[Partition, int] = {}
+    terms: dict[tuple[int, ...], int] = {}
 
     def extend(rest: int, i: int, prefix: tuple[int, ...], c: int) -> None:
         if not rest:
-            terms[Partition.of(prefix)] = c
+            terms[prefix] = c
             return
         for j in range(i, len(parts)):
             a = parts[j]

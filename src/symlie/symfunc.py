@@ -2,8 +2,8 @@
 
 A SymFunc is homogeneous: a degree n together with a map from partitions of
 n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
-numerators over one denominator.  The zero function carries no degree and
-absorbs additions.  Sums and products run on the integers (``_sum_scaled``,
+numerators over one denominator, keyed by parts tuples.  The zero function
+carries no degree and absorbs additions.  Sums and products run on the integers (``_sum_scaled``,
 ``_sum_products``), and the plethysm kernel sums its products through the
 same loop.  The Murnaghan-Nakayama rule runs on beta-sets in two
 directions.  Backwards, ``_border_strips`` removes the m-border strips of a
@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .partitions import EMPTY, Partition, partitions_of, z_of
+from .partitions import Partition, partitions_of, z_of
 
 __all__ = [
     "SchurExpansion",
@@ -54,12 +54,15 @@ def terms_json(terms: Mapping[Partition, Fraction]) -> list[dict]:
 class _TermMap:
     """A homogeneous map from partitions of one degree to nonzero rationals.
 
-    The coefficients are stored as integer numerators ``num`` over one
-    denominator ``den > 0`` with gcd(den, *num.values()) == 1, so equal
-    maps store equal (num, den) and a result is reduced by one gcd, not
-    one per term.  ``num`` is a read-only view of the stored map, so a
-    memoized value cannot be changed through it.  Fractions appear only at
-    the edge: ``terms``, ``coefficient`` and the text and JSON forms.
+    The coefficients are stored as integer numerators over one denominator
+    ``den > 0`` with gcd(den, *numerators) == 1, so equal maps store equal
+    (numerators, den) and a result is reduced by one gcd, not one per term.
+    The stored map ``_num`` is keyed by parts tuples, the one shape key
+    inside the package.  ``Partition`` and ``Fraction`` appear only at the
+    edge: the constructor validates every key through ``Partition.of``, and
+    ``num``, ``terms``, ``support``, ``negatives`` and the text and JSON
+    forms hand out fresh read-only maps and tuples keyed by interned
+    partitions, so a memoized value cannot be changed through them.
     ``symbol`` names the basis element in text and ``basis`` names the
     basis in JSON; the empty partition prints as its bare coefficient.
     """
@@ -67,7 +70,7 @@ class _TermMap:
     __slots__ = ("degree", "_num", "den")
 
     def __init__(self, degree, terms=None):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[tuple[int, ...], Fraction] = {}
         for key, c in dict(terms or {}).items():
             part = key if isinstance(key, Partition) else Partition.of(key)
             c = Fraction(c)
@@ -75,15 +78,15 @@ class _TermMap:
                 continue
             if part.size != degree:
                 raise ValueError(f"term {part} has size {part.size}, expected degree {degree}")
-            clean[part] = c
+            clean[part.parts] = c
         den = lcm(*(c.denominator for c in clean.values()))
         self._num = {part: c.numerator * (den // c.denominator) for part, c in clean.items()}
         self.den = den
         self.degree = degree if clean else None
 
     @classmethod
-    def _make(cls, degree, num: dict[Partition, int], den: int = 1):
-        # internal fast path: Partition keys of size degree, no zero numerator, den > 0
+    def _make(cls, degree, num: dict[tuple[int, ...], int], den: int = 1):
+        # internal fast path: parts-tuple keys of size degree, no zero numerator, den > 0
         if den != 1 and num:
             g = gcd(den, *num.values())
             if g != 1:
@@ -97,24 +100,24 @@ class _TermMap:
 
     @property
     def num(self) -> Mapping[Partition, int]:
-        """The integer numerators as a read-only partition -> int view."""
-        return MappingProxyType(self._num)
+        """The integer numerators as a fresh, read-only partition -> int map."""
+        return MappingProxyType({Partition.of(k): v for k, v in self._num.items()})
 
     @property
     def terms(self) -> Mapping[Partition, Fraction]:
         """The coefficients as a fresh, read-only partition -> Fraction map."""
-        return MappingProxyType({k: Fraction(v, self.den) for k, v in self._num.items()})
+        return MappingProxyType({Partition.of(k): Fraction(v, self.den) for k, v in self._num.items()})
 
     @property
     def is_zero(self) -> bool:
         return not self._num
 
     def coefficient(self, part) -> Fraction:
-        key = part if isinstance(part, Partition) else Partition.of(part)
+        key = part.parts if isinstance(part, Partition) else tuple(part)
         return Fraction(self._num.get(key, 0), self.den)
 
     def support(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self._num, key=lambda q: q.parts, reverse=True))
+        return tuple(map(Partition.of, sorted(self._num, reverse=True)))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.den == other.den and self._num == other._num
@@ -127,7 +130,7 @@ class _TermMap:
             return "0"
         pieces = []
         for part in self.support():
-            c = Fraction(self._num[part], self.den)
+            c = Fraction(self._num[part.parts], self.den)
             if not part.parts:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -194,10 +197,8 @@ class SymFunc(_TermMap):
         """The involution p_mu -> (-1)^{|mu| - l(mu)} p_mu (h_n <-> e_n)."""
         if self.is_zero:
             return ZERO
-        out = {}
-        for k, c in self._num.items():
-            out[k] = c if (k.size - k.length) % 2 == 0 else -c
-        return SymFunc._make(self.degree, out, self.den)
+        n = self.degree
+        return SymFunc._make(n, {k: c if (n - len(k)) % 2 == 0 else -c for k, c in self._num.items()}, self.den)
 
 
 def _sum_products(pairs) -> SymFunc:
@@ -222,23 +223,28 @@ def _sum_products(pairs) -> SymFunc:
     get = out.get
     for x, y in pairs:
         scale = den // (x.den * y.den)
-        ys = [(sum(map(unit.__getitem__, pb.parts)), cb) for pb, cb in y._num.items()]
+        ys = [(sum(map(unit.__getitem__, pb)), cb) for pb, cb in y._num.items()]
         for pa, ca in x._num.items():
-            ka, ca = sum(map(unit.__getitem__, pa.parts)), ca * scale
+            ka, ca = sum(map(unit.__getitem__, pa)), ca * scale
             for kb, cb in ys:
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
     return SymFunc._make(degree, {_unpack(k, w): v for k, v in out.items() if v}, den)
 
 
-def _unpack(key: int, w: int) -> Partition:
-    """The partition whose multiplicity vector ``key`` packs with w bits per part size."""
+@lru_cache(maxsize=None)
+def _unpack(key: int, w: int) -> tuple[int, ...]:
+    """The parts of the partition whose multiplicity vector ``key`` packs with w bits per part size.
+
+    Memoized, so every product that reaches a shape stores one shared tuple
+    for it: the plethysm kernel keeps many products alive at once.
+    """
     mask, a, parts = (1 << w) - 1, 1, []
     while key:
         parts += [a] * (key & mask)
         key >>= w
         a += 1
-    return Partition.of(tuple(reversed(parts)))
+    return tuple(reversed(parts))
 
 
 def _sum_scaled(pairs) -> SymFunc:
@@ -250,7 +256,7 @@ def _sum_scaled(pairs) -> SymFunc:
     if not pairs:
         return ZERO
     den = lcm(*(c.denominator * f.den for c, f in pairs))
-    out: dict[Partition, int] = {}
+    out: dict[tuple[int, ...], int] = {}
     get = out.get
     for c, f in pairs:
         scale = den // (c.denominator * f.den) * c.numerator
@@ -260,13 +266,13 @@ def _sum_scaled(pairs) -> SymFunc:
 
 
 ZERO = SymFunc._make(0, {})
-ONE = SymFunc._make(0, {EMPTY: 1})
+ONE = SymFunc._make(0, {(): 1})
 
 
 def p_of(parts) -> SymFunc:
     """The power-sum basis element p_lambda."""
-    part = parts if isinstance(parts, Partition) else Partition.of(parts)
-    return SymFunc._make(part.size, {part: 1})
+    part = parts if isinstance(parts, Partition) else Partition(parts)
+    return SymFunc._make(part.size, {part.parts: 1})
 
 
 def _p1(k: int) -> SymFunc:
@@ -373,9 +379,9 @@ def _add_ribbons(E: Mapping[tuple[int, ...], int], m: int) -> dict[tuple[int, ..
 
 
 # The DP reads the strips of each (lam, m) again at every scan degree, so it
-# walks through a memo.  Characters memoize chi^lam(mu) and walk without one:
-# a strip memo over every shape they visit more than doubled the peak memory
-# of a lifting check when that still ran on characters.
+# walks through a memo.  Characters walk without one: ``_char`` already
+# memoizes chi^lam(mu), and a strip memo beside it would keep a second
+# unbounded table over every shape that ``to_schur`` visits.
 _strips = lru_cache(maxsize=None)(_border_strips)
 
 
@@ -424,17 +430,17 @@ class SchurExpansion(_TermMap):
     basis = "schur"
 
     def negatives(self) -> dict[Partition, Fraction]:
-        return {k: Fraction(c, self.den) for k, c in self._num.items() if c < 0}
+        return {Partition.of(k): Fraction(c, self.den) for k, c in self._num.items() if c < 0}
 
 
 def _schur_of(n: int, num: Mapping[tuple[int, ...], int], den: int = 1) -> SchurExpansion:
     """The Schur expansion of degree n with numerators ``num`` (by shape tuple) over ``den``.
 
-    The shapes are keyed through ``partitions_of(n)``, so the terms come in
-    the order ``to_schur`` gives them and no ``Partition`` is built per
-    shape; zero numerators are dropped.
+    The shapes are sorted in descending order, the order of ``partitions_of(n)``
+    in which ``to_schur`` gives them, and none is interned; zero numerators
+    are dropped.
     """
-    return SchurExpansion._make(n, {lam: c for lam in partitions_of(n) if (c := num.get(lam.parts))}, den)
+    return SchurExpansion._make(n, {lam: c for lam in sorted(num, reverse=True) if (c := num[lam])}, den)
 
 
 def s_of(lam) -> SymFunc:
@@ -452,8 +458,8 @@ def to_schur(f: SymFunc) -> SchurExpansion:
     """
     if f.is_zero:
         return SchurExpansion._make(0, {})
-    items = [(mu.parts, c) for mu, c in f._num.items()]
-    out: dict[Partition, int] = {}
+    items = list(f._num.items())
+    out: dict[tuple[int, ...], int] = {}
     for lam in partitions_of(f.degree):
         lp = lam.parts
         c = 0
@@ -462,7 +468,7 @@ def to_schur(f: SymFunc) -> SchurExpansion:
             if chi:
                 c += coef * chi
         if c:
-            out[lam] = c
+            out[lp] = c
     return SchurExpansion._make(f.degree, out, f.den)
 
 

@@ -148,6 +148,32 @@ class TestIntegerNumerators:
         assert h_of(2) == want and str(h_of(2)) == "1/2*p[2] + 1/2*p[1,1]"
 
 
+class TestApiEdge:
+    """Parts tuples key the stored maps; the public views are keyed by interned partitions."""
+
+    def test_views_are_keyed_by_interned_partitions(self):
+        f = SymFunc(3, {(2, 1): Fraction(-4, 3), (1, 1, 1): 1})
+        E = to_schur(f)
+        for keys in (f.terms, f.num, f.support(), E.terms, E.num, E.support(), E.negatives()):
+            assert keys and all(type(k) is Partition and k is Partition.of(k.parts) for k in keys)
+        assert f.support() == (P(2, 1), P(1, 1, 1)) and list(f.num.items()) == [(P(2, 1), -4), (P(1, 1, 1), 3)]
+
+    def test_coefficient_takes_a_partition_or_a_sequence(self):
+        f = h_of(3)
+        for shape in ((2, 1), (3,), (1, 1, 1), (4,), ()):
+            c = f.coefficient(P(*shape))
+            assert f.coefficient(shape) == f.coefficient(list(shape)) == c
+        assert f.coefficient([2, 1]) == Fraction(1, 2)
+
+    def test_constructor_validates_keys(self):
+        with pytest.raises(ValueError):
+            SymFunc(3, {(1, 2): 1})
+        with pytest.raises(ValueError):
+            SymFunc(3, {(2, 2): 1})
+        with pytest.raises(ValueError):
+            SchurExpansion(2, {(1, 2): 1})
+
+
 class TestBases:
     def test_h2_e2(self):
         assert h_of(2) == SymFunc(2, {P(1, 1): frac(1, 2), P(2): frac(1, 2)})
