@@ -12,7 +12,9 @@ default parameters and record its status.
 ``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
-(BENCH_6.json); ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
+(BENCH_6.json), and the slices of the sparse scans ``mod1k-product k=3``
+(the parts m = 1 mod 3) and ``symLSbar-sum S=2`` (the odd parts) by the DP
+(BENCH_16.json); ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
 for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
 (BENCH_14.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
 ``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
@@ -20,11 +22,11 @@ Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
 none, the tree on PYTHONPATH is timed under the label ``here``.  Each entry
 records the wall time of one cold call, the sizes of the ``_char``,
-``_strips`` and ``_power_schur`` memos (``power_entries`` is null in a tree
-without the last) and the number of interned partitions it leaves, and the
-peak memory tracemalloc traces in a second cold call.  A point whose
-untraced or traced call runs past TIMEOUT_S seconds is stopped and recorded
-with status ``timeout`` alone.
+``_strips`` and ``_power_schur`` memos (``strips_entries`` and
+``power_entries`` are null in a tree without that memo) and the number of
+interned partitions it leaves, and the peak memory tracemalloc traces in a
+second cold call.  A point whose untraced or traced call runs past
+TIMEOUT_S seconds is stopped and recorded with status ``timeout`` alone.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ TABLES = {
         _verify_points(("solomon", "extLieConj2", "fT-sym", "conj-inverse"), (12, 16, 20, 24)),
     ),
     "routes": (
-        "the degree-n slice of fT-product T=all by the Schur DP and by to_schur",
-        [{"route": "dp", "n": n} for n in (16, 20, 24, 28)] + [{"route": "to_schur", "n": n} for n in (16, 18, 20)],
+        "the degree-n slice of three product scans by the Schur DP, and of fT-product T=all by to_schur",
+        [{"route": "dp", "scan": "fT-product T=all", "n": n} for n in (16, 20, 24, 28, 32)]
+        + [{"route": "dp", "scan": scan, "n": n} for scan in ("mod1k-product k=3", "symLSbar-sum S=2") for n in (20, 28, 32)]
+        + [{"route": "to_schur", "scan": "fT-product T=all", "n": n} for n in (16, 18, 20)],
     ),
     "lifting": (
         "lifting_check(q, n, budget=n)",
@@ -76,7 +80,8 @@ def _call(table: str, point: dict) -> dict:
         from symlie.plethysm import product_slice, product_slice_schur
         from symlie.symfunc import to_schur
 
-        factors = [(m, -1, -1) for m in range(1, point["n"] + 1)]
+        step = {"fT-product T=all": 1, "mod1k-product k=3": 3, "symLSbar-sum S=2": 2}[point["scan"]]
+        factors = [(m, -1, -1) for m in range(1, point["n"] + 1, step)]
         if point["route"] == "dp":
             product_slice_schur(factors, point["n"])
         else:
@@ -100,7 +105,7 @@ def _call(table: str, point: dict) -> dict:
 def one(table: str, point: dict, traced: bool) -> dict:
     from symlie import symfunc
     from symlie.partitions import _interned
-    from symlie.symfunc import _char, _strips
+    from symlie.symfunc import _char
 
     if traced:
         tracemalloc.start()
@@ -111,7 +116,7 @@ def one(table: str, point: dict, traced: bool) -> dict:
         return {"peak_traced_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 1)}
     memos = {
         "char_entries": _char.cache_info().currsize,
-        "strips_entries": _strips.cache_info().currsize,
+        "strips_entries": symfunc._strips.cache_info().currsize if hasattr(symfunc, "_strips") else None,
         "power_entries": symfunc._power_schur.cache_info().currsize if hasattr(symfunc, "_power_schur") else None,
         "interned": len(_interned),
     }

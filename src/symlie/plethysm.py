@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of
-from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _schur_of, _strips, _sum_products, _sum_scaled, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _add_ribbons, _power_schur, _schur_of, _sum_products, _sum_scaled, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -508,19 +508,16 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     lam/mu (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m
     contributes, a factor (1 + s p_m)^{-1} solves b = a + w p_m b in
     ascending degree, and a factor 1 + s p_m adds w p_m a in descending
-    degree, so either way the degree-k map is rebuilt from the degree k - m
-    map the rule needs.  It reads the rule backwards: each shape lam of
-    degree k pulls from the shapes mu its m-border strips leave
-    (``symfunc._border_strips``, through the memo ``_strips``, which every
-    scan degree reads again), where the divisor-family expansions push each
-    mu forward to the lam it reaches (``symfunc._add_ribbons``).  The tests
-    check each walk against the other and the backward one against strips
-    enumerated from cell sets.  No character is evaluated, but
-    ``to_schur(product_slice(...))`` is no independent second route: its
-    characters recurse over the same backward walk.
+    degree: either way w p_m times the degree k - m map is added into the
+    degree-k map in place, pushing each shape mu forward to the lam its
+    strips reach (``symfunc._add_ribbons``).  The first factor needs no
+    walk: its powers w^j p_m^j are the ribbon chains ``_power_schur(m, j)``.
+    No character is evaluated and no partition is enumerated or interned.
+    ``to_schur(product_slice(...))`` is an independent second route: its
+    characters recurse over the backward walk ``symfunc._border_strips``,
+    which the tests check against strips enumerated from cell sets.
     """
     weights, once = _factor_weights(factors)
-    shapes = [[lam.parts for lam in partitions_of(k)] for k in range(d + 1)]
     order = sorted(m for m in weights if m <= d)
     # gaps[i]: the sums <= d that the factors order[i:] can still add; a degree
     # k with d - k outside them is never read again, so it is left stale
@@ -535,20 +532,14 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     levels: list[dict[tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(d)]
     for i, m in enumerate(order):
         w, need = weights[m], (gaps[i + 1] if m in once else gaps[i])
+        if not i:
+            for j in range(1, 2 if m in once else d // m + 1):
+                if d - j * m in need:
+                    levels[j * m] = {lam: w**j * c for lam, c in _power_schur(m, j).items()}
+            continue
         for k in range(d, m - 1, -1) if m in once else range(m, d + 1):
-            low = levels[k - m]
-            if d - k not in need or not low:
-                continue
-            cur, new = levels[k], {}
-            for lam in shapes[k]:
-                c = cur.get(lam, 0)
-                for mu, sign in _strips(lam, m):
-                    b = low.get(mu)
-                    if b:
-                        c += b if sign == w else -b
-                if c:
-                    new[lam] = c
-            levels[k] = new
+            if d - k in need and levels[k - m]:
+                _add_ribbons(levels[k - m], m, w, levels[k])
     return _schur_of(d, levels[d])
 
 

@@ -7,15 +7,15 @@ carries no degree and absorbs additions.  Sums and products run on the integers 
 ``_sum_products``), and the plethysm kernel sums its products through the
 same loop.  The Murnaghan-Nakayama rule runs on beta-sets in two
 directions.  Backwards, ``_border_strips`` removes the m-border strips of a
-shape: characters recurse over it (memoized across all calls in ``_char``),
-and read as multiplication by p_m it drives the Schur-basis product engine
-in plethysm through its memo ``_strips``.  Forwards, ``_add_ribbons`` adds
-them, computing p_m times a whole Schur expansion (Pieri for m = 1); chained
-in the memo ``_power_schur`` it gives p_d^k in the Schur basis, from which
-the divisor-family members are summed without evaluating a character.
-``to_schur`` expands any SymFunc through characters.  The tests check each
-walk against the other, the backward one against strips enumerated from
-cell sets, and p_d^k against a d-quotient formula.
+shape, and characters recurse over it (memoized across all calls in
+``_char``); ``to_schur`` expands any SymFunc through them.  Forwards,
+``_add_ribbons`` adds the strips, adding p_m times a whole Schur expansion
+into a map in place (Pieri for m = 1).  Chained in the memo
+``_power_schur`` it gives p_d^k in the Schur basis, from which the
+divisor-family members are summed, and it drives the Schur-basis product
+DP in plethysm; neither evaluates a character.  The tests check each walk
+against the other, the backward one against strips enumerated from cell
+sets, and p_d^k against a d-quotient formula.
 """
 
 from __future__ import annotations
@@ -308,11 +308,11 @@ def e_of(n: int) -> SymFunc:
 def _border_strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The m-border strips lam/mu of lam, as (mu, (-1)^{height}) pairs.
 
-    This is the one Murnaghan-Nakayama walk of the package.  Read forwards it
-    is the recursion chi^lam(m, rest) = sum (-1)^{height} chi^mu(rest) of
-    ``_char``; read backwards it is multiplication by p_m,
-    p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu such a strip,
-    which drives the Schur-basis DP through its memo ``_strips``.
+    The backward Murnaghan-Nakayama walk, over which ``_char`` runs the
+    recursion chi^lam(m, rest) = sum (-1)^{height} chi^mu(rest).  Read from
+    mu to lam it is multiplication by p_m, p_m * s_mu = sum (-1)^{height}
+    s_lam over the lam with lam/mu such a strip, which ``_add_ribbons``
+    walks forwards.
     On the beta-set (strictly decreasing) a strip moves the bead of row i
     from b to the free position b - m; it spans rows i..j, where j is the
     last row whose bead lies above b - m, and its height is j - i.
@@ -337,21 +337,27 @@ def _border_strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...],
     return tuple(out)
 
 
-def _add_ribbons(E: Mapping[tuple[int, ...], int], m: int) -> dict[tuple[int, ...], int]:
-    """p_m * sum_mu E[mu] s_mu as a shape -> integer coefficient map, zeros dropped.
+def _add_ribbons(E: Mapping[tuple[int, ...], int], m: int, w: int = 1, out: dict | None = None) -> dict[tuple[int, ...], int]:
+    """Add w * p_m * sum_mu E[mu] s_mu into the shape -> integer map ``out`` and return it.
 
     The forward Murnaghan-Nakayama walk, the reverse of ``_border_strips``:
     p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu an m-border
     strip (Macdonald I.3, ex. 11).  On the beta-set of mu padded with m
     empty rows, a strip moves the bead of row i from b to the free position
-    b + m; it spans rows j..i, where j is the first row whose bead lies
-    below b + m, and its height is i - j.  With m = 1 the strips are the
-    addable corners (Pieri).
+    b + m; it spans rows j+1..i, where j is the last row whose bead lies
+    above b + m, and its height is i - j - 1.  With m = 1 the strips are the
+    addable corners (Pieri).  Zero entries of E are skipped.  Without
+    ``out`` the sum goes into a new map, returned with its zeros dropped;
+    a given ``out`` keeps the zeros that cancellation leaves.
     """
-    out: dict[tuple[int, ...], int] = {}
+    if out is None:
+        return {lam: c for lam, c in _add_ribbons(E, m, w, {}).items() if c}
     get = out.get
     if m == 1:
         for mu, c in E.items():
+            if not c:
+                continue
+            c *= w
             above = None
             for i, a in enumerate(mu):
                 if a != above:
@@ -361,28 +367,26 @@ def _add_ribbons(E: Mapping[tuple[int, ...], int], m: int) -> dict[tuple[int, ..
             lam = mu + (1,)
             out[lam] = get(lam, 0) + c
     else:
+        pad = (0,) * m
         for mu, c in E.items():
-            L = len(mu)
-            rows = mu + (0,) * m
-            for i in range(L + m):
-                # the bead of row i sits at content rows[i] - i and moves to t
+            if not c:
+                continue
+            c *= w
+            rows = mu + pad
+            longer = tuple([a + 1 for a in rows])
+            j = -1
+            for i in range(len(rows)):
+                # the bead of row i sits at content rows[i] - i and moves to t; as t
+                # falls with i, the last row j whose bead lies at t or above only rises
                 t = rows[i] - i + m
-                j = i - 1
-                while j >= 0 and rows[j] - j < t:
-                    j -= 1
+                while rows[j + 1] - j - 1 >= t:
+                    j += 1
                 if j >= 0 and rows[j] - j == t:
                     continue
                 # row j+1 takes the moved bead; rows j+1..i-1 move down one row, one box longer
-                lam = mu[: j + 1] + (rows[i] + m - (i - j - 1),) + tuple([a + 1 for a in rows[j + 1 : i]]) + mu[i + 1 :]
+                lam = mu[: j + 1] + (rows[i] + m - (i - j - 1),) + longer[j + 1 : i] + mu[i + 1 :]
                 out[lam] = get(lam, 0) + (-c if (i - j - 1) % 2 else c)
-    return {lam: c for lam, c in out.items() if c}
-
-
-# The DP reads the strips of each (lam, m) again at every scan degree, so it
-# walks through a memo.  Characters walk without one: ``_char`` already
-# memoizes chi^lam(mu), and a strip memo beside it would keep a second
-# unbounded table over every shape that ``to_schur`` visits.
-_strips = lru_cache(maxsize=None)(_border_strips)
+    return out
 
 
 @lru_cache(maxsize=None)

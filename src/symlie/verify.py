@@ -9,13 +9,14 @@ through ``product_series``/``product_slice``, and the length-graded
 products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
 through ``graded_product_series``.  The eight p_lam-sum scans take the
 same factor lists but expand them directly in the Schur basis
-(``product_slice_schur``).  That DP and the character route
-``to_schur(product_slice(...))`` share one Murnaghan-Nakayama strip walk,
-so comparing them checks the two assemblies; the walk itself is checked
-against strips enumerated from cell sets.  The five part-set family scans,
-the lifting check and the hook-content check sum the Schur expansions of
-the powers p_d^{n/d} in each divisor-family member (``_member_schur``) and
-evaluate no character; the tests compare them with ``to_schur``.
+(``product_slice_schur``), adding m-border strips forwards.  The
+character route ``to_schur(product_slice(...))`` removes them backwards,
+so the tests compare two independent routes; the backward walk is also
+checked against strips enumerated from cell sets.  The five part-set
+family scans, the lifting check and the hook-content check sum the Schur
+expansions of the powers p_d^{n/d} in each divisor-family member
+(``_member_schur``) and evaluate no character; the tests compare them
+with ``to_schur``.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ from symlie import (
 
 from symlie import SymFunc
 from symlie.plethysm import series_exp
-from symlie.symfunc import ONE, ZERO
+from symlie.partitions import _interned
+from symlie.symfunc import ONE, ZERO, _char
 
 from helpers import P, frac, horner_exp, random_series, random_symfunc, random_unit_series
 
@@ -385,11 +386,18 @@ class TestProductSlice:
                 assert product_slice(factors, d) == s.component(d), (factors, d)
 
     def test_schur_engine_against_to_schur(self):
-        # the rim-hook DP against the character route, mixed signs and exponents; both
-        # read the one strip walk, which test_symfunc checks against cell sets
+        # the rim-hook DP against the character route, mixed signs and exponents: the
+        # DP adds strips forwards and to_schur's characters remove them backwards, so
+        # the two routes are independent (test_symfunc checks each walk on its own)
         for factors in self.MIXED:
             for d in range(13):
                 assert product_slice_schur(factors, d) == to_schur(product_slice(factors, d)), (factors, d)
+
+    def test_schur_engine_evaluates_no_character_and_interns_nothing(self):
+        factors = [(m, -1, -1) for m in range(1, 15)]  # fT-product T=all at n = 14
+        before = (_char.cache_info(), len(_interned))
+        assert product_slice_schur(factors, 14).den == 1
+        assert (_char.cache_info(), len(_interned)) == before
 
     def test_malformed_and_duplicate_factors_rejected(self):
         for bad in ([(0, -1, -1)], [(2, 0, 1)], [(2, 1, 2)], [(2, -1, -1), (2, 1, 1)], [(3, 1, 1), (1, 1, 1), (3, -1, -1)]):

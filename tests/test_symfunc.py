@@ -24,7 +24,7 @@ from symlie import (
 )
 from symlie.partitions import Partition
 from symlie.families import lie
-from symlie.symfunc import ZERO, _add_ribbons, _border_strips, _char, _power_schur, _strips, _sum_products, _sum_scaled
+from symlie.symfunc import ZERO, _add_ribbons, _border_strips, _char, _power_schur, _sum_products, _sum_scaled
 
 from helpers import (
     P,
@@ -267,7 +267,7 @@ class TestSchur:
                 assert exp.coefficient(lam) == expw.coefficient(lam.conjugate())
 
     def test_strip_walk_against_cell_sets(self):
-        # the one walk behind both to_schur and the Schur DP, against strips found by brute force
+        # the backward walk behind to_schur, against strips found by brute force
         for d in range(1, 13):
             shapes = {k: sorted(brute_partitions(k)) for k in range(d)}
             for lam in sorted(brute_partitions(d)):
@@ -281,7 +281,7 @@ class TestSchur:
             for d in range(9):
                 added = {mu.parts: {} for mu in partitions_of(d)}
                 for lam in partitions_of(d + m):
-                    for mu, sign in _strips(lam.parts, m):
+                    for mu, sign in _border_strips(lam.parts, m):
                         added[mu][lam] = sign
                 for mu in partitions_of(d):
                     assert SchurExpansion(d + m, added[mu.parts]) == to_schur(p_of((m,)) * s_of(mu)), (m, mu)
