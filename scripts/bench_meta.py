@@ -12,9 +12,12 @@ default parameters and record its status.
 ``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
-(BENCH_6.json), and the slices of the sparse scans ``mod1k-product k=3``
-(the parts m = 1 mod 3) and ``symLSbar-sum S=2`` (the odd parts) by the DP
-(BENCH_16.json); ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
+(BENCH_6.json), the slices of the sparse scans ``mod1k-product k=3`` (the
+parts m = 1 mod 3) and ``symLSbar-sum S=2`` (the odd parts) by the DP
+(BENCH_16.json), and ``lie(32)`` by ``to_schur`` (BENCH_17.json).
+``to_schur`` is Horner's rule on the forward ribbon walk since
+BENCH_17.json; a tree before it sums characters over every partition of n,
+filling ``_char``.  ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
 for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
 (BENCH_14.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
 ``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
@@ -61,10 +64,11 @@ TABLES = {
         _verify_points(("solomon", "extLieConj2", "fT-sym", "conj-inverse"), (12, 16, 20, 24)),
     ),
     "routes": (
-        "the degree-n slice of three product scans by the Schur DP, and of fT-product T=all by to_schur",
+        "the degree-n slice of three product scans by the Schur DP, and of fT-product T=all and lie(n) by to_schur",
         [{"route": "dp", "scan": "fT-product T=all", "n": n} for n in (16, 20, 24, 28, 32)]
         + [{"route": "dp", "scan": scan, "n": n} for scan in ("mod1k-product k=3", "symLSbar-sum S=2") for n in (20, 28, 32)]
-        + [{"route": "to_schur", "scan": "fT-product T=all", "n": n} for n in (16, 18, 20)],
+        + [{"route": "to_schur", "scan": "fT-product T=all", "n": n} for n in (16, 18, 20, 22, 24, 28, 32)]
+        + [{"route": "to_schur", "scan": "lie", "n": 32}],
     ),
     "lifting": (
         "lifting_check(q, n, budget=n)",
@@ -77,9 +81,13 @@ TABLES = {
 def _call(table: str, point: dict) -> dict:
     """Run one point; return what it answered."""
     if table == "routes":
+        from symlie.families import lie
         from symlie.plethysm import product_slice, product_slice_schur
         from symlie.symfunc import to_schur
 
+        if point["scan"] == "lie":
+            to_schur(lie(point["n"]))
+            return {}
         step = {"fT-product T=all": 1, "mod1k-product k=3": 3, "symLSbar-sum S=2": 2}[point["scan"]]
         factors = [(m, -1, -1) for m in range(1, point["n"] + 1, step)]
         if point["route"] == "dp":

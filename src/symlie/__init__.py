@@ -1,13 +1,13 @@
 """symlie: exact symmetric-function computations for Lie-type families.
 
-Everything is exact: partitions and divisor arithmetic, basis conversions
-through symmetric-group characters, plethysm of truncated series, the
+Everything is exact: partitions and divisor arithmetic, symmetric-group
+characters and Schur expansions, plethysm of truncated series, the
 representation families generated by divisor weights, and a catalog of
 exactly-checkable identities with Schur-positivity scans.  Functions are
 stored in the power-sum basis with integer numerators over one denominator.
-The scans and the lifting check expand in the Schur basis over the
-integers without evaluating a character: the product scans by a rim-hook
-DP, the part-set family scans and the lifting check by ribbon chains.
+Schur expansions run over the integers without evaluating a character: the
+product scans by a rim-hook DP, everything else by ``to_schur``, both by
+adding border strips to shapes.
 
 The package namespace holds every name in each module's ``__all__``.
 """

@@ -513,9 +513,10 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     strips reach (``symfunc._add_ribbons``).  The first factor needs no
     walk: its powers w^j p_m^j are the ribbon chains ``_power_schur(m, j)``.
     No character is evaluated and no partition is enumerated or interned.
-    ``to_schur(product_slice(...))`` is an independent second route: its
-    characters recurse over the backward walk ``symfunc._border_strips``,
-    which the tests check against strips enumerated from cell sets.
+    ``to_schur(product_slice(...))`` runs the same forward walk but groups
+    the slice's monomials by their smallest part, and is several times
+    slower on a dense slice.  The tests check the DP against characters,
+    which recurse over the backward walk ``symfunc._border_strips``.
     """
     weights, once = _factor_weights(factors)
     order = sorted(m for m in weights if m <= d)

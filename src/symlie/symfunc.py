@@ -8,14 +8,15 @@ carries no degree and absorbs additions.  Sums and products run on the integers 
 same loop.  The Murnaghan-Nakayama rule runs on beta-sets in two
 directions.  Backwards, ``_border_strips`` removes the m-border strips of a
 shape, and characters recurse over it (memoized across all calls in
-``_char``); ``to_schur`` expands any SymFunc through them.  Forwards,
-``_add_ribbons`` adds the strips, adding p_m times a whole Schur expansion
-into a map in place (Pieri for m = 1).  Chained in the memo
-``_power_schur`` it gives p_d^k in the Schur basis, from which the
-divisor-family members are summed, and it drives the Schur-basis product
-DP in plethysm; neither evaluates a character.  The tests check each walk
-against the other, the backward one against strips enumerated from cell
-sets, and p_d^k against a d-quotient formula.
+``_char``) for ``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds
+the strips, adding p_m times a whole Schur expansion into a map in place
+(Pieri for m = 1).  Chained in the memo ``_power_schur`` it gives p_d^k in
+the Schur basis.  ``to_schur`` expands any SymFunc over the forward walk by
+Horner's rule on the smallest part (``_expand``), and the walk drives the
+Schur-basis product DP in plethysm; neither evaluates a character.  The
+tests check each walk against the other, the backward one against strips
+enumerated from cell sets, p_d^k against a d-quotient formula, and
+``to_schur`` against characters.
 """
 
 from __future__ import annotations
@@ -440,9 +441,8 @@ class SchurExpansion(_TermMap):
 def _schur_of(n: int, num: Mapping[tuple[int, ...], int], den: int = 1) -> SchurExpansion:
     """The Schur expansion of degree n with numerators ``num`` (by shape tuple) over ``den``.
 
-    The shapes are sorted in descending order, the order of ``partitions_of(n)``
-    in which ``to_schur`` gives them, and none is interned; zero numerators
-    are dropped.
+    The shapes are sorted in descending order, the order of ``partitions_of(n)``,
+    and none is interned; zero numerators are dropped.
     """
     return SchurExpansion._make(n, {lam: c for lam in sorted(num, reverse=True) if (c := num[lam])}, den)
 
@@ -454,26 +454,37 @@ def s_of(lam) -> SymFunc:
     return SymFunc(lam.size, terms)
 
 
-def to_schur(f: SymFunc) -> SchurExpansion:
-    """Expand f in the Schur basis: coefficient of s_lam is sum_mu c_mu chi^lam(mu).
+def _expand(num: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """sum_mu num[mu] p_mu in the Schur basis, as a shape -> integer map that may keep zeros.
 
-    The sums run over f's integer numerators; the common denominator is
+    Horner's rule on the smallest part.  A monomial p_a^j with one part
+    value is the ribbon chain ``_power_schur(a, j)``, and the constant is
+    the chain's first link, j = 0.  Every other p_mu is
+    p_a times p_mu' with a its smallest part, so the monomials are grouped
+    by a, each group's sum over mu' is expanded in turn, and that expansion
+    is pushed through one ``_add_ribbons`` call for a.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for mu, c in num.items():
+        if mu and mu[0] != mu[-1]:
+            groups.setdefault(mu[-1], {})[mu[:-1]] = c
+        else:
+            for lam, v in _power_schur(mu[0] if mu else 1, len(mu)).items():
+                out[lam] = get(lam, 0) + c * v
+    for a, rest in groups.items():
+        _add_ribbons(_expand(rest), a, 1, out)
+    return out
+
+
+def to_schur(f: SymFunc) -> SchurExpansion:
+    """Expand f in the Schur basis by the forward ribbon walk (``_expand``); no character is evaluated.
+
+    The walk runs on f's integer numerators; the common denominator is
     divided out once per expansion.
     """
-    if f.is_zero:
-        return SchurExpansion._make(0, {})
-    items = list(f._num.items())
-    out: dict[tuple[int, ...], int] = {}
-    for lam in partitions_of(f.degree):
-        lp = lam.parts
-        c = 0
-        for mu, coef in items:
-            chi = _char(lp, mu)
-            if chi:
-                c += coef * chi
-        if c:
-            out[lp] = c
-    return SchurExpansion._make(f.degree, out, f.den)
+    return _schur_of(f.degree, _expand(f._num), f.den)
 
 
 def is_schur_positive(f: SymFunc) -> tuple[bool, dict[Partition, Fraction]]:

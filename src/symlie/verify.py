@@ -9,14 +9,11 @@ through ``product_series``/``product_slice``, and the length-graded
 products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
 through ``graded_product_series``.  The eight p_lam-sum scans take the
 same factor lists but expand them directly in the Schur basis
-(``product_slice_schur``), adding m-border strips forwards.  The
-character route ``to_schur(product_slice(...))`` removes them backwards,
-so the tests compare two independent routes; the backward walk is also
-checked against strips enumerated from cell sets.  The five part-set
-family scans, the lifting check and the hook-content check sum the Schur
-expansions of the powers p_d^{n/d} in each divisor-family member
-(``_member_schur``) and evaluate no character; the tests compare them
-with ``to_schur``.
+(``product_slice_schur``), adding m-border strips forwards.  The five
+part-set family scans, the lifting check and the hook-content check expand
+their divisor-family members with ``to_schur``, which reads each power
+p_d^{n/d} off its ribbon chain.  Neither route evaluates a character; the
+tests compare both with characters, which remove the strips backwards.
 """
 
 from __future__ import annotations
@@ -51,26 +48,25 @@ from .plethysm import (
 from .symfunc import (
     SchurExpansion,
     SymFunc,
-    _add_ribbons,
-    _power_schur,
-    _schur_of,
     e_of,
     h_of,
     is_schur_positive,
     p_of,
     terms_json,
+    to_schur,
 )
 from .families import (
     DivisorWeight,
     MOEBIUS,
     PartSet,
-    TOTIENT,
+    conj,
     conj_series,
     exponent_poly,
     family_series,
     foulkes,
     foulkes_series,
     lie,
+    lie_primes,
     lie_primes_bar_series,
     lie_primes_series,
     lie_series,
@@ -1090,35 +1086,13 @@ class _Scan(NamedTuple):
     expand: Callable[[int, dict], SchurExpansion]  # (n, params) -> its Schur expansion
 
 
-def _member_schur(n: int, w: DivisorWeight, least: int = 1) -> dict[tuple[int, ...], int]:
-    """n times the Schur expansion of the degree-n member of the family of w, by shape.
-
-    The member is (1/n) sum_{d|n} w(d) p_d^{n/d}, so this is
-    sum_{d|n} w(d) chi^lam((d^{n/d})), summed over the memoized ribbon chains
-    ``_power_schur``: the support is generated, not filtered out of every
-    lam of n, and no character is evaluated.  Only the divisors d >= ``least``
-    are summed.  Zero entries may remain.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for d in divisors(n):
-        c = w(d) if d >= least else 0
-        if c:
-            for lam, v in _power_schur(d, n // d).items():
-                out[lam] = get(lam, 0) + c * v
-    return out
-
-
 def _family_scan(schema: dict[str, Param], part_set: Callable[[dict], PartSet]) -> _Scan:
-    """The degree-n member of the family of the part set ``part_set(params)``, expanded by its ribbon chains."""
+    """The degree-n member of the family of the part set ``part_set(params)``, expanded by ``to_schur``."""
 
     def build(n, p):
         return part_family(n, part_set(p))
 
-    def expand(n, p):
-        return _schur_of(n, _member_schur(n, DivisorWeight.part_set(part_set(p))), n)
-
-    return _Scan(schema, build, expand)
+    return _Scan(schema, build, lambda n, p: to_schur(build(n, p)))
 
 
 def _product_scan(schema: dict[str, Param], factors: Callable[[int, dict], list], even: bool = False) -> _Scan:
@@ -1228,25 +1202,12 @@ def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: i
 def _lifting_expansions(q: int, n_max: int):
     """The Schur expansions of p_1 * L^(q)_{n-1} - L^(q)_n for n = 2..n_max, in turn.
 
-    Each degree's member map is carried to the next, where adding one box
-    to each shape (Pieri) gives p_1 * L_{n-1}.  With A = (n-1) p_1 L_{n-1}
-    and B = n L_n as integer maps, the difference is (n A - (n-1) B) / (n(n-1)).
-    The p_1^{n-1} term of the member needs no Pieri step: its image p_1^n is
-    the next link of its ribbon chain, and in n A - (n-1) B it adds up to
-    w(1) p_1^n.  So only the rest R_n = sum_{d|n, d>1} w(d) p_d^{n/d} is
-    carried, and the numerators are w(1) p_1^n + n p_1 R_{n-1} - (n-1) R_n.
+    ``to_schur`` groups the difference by smallest part: the p_1 p_d^k terms
+    of p_1 * L_{n-1} take one Pieri step on their summed ribbon chains, and
+    p_1^n is read off its chain.
     """
-    w = DivisorWeight.prime_split(PrimeSet((q,)))
-    w1, rest = w(1), {}
     for n in range(2, n_max + 1):
-        lifted, rest = _add_ribbons(rest, 1), _member_schur(n, w, least=2)
-        out = {lam: w1 * c for lam, c in _power_schur(1, n).items()}
-        get = out.get
-        for lam, c in lifted.items():
-            out[lam] = get(lam, 0) + n * c
-        for lam, c in rest.items():
-            out[lam] = get(lam, 0) - (n - 1) * c
-        yield _schur_of(n, out, n * (n - 1))
+        yield to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
 
 
 def hook_content_check(n: int) -> dict:
@@ -1258,7 +1219,7 @@ def hook_content_check(n: int) -> dict:
     """
     if n < 2:
         raise ValueError("hook_content_check requires n >= 2")
-    exp = _schur_of(n, _member_schur(n, TOTIENT), n)
+    exp = to_schur(conj(n))
     exceptions = {Partition.of((n - 1, 1))}
     if n % 2 and n >= 3:
         exceptions.add(Partition.of((2,) + (1,) * (n - 2)))

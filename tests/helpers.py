@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-from symlie import Partition, Series, SymFunc, character, p_of, partitions_of
+from symlie import Partition, SchurExpansion, Series, SymFunc, character, p_of, partitions_of
 
 
 def brute_partitions(n: int) -> set[tuple[int, ...]]:
@@ -222,6 +222,15 @@ def fraction_schur(a: dict, n: int) -> dict[tuple[int, ...], Fraction]:
     """Schur coefficients sum_mu c_mu chi^lam(mu) of a degree-n parts -> Fraction map."""
     out = {lam.parts: sum((c * character(lam, mu) for mu, c in a.items()), Fraction(0)) for lam in partitions_of(n)}
     return {k: v for k, v in out.items() if v}
+
+
+def schur_by_characters(f: SymFunc) -> SchurExpansion:
+    """The Schur expansion of f summed from characters (``fraction_schur``), shapes in descending order.
+
+    The oracle for ``to_schur`` and the engines built on its ribbon walk.
+    """
+    n = f.degree or 0
+    return SchurExpansion(n, fraction_schur(fraction_terms(f), n))
 
 
 def frac(num: int, den: int = 1) -> Fraction:

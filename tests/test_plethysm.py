@@ -43,7 +43,6 @@ from symlie import (
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
-    to_schur,
 )
 
 from symlie import SymFunc
@@ -51,7 +50,7 @@ from symlie.plethysm import series_exp
 from symlie.partitions import _interned
 from symlie.symfunc import ONE, ZERO, _char
 
-from helpers import P, frac, horner_exp, random_series, random_symfunc, random_unit_series
+from helpers import P, frac, horner_exp, random_series, random_symfunc, random_unit_series, schur_by_characters
 
 
 def series_pleth(f, g: Series) -> Series:
@@ -386,12 +385,12 @@ class TestProductSlice:
                 assert product_slice(factors, d) == s.component(d), (factors, d)
 
     def test_schur_engine_against_to_schur(self):
-        # the rim-hook DP against the character route, mixed signs and exponents: the
-        # DP adds strips forwards and to_schur's characters remove them backwards, so
-        # the two routes are independent (test_symfunc checks each walk on its own)
+        # the rim-hook DP against characters, mixed signs and exponents: the DP adds
+        # strips forwards and the characters remove them backwards, so the two routes
+        # are independent (test_symfunc checks each walk on its own)
         for factors in self.MIXED:
             for d in range(13):
-                assert product_slice_schur(factors, d) == to_schur(product_slice(factors, d)), (factors, d)
+                assert product_slice_schur(factors, d) == schur_by_characters(product_slice(factors, d)), (factors, d)
 
     def test_schur_engine_evaluates_no_character_and_interns_nothing(self):
         factors = [(m, -1, -1) for m in range(1, 15)]  # fT-product T=all at n = 14

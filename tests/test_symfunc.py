@@ -103,6 +103,13 @@ class TestIntegerNumerators:
             assert fraction_terms(_sum_scaled(many)) == want_many
             for r in (f, g, f * g, f + h, f - h, f.scaled(c), to_schur(f), _sum_products(pairs), _sum_scaled(many)):
                 assert r.den > 0 and gcd(r.den, *r.num.values()) == 1, r
+        # a degree-0 constant, and a sum over every p_mu of degree 6 whose Schur terms all cancel but two
+        constant = SymFunc(0, {(): Fraction(-3, 7)})
+        cancelling = s_of((3, 2, 1)) - s_of((4, 2)).scaled(Fraction(5, 3))
+        for f, want in ((constant, {(): Fraction(-3, 7)}), (cancelling, {(4, 2): Fraction(-5, 3), (3, 2, 1): Fraction(1)})):
+            got = to_schur(f)
+            assert fraction_terms(got) == fraction_schur(fraction_terms(f), f.degree) == want
+            assert got.den > 0 and gcd(got.den, *got.num.values()) == 1
 
     def test_cancelling_sums_are_zero(self):
         rng = random.Random(17)

@@ -25,10 +25,10 @@ from symlie import (
 from symlie.partitions import partitions_of
 from symlie.plethysm import Series
 from symlie.symfunc import SymFunc, p_of, to_schur
-from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, lie_primes
-from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _lifting_expansions, _member_schur, _series_mismatch, build_clauses
+from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, from_divisor_weight, lie_primes
+from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _lifting_expansions, _series_mismatch, build_clauses
 
-from helpers import P, quotient_power_schur
+from helpers import P, fraction_terms, quotient_power_schur, schur_by_characters
 
 # The exact bytes `symlie verify --id ID --format json` printed for every
 # catalog id at its default window, recorded with the benchmark's answers.
@@ -326,13 +326,13 @@ class TestScanSlices:
                     assert _SCANS[family].build(n, p) == brute, (family, p, n)
 
     def test_rim_hook_engine_against_to_schur(self):
-        # each product scan's verdicts read the DP, checked against the character route;
-        # both share one strip walk, which test_symfunc checks against cell sets
+        # each product scan's verdicts read the DP, which adds strips forwards; the
+        # characters remove them backwards
         for family, psets in self.PARAMS.items():
             for p in psets:
                 for n in range(1, 13):
                     scan = _SCANS[family]
-                    assert scan.expand(n, p) == to_schur(scan.build(n, p)), (family, p, n)
+                    assert scan.expand(n, p) == schur_by_characters(scan.build(n, p)), (family, p, n)
 
 
     FAMILY_PARAMS = {
@@ -344,12 +344,12 @@ class TestScanSlices:
     }
 
     def test_ribbon_chains_against_to_schur(self):
-        # the part-set family scans sum ribbon chains; to_schur evaluates characters
+        # the part-set family scans sum ribbon chains through to_schur; the oracle evaluates characters
         for family, psets in self.FAMILY_PARAMS.items():
             for p in psets:
                 for n in range(1, 13):
                     scan = _SCANS[family]
-                    got, want = scan.expand(n, p), to_schur(scan.build(n, p))
+                    got, want = scan.expand(n, p), schur_by_characters(scan.build(n, p))
                     assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (family, p, n)
 
 
@@ -365,13 +365,15 @@ class TestMemberExpansions:
                 for d, chain in chains.items():
                     for lam, v in chain.items():
                         want[lam] = want.get(lam, 0) + w(d) * v
-                got = _member_schur(n, w)
-                assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}, (n, w)
+                got = {k: n * v for k, v in fraction_terms(to_schur(from_divisor_weight(n, w))).items()}
+                assert got == {k: v for k, v in want.items() if v}, (n, w)
 
     def test_no_character_is_evaluated(self):
         code = (
-            "from symlie import PartSet, hook_content_check, lifting_check, scan_positivity\n"
+            "from symlie import PartSet, hook_content_check, lie, lifting_check, product_slice, scan_positivity, to_schur\n"
             "from symlie.symfunc import _char\n"
+            "to_schur(product_slice([(m, -1, -1) for m in range(1, 15)], 14))\n"
+            "to_schur(lie(24))\n"
             "lifting_check(3, 28)\n"
             "lifting_check(5, 20)\n"
             "hook_content_check(16)\n"
@@ -411,7 +413,7 @@ class TestLifting:
     def test_expansions_against_to_schur(self):
         for q in (2, 3, 5, 7):
             for n, got in enumerate(_lifting_expansions(q, 20), start=2):
-                want = to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
+                want = schur_by_characters(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
                 assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (q, n)
 
     def test_q3_small_range(self):
