@@ -3,9 +3,11 @@
     PYTHONPATH=src python3 scripts/bench_meta.py [--table NAME] [label=SRC_DIR ...]
 
 ``--table meta`` (the default) times the five length-graded ``meta-*``
-identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times the four
-plethystic-inverse identities at N = 10, 12, 16, 20 and 24 (BENCH_13.json;
-BENCH_8.json ran N = 10..16); ``--table powers`` times four identities whose
+identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times six
+plethystic-inverse identities, the four of the Lie, L^(2), L^(q) and Conj
+inverses and the two Cadogan inverses, at N = 12, 16, 20 and 24
+(BENCH_18.json; BENCH_13.json ran the first four at N = 10..24 and
+BENCH_8.json at N = 10..16); ``--table powers`` times four identities whose
 left sides are power series of modules (``series_exp``) at N = 12..24
 (BENCH_9.json).  These three time one cold ``verify(id, N=N)`` at the id's
 default parameters and record its status.
@@ -28,8 +30,10 @@ records the wall time of one cold call, the sizes of the ``_char``,
 ``_strips`` and ``_power_schur`` memos (``strips_entries`` and
 ``power_entries`` are null in a tree without that memo) and the number of
 interned partitions it leaves, and the peak memory tracemalloc traces in a
-second cold call.  A point whose untraced or traced call runs past
-TIMEOUT_S seconds is stopped and recorded with status ``timeout`` alone.
+second cold call.  A call that runs past TIMEOUT_S seconds is stopped, and
+its point records ``"timeout": "untraced"`` alone or, when only the traced
+call ran too long, the untraced figures and ``"timeout": "traced"``
+(BENCH_17.json and earlier record either case as status ``timeout`` alone).
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ TABLES = {
     ),
     "inverse": (
         "verify(inverse id, N) at default parameters",
-        _verify_points(("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse"), (10, 12, 16, 20, 24)),
+        _verify_points(
+            ("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse", "cadogan-inverse", "lie2-cadogan-inverse"), (12, 16, 20, 24)
+        ),
     ),
     "powers": (
         "verify(power-series id, N) at default parameters",
@@ -153,7 +159,7 @@ def main() -> None:
                 try:
                     run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=TIMEOUT_S)
                 except subprocess.TimeoutExpired:
-                    entry = {"tree": label, **point, "status": "timeout"}
+                    entry["timeout"] = "traced" if traced == "1" else "untraced"
                     break
                 entry.update(json.loads(run.stdout))
             entries.append(entry)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of
-from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _add_ribbons, _power_schur, _schur_of, _sum_products, _sum_scaled, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _add_ribbons, _from_packed, _pack, _packed_products, _power_schur, _schur_of, _units, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -245,31 +245,26 @@ def _pleth_degrees(monos, g: Series):
     g is constant-free.  The monomials sit on a trie of their (descending)
     parts.  The degree-t component of a node's prefix product is the sum
     over s of its parent's degree-s component times the degree-(t - s)
-    component of p_a[g], a stretched component of g cached per (j, a); a
-    one-part node is that factor itself, so the node (1,) is g.  Each part
-    still to come adds at least a times g's lowest degree, so a node is
-    computed only up to the top degree that a monomial through it needs,
-    and it keeps a component only where a longer node reads it.  Step t
-    reads g only below degree t, save through the monomial p_1, so a caller
-    may set g's degree-t component after step t: that is how
-    ``pleth_inverse`` solves online.
+    component of p_a[g]; a one-part node (a,) is p_a[g] itself, so the node
+    (1,) is g.  Each part still to come adds at least a times g's lowest
+    degree, so a node is computed only up to the top degree that a monomial
+    through it needs, and it keeps a component only where a longer node
+    reads it.  Step t reads g only below degree t, save through the
+    monomial p_1, so a caller may set g's degree-t component after step t:
+    that is how ``pleth_inverse`` solves online.
+
+    Every component is a packed map (``symfunc._packed_products``) with one
+    width for the whole call, that of degree N (``symfunc._units``), since
+    no multiplicity of a degree-t product exceeds t <= N.  A component g_j
+    is packed into every p_a[g] once, at the first step that finds it set,
+    so a node product only adds keys, and only the degree-t sum is unpacked
+    and reduced.  The coefficient c of a monomial is the packed constant
+    c * p_() (key 0) that its end node is multiplied by.
     """
     n = g.max_degree
     comps = g.components
     low = min(comps, default=n + 1)
-    stretched: dict[tuple[int, int], SymFunc] = {}
-
-    def factor(a: int, u: int) -> SymFunc:
-        # the degree-u component of p_a[g]; an unknown component is not cached
-        j, r = divmod(u, a)
-        f = None if r else comps.get(j)
-        if f is None:
-            return ZERO
-        out = stretched.get((j, a))
-        if out is None:
-            out = stretched[(j, a)] = _stretch(f, a)
-        return out
-
+    w, unit = _units(n)
     ends: dict[tuple[int, ...], Fraction] = {}
     keeps: dict[tuple[int, ...], int] = {}
     for parts, c in monos:
@@ -279,33 +274,44 @@ def _pleth_degrees(monos, g: Series):
         for i in range(2, len(parts)):
             keeps[parts[:i]] = max(keeps.get(parts[:i], 0), n - low * sum(parts[i:]))
     tops = {**keeps, **dict.fromkeys(ends, n)}
-    nodes: dict[tuple[int, ...], dict[int, SymFunc]] = {key: {} for key in keeps}
+    # rows[a]: the components of p_a[g] by degree, the one-part node (a,)
+    rows: dict[int, dict[int, tuple[dict[int, int], int]]] = {a: {} for key in tops for a in key}
+    nodes = {**{(a,): row for a, row in rows.items()}, **{key: {} for key in keeps}}
+    packed = set()
 
     for t in range(1, n + 1):
+        # g is final below degree t, and at t once set
+        for j in (t - 1, t):
+            f = comps.get(j)
+            if f is not None and j not in packed:
+                packed.add(j)
+                for a, row in rows.items():
+                    if a * j <= n:
+                        row[a * j] = _pack(f, unit[::a])
         total = []
         for key, top in tops.items():
             if t > top:
                 continue
-            head, a = key[:-1], key[-1]
-            if not head:
-                acc = factor(a, t)
+            if len(key) == 1:
+                acc = rows[key[0]].get(t)
             else:
-                pairs = []
+                a, prev = key[-1], nodes[key[:-1]]
+                row, pairs = rows[a], []
                 for u in range(a, t, a):
-                    y = factor(a, u)
-                    if not y.is_zero:
-                        x = factor(head[0], t - u) if len(head) == 1 else nodes[head].get(t - u, ZERO)
-                        if not x.is_zero:
+                    y = row.get(u)
+                    if y:
+                        x = prev.get(t - u)
+                        if x:
                             pairs.append((x, y))
-                acc = _sum_products(pairs)
-            if acc.is_zero:
+                acc = _packed_products(pairs)
+            if not acc or not acc[0]:
                 continue
             if t <= keeps.get(key, 0):
                 nodes[key][t] = acc
             c = ends.get(key)
             if c:
-                total.append((c, acc))
-        yield t, _sum_scaled(total)
+                total.append((acc, ({0: c.numerator}, c.denominator)))
+        yield t, _from_packed(t, _packed_products(total), w)
 
 
 def pleth(f, g) -> Series:

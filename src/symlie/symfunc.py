@@ -3,9 +3,12 @@
 A SymFunc is homogeneous: a degree n together with a map from partitions of
 n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
 numerators over one denominator, keyed by parts tuples.  The zero function
-carries no degree and absorbs additions.  Sums and products run on the integers (``_sum_scaled``,
-``_sum_products``), and the plethysm kernel sums its products through the
-same loop.  The Murnaghan-Nakayama rule runs on beta-sets in two
+carries no degree and absorbs additions.  Sums and products run on the
+integers (``_sum_scaled``, ``_packed_products``).  The one product loop
+keys shapes by multiplicity vectors packed into one integer: a product of
+two SymFuncs packs both factors into it and unpacks the result, and the
+plethysm kernel keeps its factors and node products packed and unpacks only
+the sums it yields.  The Murnaghan-Nakayama rule runs on beta-sets in two
 directions.  Backwards, ``_border_strips`` removes the m-border strips of a
 shape, and characters recurse over it (memoized across all calls in
 ``_char``) for ``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds
@@ -188,7 +191,9 @@ class SymFunc(_TermMap):
         if isinstance(other, SymFunc):
             if self.is_zero or other.is_zero:
                 return ZERO
-            return _sum_products(((self, other),))
+            degree = self.degree + other.degree
+            w, unit = _units(degree)
+            return _from_packed(degree, _packed_products(((_pack(self, unit), _pack(other, unit)),)), w)
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -202,35 +207,58 @@ class SymFunc(_TermMap):
         return SymFunc._make(n, {k: c if (n - len(k)) % 2 == 0 else -c for k, c in self._num.items()}, self.den)
 
 
-def _sum_products(pairs) -> SymFunc:
-    """sum x * y over (x, y) pairs of nonzero SymFuncs whose degrees add up to one degree.
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, tuple[int, ...]]:
+    """The width w of packed keys for products of degree at most n, and unit[a], the key of p_a, for a = 1..n.
 
-    Every pair is brought to the lcm of the pairs' den_x * den_y once, its
-    integer numerators are multiplied term by term, and the sum is reduced
-    by one gcd at the end.  While summing, a partition of at most the
-    product's degree d is keyed by its multiplicity vector packed into one
-    integer, sum_i m_i << (w * (i - 1)) with w bits per part size: no
-    multiplicity reaches 2^w > d, so the key of a product of p-monomials
-    is the sum of their keys.
+    No multiplicity reaches 2^w = 2^(n.bit_length()) > n.  unit[a] is
+    1 << (w * (a - 1)), and unit[0] = 0 pads the index.
     """
-    if not pairs:
-        return ZERO
-    x, y = pairs[0]
-    degree = x.degree + y.degree
-    w = degree.bit_length()
-    unit = [0] + [1 << (w * i) for i in range(degree)]  # unit[a]: the key of p_a
-    den = lcm(*(x.den * y.den for x, y in pairs))
+    w = n.bit_length()
+    return w, (0, *(1 << (w * i) for i in range(n)))
+
+
+def _pack(f: SymFunc, unit: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    """f as a packed map (numerators, den) for ``_packed_products``, part a keyed by unit[a].
+
+    With ``unit[::k]`` in place of ``unit`` each part a is read as k * a,
+    which packs the stretched p_k[f] without building its tuples.
+    """
+    return {sum(map(unit.__getitem__, mu)): c for mu, c in f._num.items()}, f.den
+
+
+def _packed_products(pairs) -> tuple[dict[int, int], int]:
+    """sum x * y over (x, y) pairs of packed maps, as one packed map (numerators, den).
+
+    A packed map is integer numerators over one denominator, a partition
+    keyed by its multiplicity vector packed into one integer,
+    sum_i m_i << (w * (i - 1)) with w bits per part size.  While no
+    multiplicity reaches 2^w the key of a product of p-monomials is the sum
+    of their keys.  Every pair is brought to the lcm of the pairs' den_x *
+    den_y once and its numerators are multiplied term by term; the sum is
+    not reduced and keeps the zeros that cancellation leaves.  This is the
+    one product loop: ``SymFunc.__mul__`` packs its two factors into it,
+    and the plethysm kernel keeps its factors and prefix products packed
+    from one node to the next.
+    """
+    den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
     out: dict[int, int] = {}
     get = out.get
-    for x, y in pairs:
-        scale = den // (x.den * y.den)
-        ys = [(sum(map(unit.__getitem__, pb)), cb) for pb, cb in y._num.items()]
-        for pa, ca in x._num.items():
-            ka, ca = sum(map(unit.__getitem__, pa)), ca * scale
+    for (xs, dx), (ys, dy) in pairs:
+        scale = den // (dx * dy)
+        ys = list(ys.items())
+        for ka, ca in xs.items():
+            ca *= scale
             for kb, cb in ys:
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
-    return SymFunc._make(degree, {_unpack(k, w): v for k, v in out.items() if v}, den)
+    return out, den
+
+
+def _from_packed(degree: int, packed: tuple[dict[int, int], int], w: int) -> SymFunc:
+    """The packed map (numerators, den) with w bits per part size as a SymFunc of degree ``degree``, zeros dropped and reduced once."""
+    num, den = packed
+    return SymFunc._make(degree, {_unpack(k, w): v for k, v in num.items() if v}, den)
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +266,7 @@ def _unpack(key: int, w: int) -> tuple[int, ...]:
     """The parts of the partition whose multiplicity vector ``key`` packs with w bits per part size.
 
     Memoized, so every product that reaches a shape stores one shared tuple
-    for it: the plethysm kernel keeps many products alive at once.
+    for it.
     """
     mask, a, parts = (1 << w) - 1, 1, []
     while key:
@@ -251,8 +279,7 @@ def _unpack(key: int, w: int) -> tuple[int, ...]:
 def _sum_scaled(pairs) -> SymFunc:
     """sum c * f over (c, f) pairs, c a nonzero int or Fraction and f a nonzero SymFunc of one common degree.
 
-    Like ``_sum_products``: one lcm of the pairs' denominators, integer
-    sums, one gcd at the end.
+    One lcm of the pairs' denominators, integer sums, one gcd at the end.
     """
     if not pairs:
         return ZERO

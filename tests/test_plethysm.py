@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -232,6 +233,26 @@ class TestPleth:
             for fdeg in (2, 3):
                 f = random_symfunc(rng, fdeg)
                 assert pleth_homog(f, g).omega() == pleth_homog(f.omega(), g.omega())
+
+
+class TestPackedWidth:
+    """The kernel packs its keys with w = N.bit_length() bits per part size, and at degree N a
+    multiplicity can reach N itself: the windows below are where that width steps."""
+
+    @pytest.mark.parametrize("n", (7, 8, 15, 16))
+    def test_multiplicity_n_at_the_width_boundary(self, n):
+        ones = (1,) * n
+        g = Series(n, {1: p_of((1,)), 3: p_of((1, 1, 1)).scaled(frac(1, 3)) - p_of((3,))})
+        for k in (n, n - 2):
+            f = p_of((1,) * k)
+            got = pleth(f, g)
+            assert got == series_pleth(f, g)
+            assert got.component(n).coefficient(ones) == (1 if k == n else frac(k, 3))
+        # G = p_1 + G^2 - p_3[G]/2: the coefficient of p_1^t in G_t is a Catalan number
+        F = Series(n, {1: p_of((1,)), 2: -p_of((1, 1)), 3: p_of((3,)).scaled(frac(1, 2))})
+        G = pleth_inverse(F)
+        assert G == series_pleth_inverse(F)
+        assert G.component(n).coefficient(ones) == comb(2 * n - 2, n - 1) // n
 
 
 class TestPowerOperators:

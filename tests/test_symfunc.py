@@ -24,7 +24,7 @@ from symlie import (
 )
 from symlie.partitions import Partition
 from symlie.families import lie
-from symlie.symfunc import ZERO, _add_ribbons, _border_strips, _char, _power_schur, _sum_products, _sum_scaled
+from symlie.symfunc import ZERO, _add_ribbons, _border_strips, _char, _from_packed, _pack, _packed_products, _power_schur, _sum_scaled, _units
 
 from helpers import (
     P,
@@ -90,8 +90,11 @@ class TestIntegerNumerators:
             assert fraction_terms(f - h) == fraction_sum(rf, rh, Fraction(-1))
             assert fraction_terms(f.scaled(c)) == fraction_sum({}, rf, c)
             assert fraction_terms(to_schur(f)) == fraction_schur(rf, da)
-            # the kernel's sums of several products and of several multiples
+            # sums of several products through the one packed product loop, as the plethysm kernel
+            # runs it, and sums of several multiples
             pairs = [(x, y) for x, y in ((f, g), (h, k), (h, g)) if not (x.is_zero or y.is_zero)]
+            w, unit = _units(da + db)
+            products = _from_packed(da + db, _packed_products([(_pack(x, unit), _pack(y, unit)) for x, y in pairs]), w)
             want = {}
             for x, y in pairs:
                 want = fraction_sum(want, fraction_product(fraction_terms(x), fraction_terms(y)))
@@ -99,9 +102,9 @@ class TestIntegerNumerators:
             want_many = {}
             for a, x in many:
                 want_many = fraction_sum(want_many, fraction_terms(x), Fraction(a))
-            assert fraction_terms(_sum_products(pairs)) == want
+            assert fraction_terms(products) == want
             assert fraction_terms(_sum_scaled(many)) == want_many
-            for r in (f, g, f * g, f + h, f - h, f.scaled(c), to_schur(f), _sum_products(pairs), _sum_scaled(many)):
+            for r in (f, g, f * g, f + h, f - h, f.scaled(c), to_schur(f), products, _sum_scaled(many)):
                 assert r.den > 0 and gcd(r.den, *r.num.values()) == 1, r
         # a degree-0 constant, and a sum over every p_mu of degree 6 whose Schur terms all cancel but two
         constant = SymFunc(0, {(): Fraction(-3, 7)})
