@@ -6,11 +6,11 @@
 identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times six
 plethystic-inverse identities, the four of the Lie, L^(2), L^(q) and Conj
 inverses and the two Cadogan inverses, at N = 12, 16, 20 and 24
-(BENCH_18.json; BENCH_13.json ran the first four at N = 10..24 and
-BENCH_8.json at N = 10..16); ``--table powers`` times four identities whose
-left sides are power series of modules (``series_exp``) at N = 12..24
-(BENCH_9.json).  These three time one cold ``verify(id, N=N)`` at the id's
-default parameters and record its status.
+(BENCH_19.json and BENCH_18.json; BENCH_13.json ran the first four at
+N = 10..24 and BENCH_8.json at N = 10..16); ``--table powers`` times four
+identities whose left sides are power series of modules (``series_exp``)
+at N = 12..24 (BENCH_9.json).  These three time cold ``verify(id, N=N)``
+calls at the id's default parameters and record the status.
 ``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
@@ -25,15 +25,21 @@ for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
 ``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
-none, the tree on PYTHONPATH is timed under the label ``here``.  Each entry
-records the wall time of one cold call, the sizes of the ``_char``,
-``_strips`` and ``_power_schur`` memos (``strips_entries`` and
-``power_entries`` are null in a tree without that memo) and the number of
-interned partitions it leaves, and the peak memory tracemalloc traces in a
-second cold call.  A call that runs past TIMEOUT_S seconds is stopped, and
-its point records ``"timeout": "untraced"`` alone or, when only the traced
-call ran too long, the untraced figures and ``"timeout": "traced"``
-(BENCH_17.json and earlier record either case as status ``timeout`` alone).
+none, the tree on PYTHONPATH is timed under the label ``here``.  Every
+point runs on every tree before the next point starts: each of its REPEATS
+untraced rounds, and then its traced round, runs once on each tree, and the
+tree that goes first rotates from one point to the next, so host drift
+does not land on one tree alone.  Each entry records the wall times of the
+cold untraced calls (``wall_runs_s``) and their median (``wall_s``), the sizes
+of the ``_char`` and ``_power_schur`` memos (``power_entries`` is null in
+a tree without that memo) and the number of interned partitions the last
+call leaves, and the peak memory tracemalloc traces in one more cold call
+(BENCH_18.json and earlier time each point once, one tree after the
+other).  A call that runs past TIMEOUT_S seconds is stopped, and its point
+records ``"timeout": "untraced"`` with the wall times before it or, when
+only the traced call ran too long, the untraced figures and
+``"timeout": "traced"`` (BENCH_17.json and earlier record either case as
+status ``timeout`` alone).
 """
 
 from __future__ import annotations
@@ -42,12 +48,14 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
 
 TIMEOUT_S = 60
+REPEATS = 3
 
 
 def _verify_points(ids, ns):
@@ -130,7 +138,6 @@ def one(table: str, point: dict, traced: bool) -> dict:
         return {"peak_traced_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 1)}
     memos = {
         "char_entries": _char.cache_info().currsize,
-        "strips_entries": symfunc._strips.cache_info().currsize if hasattr(symfunc, "_strips") else None,
         "power_entries": symfunc._power_schur.cache_info().currsize if hasattr(symfunc, "_power_schur") else None,
         "interned": len(_interned),
     }
@@ -146,25 +153,38 @@ def main() -> None:
     ap.add_argument("trees", nargs="*", metavar="label=SRC_DIR")
     args = ap.parse_args()
     workload, points = TABLES[args.table]
-    trees = dict(arg.split("=", 1) for arg in args.trees) or {"here": None}
-    entries = []
-    for label, src in trees.items():
-        env = dict(os.environ)
+    envs = {}
+    for label, src in (dict(arg.split("=", 1) for arg in args.trees) or {"here": None}).items():
+        envs[label] = dict(os.environ)
         if src is not None:
-            env["PYTHONPATH"] = os.path.abspath(src)
-        for point in points:
-            entry = {"tree": label, **point}
-            for traced in ("0", "1"):
+            envs[label]["PYTHONPATH"] = os.path.abspath(src)
+    labels, entries = list(envs), []
+    for i, point in enumerate(points):
+        k = i % len(labels)
+        order = labels[k:] + labels[:k]
+        found = {label: {"tree": label, **point} for label in order}
+        walls = {label: [] for label in order}
+        for traced in ("0",) * REPEATS + ("1",):
+            for label in order:
+                if "timeout" in found[label]:
+                    continue
                 argv = [sys.executable, __file__, "--one", args.table, json.dumps(point), traced]
                 try:
-                    run = subprocess.run(argv, capture_output=True, text=True, check=True, env=env, timeout=TIMEOUT_S)
+                    run = subprocess.run(argv, capture_output=True, text=True, check=True, env=envs[label], timeout=TIMEOUT_S)
                 except subprocess.TimeoutExpired:
-                    entry["timeout"] = "traced" if traced == "1" else "untraced"
-                    break
-                entry.update(json.loads(run.stdout))
-            entries.append(entry)
+                    found[label]["timeout"] = "traced" if traced == "1" else "untraced"
+                    continue
+                result = json.loads(run.stdout)
+                if traced == "0":
+                    walls[label].append(result.pop("wall_s"))
+                found[label].update(result)
+        for label in order:
+            if walls[label]:
+                found[label].update(wall_s=statistics.median(walls[label]), wall_runs_s=walls[label])
+            entries.append(found[label])
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
-    report = {"workload": f"{workload}, one point per cold interpreter", "host": host, "entries": entries}
+    workload = f"{workload}, {REPEATS} untraced runs and one traced run per point, each in a cold interpreter, trees alternating"
+    report = {"workload": workload, "host": host, "entries": entries}
     print(json.dumps(report, indent=1))
 
 

@@ -46,106 +46,85 @@ __all__ = [
 ]
 
 
+def _param(head: str, k) -> int:
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"{head} parameter must be >= 1")
+    return k
+
+
 class PartSet:
     """A set of allowed positive integers with a finite symbolic description.
 
-    Kinds: explicit list, ``le(k)`` (n <= k), ``div(k)`` (n | k),
-    ``mod1(k)`` (n = 1 mod k), ``pow(k)`` (powers of k, including 1),
-    ``all``, and prime-set membership (``smooth``: all prime factors inside
-    the set; ``rough``: none).  Membership of 1 is computed, never assumed.
+    Each constructor builds the canonical descriptor and the membership test
+    together: an explicit list ``1,3``, ``le(k)`` (n <= k), ``div(k)``
+    (n | k), ``mod1(k)`` (n = 1 mod k), ``pow(k)`` (powers of k, including
+    1), ``all``, and prime-set membership (``smooth(2,3)``: all prime
+    factors inside the set; ``rough(2,3)``: none).  Equal descriptors are
+    equal sets.  Membership of 1 is computed, never assumed.
     """
 
-    __slots__ = ("kind", "param")
+    __slots__ = ("_text", "_test")
 
-    _KINDS = ("explicit", "le", "div", "mod1", "pow", "all", "smooth", "rough")
-
-    def __init__(self, kind: str, param=None):
-        if kind not in self._KINDS:
-            raise ValueError(f"unknown part-set kind {kind!r}")
-        if kind == "explicit":
-            param = tuple(sorted({int(x) for x in param}))
-            if not param or any(x < 1 for x in param):
-                raise ValueError("explicit part set must be nonempty positive integers")
-        elif kind in ("le", "div", "mod1", "pow"):
-            param = int(param)
-            if param < 1:
-                raise ValueError(f"{kind} parameter must be >= 1")
-        elif kind in ("smooth", "rough"):
-            if not isinstance(param, PrimeSet):
-                param = PrimeSet(param)
-        self.kind = kind
-        self.param = param
+    def __init__(self, text: str, test):
+        self._text = text
+        self._test = test
 
     @classmethod
     def of(cls, *values) -> "PartSet":
-        return cls("explicit", values)
+        parts = tuple(sorted({int(x) for x in values}))
+        if not parts or parts[0] < 1:
+            raise ValueError("explicit part set must be nonempty positive integers")
+        return cls(",".join(map(str, parts)), frozenset(parts).__contains__)
 
     @classmethod
     def up_to(cls, k: int) -> "PartSet":
-        return cls("le", k)
+        k = _param("le", k)
+        return cls(f"le({k})", lambda n: n <= k)
 
     @classmethod
     def divisors_of(cls, k: int) -> "PartSet":
-        return cls("div", k)
+        k = _param("div", k)
+        return cls(f"div({k})", lambda n: k % n == 0)
 
     @classmethod
     def mod_one(cls, k: int) -> "PartSet":
-        return cls("mod1", k)
+        k = _param("mod1", k)
+        return cls(f"mod1({k})", lambda n: n % k == 1 % k)
 
     @classmethod
     def powers_of(cls, k: int) -> "PartSet":
-        return cls("pow", k)
+        k = _param("pow", k)
+
+        def test(n: int) -> bool:
+            while k > 1 and n % k == 0:
+                n //= k
+            return n == 1
+
+        return cls(f"pow({k})", test)
 
     @classmethod
     def everything(cls) -> "PartSet":
-        return cls("all")
+        return cls("all", lambda n: True)
 
     @classmethod
     def smooth_over(cls, primes) -> "PartSet":
-        return cls("smooth", primes)
+        primes = primes if isinstance(primes, PrimeSet) else PrimeSet(primes)
+        return cls(f"smooth({','.join(map(str, primes))})", primes.is_smooth)
 
     @classmethod
     def rough_over(cls, primes) -> "PartSet":
-        return cls("rough", primes)
+        primes = primes if isinstance(primes, PrimeSet) else PrimeSet(primes)
+        return cls(f"rough({','.join(map(str, primes))})", primes.is_rough)
 
     def __contains__(self, n: int) -> bool:
-        if n < 1:
-            return False
-        kind, q = self.kind, self.param
-        if kind == "explicit":
-            return n in q
-        if kind == "le":
-            return n <= q
-        if kind == "div":
-            return q % n == 0
-        if kind == "mod1":
-            return n % q == 1 % q
-        if kind == "pow":
-            if q == 1:
-                return n == 1
-            m = n
-            while m % q == 0:
-                m //= q
-            return m == 1
-        if kind == "all":
-            return True
-        if kind == "smooth":
-            return q.is_smooth(n)
-        return q.is_rough(n)
+        return n >= 1 and self._test(n)
 
     def members_up_to(self, n: int) -> tuple[int, ...]:
         return tuple(m for m in range(1, n + 1) if m in self)
 
     def descriptor(self) -> str:
-        kind, q = self.kind, self.param
-        if kind == "explicit":
-            return ",".join(str(x) for x in q)
-        if kind == "all":
-            return "all"
-        if kind in ("smooth", "rough"):
-            inner = ",".join(str(p) for p in q.primes)
-            return f"{kind}({inner})"
-        return f"{kind}({q})"
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "PartSet":
@@ -155,29 +134,30 @@ class PartSet:
         if t == "all":
             return cls.everything()
         malformed = f"malformed part-set descriptor {text!r}"
-        for kind in ("le", "div", "mod1", "pow"):
-            if t.startswith(kind + "(") and t.endswith(")"):
-                try:
-                    k = int(t[len(kind) + 1 : -1])
-                except ValueError:
-                    raise ValueError(malformed) from None
-                return cls(kind, k)
-        for kind in ("smooth", "rough"):
-            if t.startswith(kind + "(") and t.endswith(")"):
-                return cls(kind, PrimeSet.from_text(t[len(kind) + 1 : -1]))
+        head, paren, arg = t.partition("(")
+        make = {"le": cls.up_to, "div": cls.divisors_of, "mod1": cls.mod_one, "pow": cls.powers_of,
+                "smooth": cls.smooth_over, "rough": cls.rough_over}.get(head)
+        if make is not None and paren and arg.endswith(")"):
+            if head in ("smooth", "rough"):
+                return make(PrimeSet.from_text(arg[:-1]))
+            try:
+                k = int(arg[:-1])
+            except ValueError:
+                raise ValueError(malformed) from None
+            return make(k)
         try:
-            return cls("explicit", (int(x) for x in t.split(",")))
+            return cls.of(*(int(x) for x in t.split(",")))
         except ValueError:
             raise ValueError(malformed) from None
 
     def __eq__(self, other):
-        return isinstance(other, PartSet) and self.kind == other.kind and self.param == other.param
+        return isinstance(other, PartSet) and self._text == other._text
 
     def __hash__(self):
-        return hash(("PartSet", self.kind, self.param))
+        return hash(("PartSet", self._text))
 
     def __repr__(self):
-        return self.descriptor()
+        return self._text
 
 
 class DivisorWeight:
@@ -345,13 +325,11 @@ def foulkes(n: int, r: int) -> SymFunc:
 
 def lie_primes(n: int, primes) -> SymFunc:
     """The Lie-module variant attached to a prime set (weight phi*mu on the split)."""
-    sset = primes if isinstance(primes, PrimeSet) else PrimeSet(primes)
-    return from_divisor_weight(n, DivisorWeight.prime_split(sset))
+    return from_divisor_weight(n, DivisorWeight.prime_split(primes))
 
 
 def lie_primes_bar(n: int, primes) -> SymFunc:
-    sset = primes if isinstance(primes, PrimeSet) else PrimeSet(primes)
-    return from_divisor_weight(n, DivisorWeight.prime_split_bar(sset))
+    return from_divisor_weight(n, DivisorWeight.prime_split_bar(primes))
 
 
 def part_family(n: int, parts: PartSet) -> SymFunc:
@@ -397,13 +375,11 @@ def conj_series(n: int) -> Series:
 
 
 def lie_primes_series(primes, n: int) -> Series:
-    sset = primes if isinstance(primes, PrimeSet) else PrimeSet(primes)
-    return family_series(DivisorWeight.prime_split(sset), n)
+    return family_series(DivisorWeight.prime_split(primes), n)
 
 
 def lie_primes_bar_series(primes, n: int) -> Series:
-    sset = primes if isinstance(primes, PrimeSet) else PrimeSet(primes)
-    return family_series(DivisorWeight.prime_split_bar(sset), n)
+    return family_series(DivisorWeight.prime_split_bar(primes), n)
 
 
 def part_family_series(parts: PartSet, n: int) -> Series:

@@ -25,7 +25,6 @@ __all__ = [
     "higher_module",
     "p1_series",
     "pleth",
-    "pleth_homog",
     "pleth_inverse",
     "pleth_p",
     "product_series",
@@ -217,26 +216,12 @@ def pleth_p(k: int, g):
     return out
 
 
-def pleth_homog(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Plethysm f[g] for homogeneous f and g; the result is homogeneous."""
-    if f.is_zero:
-        return ZERO
-    if f.degree == 0:
-        return f
-    if g.is_zero:
-        return ZERO
-    out = ZERO
-    for mu, c in f._num.items():
-        prod = ONE.scaled(Fraction(c, f.den))
-        for a in mu:
-            prod = prod * _stretch(g, a)
-        out = out + prod
-    return out
+def _monomials(fs) -> list[tuple[tuple[int, ...], int, int]]:
+    """The (parts, numerator, den) triples of the p-monomials of ``fs``, the empty partition left out.
 
-
-def _monomials(fs) -> list[tuple[tuple[int, ...], Fraction]]:
-    """The (parts, coefficient) pairs of the p-monomials of ``fs``, the empty partition left out."""
-    return [(part, Fraction(c, f.den)) for f in fs for part, c in f._num.items() if part]
+    The components ``fs`` have distinct degrees, so no two triples share their parts.
+    """
+    return [(part, c, f.den) for f in fs for part, c in f._num.items() if part]
 
 
 def _pleth_degrees(monos, g: Series):
@@ -258,19 +243,20 @@ def _pleth_degrees(monos, g: Series):
     no multiplicity of a degree-t product exceeds t <= N.  A component g_j
     is packed into every p_a[g] once, at the first step that finds it set,
     so a node product only adds keys, and only the degree-t sum is unpacked
-    and reduced.  The coefficient c of a monomial is the packed constant
-    c * p_() (key 0) that its end node is multiplied by.
+    and reduced.  ``monos`` holds (parts, numerator, den) triples with
+    distinct parts, and a monomial's end node is multiplied by the packed
+    constant numerator * p_() (key 0) over den.
     """
     n = g.max_degree
     comps = g.components
     low = min(comps, default=n + 1)
     w, unit = _units(n)
-    ends: dict[tuple[int, ...], Fraction] = {}
+    ends: dict[tuple[int, ...], tuple[int, int]] = {}
     keeps: dict[tuple[int, ...], int] = {}
-    for parts, c in monos:
+    for parts, c, den in monos:
         if sum(parts) * low > n:
             continue
-        ends[parts] = ends.get(parts, 0) + c
+        ends[parts] = c, den
         for i in range(2, len(parts)):
             keeps[parts[:i]] = max(keeps.get(parts[:i], 0), n - low * sum(parts[i:]))
     tops = {**keeps, **dict.fromkeys(ends, n)}
@@ -308,9 +294,9 @@ def _pleth_degrees(monos, g: Series):
                 continue
             if t <= keeps.get(key, 0):
                 nodes[key][t] = acc
-            c = ends.get(key)
-            if c:
-                total.append((acc, ({0: c.numerator}, c.denominator)))
+            end = ends.get(key)
+            if end:
+                total.append((acc, ({0: end[0]}, end[1])))
         yield t, _from_packed(t, _packed_products(total), w)
 
 
@@ -321,12 +307,15 @@ def pleth(f, g) -> Series:
     not defined here).  A Series f truncated at M is refused when
     (M + 1) * low reaches g's window, low being g's lowest degree: from that
     degree on f[g] needs components of f that are unknown.  A SymFunc inner
-    argument is wrapped as a series truncated at f.degree * g.degree.
+    argument is wrapped as a series truncated at f.degree * g.degree (at
+    least 1) for a SymFunc f, and at g.degree * M (M for g = 0) for a Series f.
     """
     if isinstance(g, SymFunc):
         if isinstance(f, SymFunc):
-            return Series.from_symfunc(pleth_homog(f, g), max((f.degree or 0) * (g.degree or 0), 1))
-        g = Series.from_symfunc(g, g.degree * f.max_degree if not g.is_zero else f.max_degree)
+            n = max((f.degree or 0) * (g.degree or 0), 1)
+        else:
+            n = g.degree * f.max_degree if not g.is_zero else f.max_degree
+        g = Series.from_symfunc(g, n)
     elif isinstance(f, Series):
         unknown = (f.max_degree + 1) * min((d for d in g.components if d), default=g.max_degree + 1)
         if unknown <= g.max_degree:
@@ -431,8 +420,9 @@ def ext_power_layers(F: Series) -> list[Series]:
 def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
     """The product prod_i h_{m_i}[q_i] (or e_{m_i}[q_i]) over the parts i of lam.
 
-    q_i is the degree-i component of Q; lam with a part above Q's window is
-    rejected since the needed component is not defined.
+    q_i is the degree-i component of Q, and each factor is the degree m_i * i
+    component of ``pleth`` (absent when q_i = 0); lam with a part above Q's
+    window is rejected since the needed component is not defined.
     """
     lam = lam if isinstance(lam, Partition) else Partition.of(lam)
     if lam.size == 0:
@@ -442,7 +432,7 @@ def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
     base = e_of if exterior else h_of
     out = ONE
     for i, m in sorted(lam.multiplicities().items()):
-        out = out * pleth_homog(base(m), Q.component(i))
+        out = out * pleth(base(m), Q.component(i)).components.get(m * i, ZERO)
         if out.is_zero:
             return ZERO
     return out

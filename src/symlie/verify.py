@@ -113,10 +113,6 @@ class BudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_frac(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 @dataclass
 class VerifyReport:
     id: str
@@ -194,7 +190,7 @@ def _diff_symfunc(a: SymFunc, b: SymFunc) -> list[dict]:
     for k in sorted(keys, key=lambda q: q.parts, reverse=True):
         ca, cb = a.coefficient(k), b.coefficient(k)
         if ca != cb:
-            out.append({"partition": list(k.parts), "lhs": _fmt_frac(ca), "rhs": _fmt_frac(cb)})
+            out.append({"partition": list(k.parts), "lhs": str(ca), "rhs": str(cb)})
     return out
 
 
@@ -1231,9 +1227,9 @@ def hook_content_check(n: int) -> dict:
         c = exp.coefficient(shape)
         if shape in exceptions:
             if c != 0:
-                failures.append({"partition": list(shape.parts), "lhs": _fmt_frac(c), "rhs": "0"})
+                failures.append({"partition": list(shape.parts), "lhs": str(c), "rhs": "0"})
         elif c < 1:
-            failures.append({"partition": list(shape.parts), "lhs": _fmt_frac(c), "rhs": ">=1"})
+            failures.append({"partition": list(shape.parts), "lhs": str(c), "rhs": ">=1"})
     return {
         "n": n,
         "status": "pass" if not failures else "fail",

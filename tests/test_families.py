@@ -67,7 +67,14 @@ class TestPartSet:
     def test_parse_roundtrip(self):
         for text in ("1,5", "le(5)", "div(12)", "mod1(4)", "pow(3)", "all", "smooth(2,3)", "rough(2)"):
             T = PartSet.parse(text)
+            assert T.descriptor() == repr(T) == text
             assert PartSet.parse(T.descriptor()) == T
+        # the constructors write the canonical text, and equal texts are equal sets
+        assert PartSet.of(5, 1, 5).descriptor() == "1,5"
+        assert PartSet.smooth_over((3, 2)).descriptor() == "smooth(2,3)"
+        assert PartSet.parse(" le( 5)") == PartSet.up_to(5)
+        assert hash(PartSet.parse("rough(2)")) == hash(PartSet.rough_over([2]))
+        assert PartSet.up_to(3) != PartSet.of(1, 2, 3)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -76,6 +83,10 @@ class TestPartSet:
             PartSet.parse("")
         with pytest.raises(ValueError):
             PartSet.parse("banana")
+        with pytest.raises(ValueError, match="le parameter must be >= 1"):
+            PartSet.parse("le(0)")
+        with pytest.raises(ValueError, match="explicit part set must be nonempty positive integers"):
+            PartSet.of(0, 2)
 
     def test_parse_names_the_malformed_descriptor(self):
         for text in ("le(x)", "div(x)", "mod1(x)", "pow(x)", "le()", "pow(2.5)", "1,x"):

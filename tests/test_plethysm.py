@@ -35,7 +35,6 @@ from symlie import (
     part_family_series,
     partitions_of,
     pleth,
-    pleth_homog,
     pleth_inverse,
     pleth_p,
     product_series,
@@ -177,7 +176,7 @@ class TestPleth:
 
     def test_e2_of_p2(self):
         out = pleth(e_of(2), p_of((2,)))
-        assert out.component(4) == pleth_homog(e_of(2), p_of((2,)))
+        assert out.component(4) == series_pleth(e_of(2), Series(4, {2: p_of((2,))})).component(4)
         assert out.component(4) == LIE2_STRETCHED
 
     def test_inner_constant_rejected(self):
@@ -204,7 +203,7 @@ class TestPleth:
         # an inner series starting at degree 2 reads F only up to degree 3 below degree 8
         G = Series(6, {2: p_of((2,))})
         assert pleth(F, G) == series_pleth(F, G)
-        assert pleth(F, G).component(4) == pleth_homog(h_of(2), p_of((2,)))
+        assert pleth(F, G).component(4) == H2_STRETCHED
         with pytest.raises(ValueError, match="truncated at 3 leaves degree 8 of the window 8 unknown"):
             pleth(F, Series(8, {2: p_of((2,))}))
 
@@ -232,7 +231,22 @@ class TestPleth:
             g = random_symfunc(rng, gdeg)
             for fdeg in (2, 3):
                 f = random_symfunc(rng, fdeg)
-                assert pleth_homog(f, g).omega() == pleth_homog(f.omega(), g.omega())
+                assert pleth(f, g).omega_each() == pleth(f.omega(), g.omega())
+
+    def test_symfunc_arguments(self):
+        # a SymFunc inner argument is wrapped at f.degree * g.degree, at least 1, for a SymFunc f
+        # and at g.degree * M for a Series f truncated at M
+        three, p2 = ONE.scaled(3), p_of((2,))
+        assert pleth(ZERO, p2) == pleth(h_of(2), ZERO) == Series.zero(1)
+        assert pleth(three, p2) == pleth(three, ZERO) == Series(1, constant=3)
+        out = pleth(h_of(2), p2)
+        assert out.max_degree == 4 and set(out.components) == {4}
+        assert out.component(4).to_text() == "1/2*p[4] + 1/2*p[2,2]"
+        out = pleth(e_of(2), p_of((2, 1)))
+        assert out.max_degree == 6 and set(out.components) == {6}
+        assert out.component(6).to_text() == "-1/2*p[4,2] + 1/2*p[2,2,1,1]"
+        assert pleth(h_series(4), ZERO) == Series.one(4)
+        assert pleth(h_series(4), p2) == Series(8, {2 * d: pleth_p(2, h_of(d)) for d in range(5)})
 
 
 class TestPackedWidth:
@@ -331,6 +345,9 @@ class TestPowerOperators:
         for lam in partitions_of(3):
             acc = acc + higher_module(L, lam)
         assert acc == p_of((1, 1, 1))
+        # a part i with q_i = 0 makes the whole product zero
+        assert higher_module(Series(4, {1: p_of((1,))}), P(2, 1)).is_zero
+        assert higher_module(Series(4, {1: p_of((1,))}), P(1, 1), exterior=True) == e_of(2)
 
     def test_higher_module_truncation_guard(self):
         with pytest.raises(ValueError):
