@@ -16,12 +16,13 @@ product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
 (BENCH_6.json), the slices of the sparse scans ``mod1k-product k=3`` (the
 parts m = 1 mod 3) and ``symLSbar-sum S=2`` (the odd parts) by the DP
-(BENCH_16.json), and ``lie(32)`` by ``to_schur`` (BENCH_17.json).
-``to_schur`` is Horner's rule on the forward ribbon walk since
-BENCH_17.json; a tree before it sums characters over every partition of n,
-filling ``_char``.  ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
+(BENCH_16.json), and ``lie(32)`` by ``to_schur`` (BENCH_17.json,
+BENCH_20.json).  ``to_schur`` is Horner's rule on the forward ribbon walk
+since BENCH_17.json; a tree before it sums characters over every partition
+of n, filling ``_char``.  Since BENCH_20.json the walk keys every shape by
+its beta-set integer.  ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
 for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
-(BENCH_14.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
+(BENCH_14.json and BENCH_20.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
 ``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
@@ -30,16 +31,19 @@ point runs on every tree before the next point starts: each of its REPEATS
 untraced rounds, and then its traced round, runs once on each tree, and the
 tree that goes first rotates from one point to the next, so host drift
 does not land on one tree alone.  Each entry records the wall times of the
-cold untraced calls (``wall_runs_s``) and their median (``wall_s``), the sizes
-of the ``_char`` and ``_power_schur`` memos (``power_entries`` is null in
-a tree without that memo) and the number of interned partitions the last
-call leaves, and the peak memory tracemalloc traces in one more cold call
-(BENCH_18.json and earlier time each point once, one tree after the
-other).  A call that runs past TIMEOUT_S seconds is stopped, and its point
-records ``"timeout": "untraced"`` with the wall times before it or, when
-only the traced call ran too long, the untraced figures and
-``"timeout": "traced"`` (BENCH_17.json and earlier record either case as
-status ``timeout`` alone).
+cold untraced calls (``wall_runs_s``) and their median (``wall_s``), the
+median over those calls of the interpreter's peak resident set size
+(``peak_rss_mb``, ``ru_maxrss``, imports included; BENCH_19.json and
+earlier do not record it), the sizes of the ``_char`` and ``_power_schur``
+memos (``power_entries`` is null in a tree without that memo) and the
+number of interned partitions the last call leaves, and the peak memory
+tracemalloc traces in one more cold call (BENCH_18.json and earlier time
+each point once, one tree after the other).  A call that runs past
+TIMEOUT_S seconds is stopped, and its point records ``"timeout":
+"untraced"`` with the wall times before it or, when only the traced call
+ran too long, the untraced figures and ``"timeout": "traced"``
+(BENCH_17.json and earlier record either case as status ``timeout``
+alone).
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -141,7 +146,8 @@ def one(table: str, point: dict, traced: bool) -> dict:
         "power_entries": symfunc._power_schur.cache_info().currsize if hasattr(symfunc, "_power_schur") else None,
         "interned": len(_interned),
     }
-    return {"wall_s": round(wall, 3), **answer, **memos}
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1), **answer, **memos}
 
 
 def main() -> None:
@@ -164,6 +170,7 @@ def main() -> None:
         order = labels[k:] + labels[:k]
         found = {label: {"tree": label, **point} for label in order}
         walls = {label: [] for label in order}
+        rss = {label: [] for label in order}
         for traced in ("0",) * REPEATS + ("1",):
             for label in order:
                 if "timeout" in found[label]:
@@ -177,10 +184,13 @@ def main() -> None:
                 result = json.loads(run.stdout)
                 if traced == "0":
                     walls[label].append(result.pop("wall_s"))
+                    rss[label].append(result.pop("peak_rss_mb"))
                 found[label].update(result)
         for label in order:
             if walls[label]:
-                found[label].update(wall_s=statistics.median(walls[label]), wall_runs_s=walls[label])
+                found[label].update(
+                    wall_s=statistics.median(walls[label]), wall_runs_s=walls[label], peak_rss_mb=statistics.median(rss[label])
+                )
             entries.append(found[label])
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
     workload = f"{workload}, {REPEATS} untraced runs and one traced run per point, each in a cold interpreter, trees alternating"

@@ -498,7 +498,8 @@ def product_slice(factors, d: int) -> SymFunc:
 def product_slice_schur(factors, d: int) -> SchurExpansion:
     """The Schur expansion of ``product_slice(factors, d)``, by a rim-hook dynamic program.
 
-    One integer map per degree 0..d starts from the constant 1, and the
+    One map per degree k = 0..d, from the beta keys of the shapes of k
+    (``symfunc._beta_key``) to integers, starts from the constant 1, and the
     factors are applied one at a time, smallest m first, in the Schur basis
     through p_m * s_mu = sum (-1)^{height} s_lam over the m-border strips
     lam/mu (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m
@@ -508,7 +509,8 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     degree-k map in place, pushing each shape mu forward to the lam its
     strips reach (``symfunc._add_ribbons``).  The first factor needs no
     walk: its powers w^j p_m^j are the ribbon chains ``_power_schur(m, j)``.
-    No character is evaluated and no partition is enumerated or interned.
+    No character is evaluated, no partition is enumerated or interned, and
+    no key is decoded until the result is read at its edge.
     ``to_schur(product_slice(...))`` runs the same forward walk but groups
     the slice's monomials by their smallest part, and is several times
     slower on a dense slice.  The tests check the DP against characters,
@@ -526,7 +528,7 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
                 gap.add(t + m)
         gaps.append(gap)
     gaps.reverse()
-    levels: list[dict[tuple[int, ...], int]] = [{(): 1}] + [{} for _ in range(d)]
+    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(d)]
     for i, m in enumerate(order):
         w, need = weights[m], (gaps[i + 1] if m in once else gaps[i])
         if not i:

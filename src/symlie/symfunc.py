@@ -2,24 +2,28 @@
 
 A SymFunc is homogeneous: a degree n together with a map from partitions of
 n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
-numerators over one denominator, keyed by parts tuples.  The zero function
-carries no degree and absorbs additions.  Sums and products run on the
-integers (``_sum_scaled``, ``_packed_products``).  The one product loop
-keys shapes by multiplicity vectors packed into one integer: a product of
-two SymFuncs packs both factors into it and unpacks the result, and the
-plethysm kernel keeps its factors and node products packed and unpacks only
-the sums it yields.  The Murnaghan-Nakayama rule runs on beta-sets in two
-directions.  Backwards, ``_border_strips`` removes the m-border strips of a
-shape, and characters recurse over it (memoized across all calls in
-``_char``) for ``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds
-the strips, adding p_m times a whole Schur expansion into a map in place
-(Pieri for m = 1).  Chained in the memo ``_power_schur`` it gives p_d^k in
-the Schur basis.  ``to_schur`` expands any SymFunc over the forward walk by
-Horner's rule on the smallest part (``_expand``), and the walk drives the
-Schur-basis product DP in plethysm; neither evaluates a character.  The
-tests check each walk against the other, the backward one against strips
-enumerated from cell sets, p_d^k against a d-quotient formula, and
-``to_schur`` against characters.
+numerators over one denominator, keyed by parts tuples.  A SchurExpansion
+stores its shapes by beta key instead: the shape lam of degree n is the
+integer sum 2^(lam_i + n - i) over its n rows padded with zeros, and each
+class decodes its keys only at the API edge.  The zero function carries no
+degree and absorbs additions.  Sums and products run on the integers
+(``_sum_scaled``, ``_packed_products``).  The one product loop keys shapes
+by multiplicity vectors packed into one integer: a product of two SymFuncs
+packs both factors into it and unpacks the result, and the plethysm kernel
+keeps its factors and node products packed and unpacks only the sums it
+yields.  The Murnaghan-Nakayama rule runs on beta-sets in two directions.
+Backwards, ``_border_strips`` removes the m-border strips of a parts tuple,
+and characters recurse over it (memoized across all calls in ``_char``) for
+``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds the strips on
+beta keys, moving beads by bit operations, and adds p_m times a whole Schur
+expansion into a map in place (Pieri for m = 1).  Chained in the memo
+``_power_schur`` it gives p_d^k in the Schur basis.  ``to_schur`` expands
+any SymFunc over the forward walk by Horner's rule on the smallest part
+(``_expand``), and the walk drives the Schur-basis product DP in plethysm;
+neither evaluates a character or decodes a shape.  The tests check each
+walk against the other, the backward one against strips enumerated from
+cell sets, p_d^k against a d-quotient formula, and ``to_schur`` against
+characters.
 """
 
 from __future__ import annotations
@@ -61,20 +65,23 @@ class _TermMap:
     The coefficients are stored as integer numerators over one denominator
     ``den > 0`` with gcd(den, *numerators) == 1, so equal maps store equal
     (numerators, den) and a result is reduced by one gcd, not one per term.
-    The stored map ``_num`` is keyed by parts tuples, the one shape key
-    inside the package.  ``Partition`` and ``Fraction`` appear only at the
-    edge: the constructor validates every key through ``Partition.of``, and
-    ``num``, ``terms``, ``support``, ``negatives`` and the text and JSON
-    forms hand out fresh read-only maps and tuples keyed by interned
-    partitions, so a memoized value cannot be changed through them.
-    ``symbol`` names the basis element in text and ``basis`` names the
-    basis in JSON; the empty partition prints as its bare coefficient.
+    Each class keys the stored map ``_num`` by one shape key, and its codec
+    converts at the edge: ``_encode(parts, degree)`` gives the key of a
+    parts tuple and ``_decode(key)`` its parts.  A SymFunc keys by parts
+    tuples, a SchurExpansion by beta-set integers.  Keys of one degree sort
+    in the order of their partitions.  ``Partition`` and ``Fraction`` appear
+    only at the edge: the constructor validates every key through
+    ``Partition.of``, and ``num``, ``terms``, ``support``, ``negatives`` and
+    the text and JSON forms hand out fresh read-only maps and tuples keyed
+    by interned partitions, so a memoized value cannot be changed through
+    them.  ``symbol`` names the basis element in text and ``basis`` names
+    the basis in JSON; the empty partition prints as its bare coefficient.
     """
 
     __slots__ = ("degree", "_num", "den")
 
     def __init__(self, degree, terms=None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict = {}
         for key, c in dict(terms or {}).items():
             part = key if isinstance(key, Partition) else Partition.of(key)
             c = Fraction(c)
@@ -82,15 +89,15 @@ class _TermMap:
                 continue
             if part.size != degree:
                 raise ValueError(f"term {part} has size {part.size}, expected degree {degree}")
-            clean[part.parts] = c
+            clean[self._encode(part.parts, degree)] = c
         den = lcm(*(c.denominator for c in clean.values()))
-        self._num = {part: c.numerator * (den // c.denominator) for part, c in clean.items()}
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
         self.den = den
         self.degree = degree if clean else None
 
     @classmethod
-    def _make(cls, degree, num: dict[tuple[int, ...], int], den: int = 1):
-        # internal fast path: parts-tuple keys of size degree, no zero numerator, den > 0
+    def _make(cls, degree, num: dict, den: int = 1):
+        # internal fast path: the class's keys of shapes of size degree, no zero numerator, den > 0
         if den != 1 and num:
             g = gcd(den, *num.values())
             if g != 1:
@@ -102,26 +109,36 @@ class _TermMap:
         obj.degree = degree if num else None
         return obj
 
+    def _partition(self, key) -> Partition:
+        return Partition.of(self._decode(key))
+
     @property
     def num(self) -> Mapping[Partition, int]:
         """The integer numerators as a fresh, read-only partition -> int map."""
-        return MappingProxyType({Partition.of(k): v for k, v in self._num.items()})
+        return MappingProxyType({self._partition(k): v for k, v in self._num.items()})
 
     @property
     def terms(self) -> Mapping[Partition, Fraction]:
         """The coefficients as a fresh, read-only partition -> Fraction map."""
-        return MappingProxyType({Partition.of(k): Fraction(v, self.den) for k, v in self._num.items()})
+        return MappingProxyType({self._partition(k): Fraction(v, self.den) for k, v in self._num.items()})
 
     @property
     def is_zero(self) -> bool:
         return not self._num
 
     def coefficient(self, part) -> Fraction:
-        key = part.parts if isinstance(part, Partition) else tuple(part)
-        return Fraction(self._num.get(key, 0), self.den)
+        """The coefficient of ``part``, a Partition or a sequence of parts; 0 for a sequence that is no partition of the degree."""
+        if not isinstance(part, Partition):
+            try:
+                part = Partition(part)
+            except ValueError:
+                return Fraction(0)
+        if part.size != self.degree:
+            return Fraction(0)
+        return Fraction(self._num.get(self._encode(part.parts, part.size), 0), self.den)
 
     def support(self) -> tuple[Partition, ...]:
-        return tuple(map(Partition.of, sorted(self._num, reverse=True)))
+        return tuple(map(self._partition, sorted(self._num, reverse=True)))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.den == other.den and self._num == other._num
@@ -133,8 +150,8 @@ class _TermMap:
         if self.is_zero:
             return "0"
         pieces = []
-        for part in self.support():
-            c = Fraction(self._num[part.parts], self.den)
+        for key in sorted(self._num, reverse=True):
+            part, c = self._partition(key), Fraction(self._num[key], self.den)
             if not part.parts:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -159,6 +176,14 @@ class SymFunc(_TermMap):
 
     __slots__ = ()
     symbol = basis = "p"
+
+    @staticmethod
+    def _encode(parts: tuple[int, ...], degree: int) -> tuple[int, ...]:
+        return parts
+
+    @staticmethod
+    def _decode(key: tuple[int, ...]) -> tuple[int, ...]:
+        return key
 
     @classmethod
     def zero(cls) -> "SymFunc":
@@ -365,67 +390,96 @@ def _border_strips(lam: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...],
     return tuple(out)
 
 
-def _add_ribbons(E: Mapping[tuple[int, ...], int], m: int, w: int = 1, out: dict | None = None) -> dict[tuple[int, ...], int]:
-    """Add w * p_m * sum_mu E[mu] s_mu into the shape -> integer map ``out`` and return it.
+def _beta_key(parts: tuple[int, ...], n: int) -> int:
+    """The beta key of the shape ``parts`` of degree n: sum 2^(parts_i + n - i) over i = 1..n.
+
+    The shape is padded with zero parts to n rows, so the key holds n beads,
+    and the empty shape of degree 0 has key 0.  Keys of one degree compare
+    as their shapes do in lexicographic order.
+    """
+    key = (1 << (n - len(parts))) - 1
+    for i, a in enumerate(parts, 1):
+        key |= 1 << (a + n - i)
+    return key
+
+
+def _beta_parts(key: int) -> tuple[int, ...]:
+    """The parts of the shape with beta key ``key``: each bead's part is the number of free positions below it.
+
+    The beads of the empty rows sit below every free position and are
+    dropped, so the degree is not needed.
+    """
+    parts, free = [], 0
+    while True:
+        beads = (key ^ (key + 1)).bit_length() - 1  # the run of beads at the bottom
+        key >>= beads
+        if free:
+            parts += [free] * beads
+        if not key:
+            return tuple(reversed(parts))
+        gap = (key & -key).bit_length() - 1  # the run of free positions above it
+        key >>= gap
+        free += gap
+
+
+def _add_ribbons(E: Mapping[int, int], m: int, w: int = 1, out: dict | None = None) -> dict[int, int]:
+    """Add w * p_m * sum_mu E[mu] s_mu into the beta key -> integer map ``out`` and return it.
 
     The forward Murnaghan-Nakayama walk, the reverse of ``_border_strips``:
     p_m * s_mu = sum (-1)^{height} s_lam over the lam with lam/mu an m-border
-    strip (Macdonald I.3, ex. 11).  On the beta-set of mu padded with m
-    empty rows, a strip moves the bead of row i from b to the free position
-    b + m; it spans rows j+1..i, where j is the last row whose bead lies
-    above b + m, and its height is i - j - 1.  With m = 1 the strips are the
-    addable corners (Pieri).  Zero entries of E are skipped.  Without
-    ``out`` the sum goes into a new map, returned with its zeros dropped;
-    a given ``out`` keeps the zeros that cancellation leaves.
+    strip (Macdonald I.3, ex. 11).  The degree grows by m, so the key K of
+    mu gains m empty rows, K' = (K << m) | (2^m - 1).  A strip moves a bead
+    from b to the free position b + m, so the movable beads are the bits of
+    K' & ~(K' >> m), each gives lam = K' ^ 2^b ^ 2^(b+m), and the height is
+    the number of beads strictly between b and b + m.  With m = 1 the strips
+    are the addable corners (Pieri) and every height is 0.  Zero entries of
+    E are skipped.  Without ``out`` the sum goes into a new map, returned
+    with its zeros dropped; a given ``out`` keeps the zeros that
+    cancellation leaves.
     """
     if out is None:
         return {lam: c for lam, c in _add_ribbons(E, m, w, {}).items() if c}
     get = out.get
+    hop = (1 << m) | 1  # low * hop flips the bead at low and the free position m above it
     if m == 1:
-        for mu, c in E.items():
+        for K, c in E.items():
             if not c:
                 continue
             c *= w
-            above = None
-            for i, a in enumerate(mu):
-                if a != above:
-                    lam = mu[:i] + (a + 1,) + mu[i + 1 :]
-                    out[lam] = get(lam, 0) + c
-                above = a
-            lam = mu + (1,)
-            out[lam] = get(lam, 0) + c
+            K = K << 1 | 1
+            free = K & ~(K >> 1)
+            while free:
+                low = free & -free
+                free ^= low
+                lam = K ^ low * hop
+                out[lam] = get(lam, 0) + c
     else:
-        pad = (0,) * m
-        for mu, c in E.items():
+        fill = (1 << m) - 1
+        span = fill ^ 1  # low * span: the m - 1 positions strictly between low and low << m
+        for K, c in E.items():
             if not c:
                 continue
             c *= w
-            rows = mu + pad
-            longer = tuple([a + 1 for a in rows])
-            j = -1
-            for i in range(len(rows)):
-                # the bead of row i sits at content rows[i] - i and moves to t; as t
-                # falls with i, the last row j whose bead lies at t or above only rises
-                t = rows[i] - i + m
-                while rows[j + 1] - j - 1 >= t:
-                    j += 1
-                if j >= 0 and rows[j] - j == t:
-                    continue
-                # row j+1 takes the moved bead; rows j+1..i-1 move down one row, one box longer
-                lam = mu[: j + 1] + (rows[i] + m - (i - j - 1),) + longer[j + 1 : i] + mu[i + 1 :]
-                out[lam] = get(lam, 0) + (-c if (i - j - 1) % 2 else c)
+            K = K << m | fill
+            free = K & ~(K >> m)
+            while free:
+                low = free & -free
+                free ^= low
+                lam = K ^ low * hop
+                out[lam] = get(lam, 0) + (-c if (K & low * span).bit_count() & 1 else c)
     return out
 
 
 @lru_cache(maxsize=None)
-def _power_schur(d: int, k: int) -> Mapping[tuple[int, ...], int]:
-    """p_d^k in the Schur basis, read-only: the nonzero chi^lam((d^k)) by shape lam.
+def _power_schur(d: int, k: int) -> Mapping[int, int]:
+    """p_d^k in the Schur basis, read-only: the nonzero chi^lam((d^k)) by the beta key of lam.
 
     Built as p_d times p_d^{k-1}, so the memo holds the whole chain
-    k = 0, 1, ... for each d, and no character is evaluated.
+    k = 0, 1, ... for each d, one integer key per shape, and no character
+    is evaluated.
     """
     if k == 0:
-        return MappingProxyType({(): 1})
+        return MappingProxyType({0: 1})
     return MappingProxyType(_add_ribbons(_power_schur(d, k - 1), d))
 
 
@@ -455,21 +509,24 @@ def character(lam, mu) -> int:
 
 
 class SchurExpansion(_TermMap):
-    """A homogeneous symmetric function expressed in the Schur basis."""
+    """A homogeneous symmetric function expressed in the Schur basis, keyed by the beta keys of its shapes."""
 
     __slots__ = ()
     symbol = "s"
     basis = "schur"
+    _encode = staticmethod(_beta_key)
+    _decode = staticmethod(_beta_parts)
 
     def negatives(self) -> dict[Partition, Fraction]:
-        return {Partition.of(k): Fraction(c, self.den) for k, c in self._num.items() if c < 0}
+        return {self._partition(k): Fraction(c, self.den) for k, c in self._num.items() if c < 0}
 
 
-def _schur_of(n: int, num: Mapping[tuple[int, ...], int], den: int = 1) -> SchurExpansion:
-    """The Schur expansion of degree n with numerators ``num`` (by shape tuple) over ``den``.
+def _schur_of(n: int, num: Mapping[int, int], den: int = 1) -> SchurExpansion:
+    """The Schur expansion of degree n with numerators ``num`` (by beta key) over ``den``.
 
-    The shapes are sorted in descending order, the order of ``partitions_of(n)``,
-    and none is interned; zero numerators are dropped.
+    The keys are sorted in descending order, which is the order of their
+    shapes in ``partitions_of(n)``; no shape is decoded or interned, and
+    zero numerators are dropped.
     """
     return SchurExpansion._make(n, {lam: c for lam in sorted(num, reverse=True) if (c := num[lam])}, den)
 
@@ -481,17 +538,19 @@ def s_of(lam) -> SymFunc:
     return SymFunc(lam.size, terms)
 
 
-def _expand(num: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """sum_mu num[mu] p_mu in the Schur basis, as a shape -> integer map that may keep zeros.
+def _expand(num: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+    """sum_mu num[mu] p_mu (by parts tuple) in the Schur basis, as a beta key -> integer map that may keep zeros.
 
     Horner's rule on the smallest part.  A monomial p_a^j with one part
     value is the ribbon chain ``_power_schur(a, j)``, and the constant is
     the chain's first link, j = 0.  Every other p_mu is
     p_a times p_mu' with a its smallest part, so the monomials are grouped
     by a, each group's sum over mu' is expanded in turn, and that expansion
-    is pushed through one ``_add_ribbons`` call for a.
+    is pushed through one ``_add_ribbons`` call for a.  Every key of a
+    group's expansion has the degree of the group's mu', and the walk pads
+    it by a, so all keys of the result are of the degree of num.
     """
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     get = out.get
     groups: dict[int, dict[tuple[int, ...], int]] = {}
     for mu, c in num.items():
@@ -508,8 +567,9 @@ def _expand(num: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
 def to_schur(f: SymFunc) -> SchurExpansion:
     """Expand f in the Schur basis by the forward ribbon walk (``_expand``); no character is evaluated.
 
-    The walk runs on f's integer numerators; the common denominator is
-    divided out once per expansion.
+    The walk runs on f's integer numerators and keys every shape by its beta
+    key; the common denominator is divided out once per expansion, and no
+    shape is decoded until the result is read at its edge.
     """
     return _schur_of(f.degree, _expand(f._num), f.den)
 

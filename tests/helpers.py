@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths where an
 independent route exists: brute-force partition enumeration, border strips
 found on cell sets, hook-length dimensions, characters on rectangular cycle
-types from d-quotients, naive arithmetic functions, and p-basis arithmetic
-on plain partition -> Fraction maps.
+types from d-quotients, naive arithmetic functions, p-basis arithmetic
+on plain partition -> Fraction maps, and a beta-key codec written from the
+definition for reading the package's ribbon walk.
 """
 
 from __future__ import annotations
@@ -119,6 +120,29 @@ def quotient_power_schur(d: int, k: int) -> dict[tuple[int, ...], int]:
             for part in quotient:
                 value *= hook_length_dimension(part)
             out[tuple(a for a in lam if a)] = -value if parity(beads) != parity(empty) else value
+    return out
+
+
+def beta_key(parts, n: int) -> int:
+    """The beta key of a shape of degree n, by definition: sum 2^(parts_i + n - i) over parts padded with zeros to n rows."""
+    rows = list(parts) + [0] * (n - len(parts))
+    return sum(2 ** (a + n - i) for i, a in enumerate(rows, 1))
+
+
+def beta_parts(key: int) -> tuple[int, ...]:
+    """The shape of a beta key from its sorted bead list: with n beads b_1 > ... > b_n, part i is b_i - (n - i)."""
+    beads = sorted((b for b in range(key.bit_length()) if key >> b & 1), reverse=True)
+    n = len(beads)
+    return tuple(b - (n - i) for i, b in enumerate(beads, 1) if b > n - i)
+
+
+def from_beta(E: dict[int, int], n: int) -> dict[tuple[int, ...], int]:
+    """A beta key -> value map as a parts -> value map, checking that every key is the degree-n key of its shape."""
+    out = {}
+    for key, v in E.items():
+        parts = beta_parts(key)
+        assert sum(parts) == n and beta_key(parts, n) == key, (key, n)
+        out[parts] = v
     return out
 
 

@@ -45,7 +45,7 @@ from symlie import (
     sym_powers_signed,
 )
 
-from symlie import SymFunc
+from symlie import SymFunc, lifting_check, to_schur
 from symlie.plethysm import series_exp
 from symlie.partitions import _interned
 from symlie.symfunc import ONE, ZERO, _char
@@ -432,9 +432,18 @@ class TestProductSlice:
 
     def test_schur_engine_evaluates_no_character_and_interns_nothing(self):
         factors = [(m, -1, -1) for m in range(1, 15)]  # fT-product T=all at n = 14
+        slice_14, lie_14 = product_slice(factors, 14), lie(14)
         before = (_char.cache_info(), len(_interned))
         assert product_slice_schur(factors, 14).den == 1
+        assert to_schur(slice_14) == product_slice_schur(factors, 14)
+        assert not to_schur(lie_14).is_zero
         assert (_char.cache_info(), len(_interned)) == before
+        # a lifting check decodes and interns only its negative witnesses
+        before = (_char.cache_info(), set(_interned))
+        report = lifting_check(3, 14)
+        witnesses = {lam.parts for v in report.verdicts for lam in v.witnesses}
+        assert report.negatives() == [3, 6, 9, 10] and len(witnesses) == 7
+        assert _char.cache_info() == before[0] and set(_interned) - before[1] <= witnesses
 
     def test_malformed_and_duplicate_factors_rejected(self):
         for bad in ([(0, -1, -1)], [(2, 0, 1)], [(2, 1, 2)], [(2, -1, -1), (2, 1, 1)], [(3, 1, 1), (1, 1, 1), (3, -1, -1)]):

@@ -24,10 +24,12 @@ from symlie import (
 )
 from symlie.partitions import Partition
 from symlie.families import lie
-from symlie.symfunc import ZERO, _add_ribbons, _border_strips, _char, _from_packed, _pack, _packed_products, _power_schur, _sum_scaled, _units
+from symlie.symfunc import ZERO, _add_ribbons, _beta_key, _beta_parts, _border_strips, _char, _from_packed, _pack, _packed_products, _power_schur, _sum_scaled, _units
 
 from helpers import (
     P,
+    beta_key,
+    beta_parts,
     brute_border_strips,
     brute_partitions,
     character_table,
@@ -36,6 +38,7 @@ from helpers import (
     fraction_schur,
     fraction_sum,
     fraction_terms,
+    from_beta,
     hook_length_dimension,
     quotient_power_schur,
     random_sparse_symfunc,
@@ -305,13 +308,13 @@ class TestSchur:
                     for mu, sign in _border_strips(lam.parts, m):
                         added[mu][lam.parts] = sign
                 for mu in partitions_of(d):
-                    assert _add_ribbons({mu.parts: 1}, m) == added[mu.parts], (m, mu)
+                    assert from_beta(_add_ribbons({beta_key(mu.parts, d): 1}, m), d + m) == added[mu.parts], (m, mu)
 
     def test_forward_walk_is_linear_and_drops_zeros(self):
         rng = random.Random(14)
         for m in (1, 2, 3, 5):
             for d in (4, 7, 9):
-                shapes = [mu.parts for mu in partitions_of(d)]
+                shapes = [beta_key(mu.parts, d) for mu in partitions_of(d)]
                 E = {mu: rng.randint(-3, 3) for mu in rng.sample(shapes, 4)}
                 want: dict = {}
                 for mu, c in E.items():
@@ -319,13 +322,33 @@ class TestSchur:
                         want[lam] = want.get(lam, 0) + c * v
                 assert _add_ribbons(E, m) == {k: v for k, v in want.items() if v}, (m, d, E)
         # p_1 (s_2 - s_11) = s_3 - s_111: the two s_21 cancel
-        assert _add_ribbons({(2,): 1, (1, 1): -1}, 1) == {(3,): 1, (1, 1, 1): -1}
+        assert from_beta(_add_ribbons({beta_key((2,), 2): 1, beta_key((1, 1), 2): -1}, 1), 3) == {(3,): 1, (1, 1, 1): -1}
+
+    def test_ribbons_onto_the_empty_shape_and_a_column(self):
+        # the walk pads a shape with m empty rows; from the empty shape (key 0)
+        # p_m = sum_r (-1)^r s_(m-r, 1^r), the m hooks with sign (-1)^leg
+        for m in range(1, 13):
+            assert from_beta(_add_ribbons({0: 1}, m), m) == {(m - r,) + (1,) * r: (-1) ** r for r in range(m)}, m
+            # onto a column (1^k), whose strips reach into every padded row when lam = (1^(k+m))
+            for k in range(1, 5):
+                col = (1,) * k
+                want = {lam: sign for lam in brute_partitions(k + m) for _, sign in brute_border_strips(lam, [col])}
+                assert from_beta(_add_ribbons({beta_key(col, k): 1}, m), k + m) == want, (m, k)
+
+    def test_beta_keys_sort_as_partitions(self):
+        for n in range(17):
+            shapes = [lam.parts for lam in partitions_of(n)]
+            keys = [_beta_key(lam, n) for lam in shapes]
+            assert keys == [beta_key(lam, n) for lam in shapes]
+            assert all(key.bit_count() == n for key in keys)
+            descending = sorted(keys, reverse=True)
+            assert [_beta_parts(key) for key in descending] == shapes == [beta_parts(key) for key in descending], n
 
     def test_power_chains_are_characters(self):
         # p_d^k = sum_lam chi^lam((d^k)) s_lam
         for n in range(1, 17):
             for d in (d for d in range(1, n + 1) if n % d == 0):
-                chain = _power_schur(d, n // d)
+                chain = from_beta(_power_schur(d, n // d), n)
                 for lam in partitions_of(n):
                     assert chain.get(lam.parts, 0) == _char(lam.parts, (d,) * (n // d)), (n, d, lam)
                 assert 0 not in chain.values()
@@ -340,7 +363,7 @@ class TestSchur:
         # a third route, independent of the strip walk, past the degrees characters reach cheaply
         for n in range(24, 33):
             for d in (d for d in range(2, n + 1) if n % d == 0):
-                assert _power_schur(d, n // d) == quotient_power_schur(d, n // d), (n, d)
+                assert from_beta(_power_schur(d, n // d), n) == quotient_power_schur(d, n // d), (n, d)
 
     def test_positivity(self):
         ok, neg = is_schur_positive(h_of(5))
@@ -348,6 +371,25 @@ class TestSchur:
         ok, neg = is_schur_positive(h_of(3) - 2 * e_of(3))
         assert not ok
         assert neg == {P(1, 1, 1): -2}
+
+    def test_schur_expansion_edge(self):
+        # the stored keys are internal; every view and the constructor speak Partitions
+        E = to_schur(p_of((4, 2)) + e_of(6))
+        assert E.negatives() and len(E.support()) > len(E.negatives())
+        for terms in (dict(E.terms), {lam.parts: c for lam, c in E.terms.items()}):
+            built = SchurExpansion(6, terms)
+            assert built == E and hash(built) == hash(E)
+        views = [*E.terms, *E.num, *E.support(), *E.negatives()]
+        assert all(type(lam) is Partition and lam is Partition.of(lam.parts) for lam in views)
+        assert list(E.support()) == sorted(E.terms, key=lambda lam: lam.parts, reverse=True)
+        assert all(E.terms[lam] == Fraction(E.num[lam], E.den) == E.coefficient(lam) for lam in E.support())
+        assert E.negatives() == {lam: c for lam, c in E.terms.items() if c < 0}
+        absent = [lam for lam in partitions_of(6) if lam not in E.terms]
+        assert absent and all(E.coefficient(lam) == 0 for lam in absent)
+        # other sizes and sequences that are no partition read 0
+        for seq in ((5,), (4, 2, 1), (2, 4), (6, 0), (3, 3, 0), (7, -1)):
+            assert E.coefficient(seq) == 0, seq
+        assert SchurExpansion(6).coefficient((6,)) == 0
 
 
 class TestSYT:
