@@ -20,7 +20,12 @@ parts m = 1 mod 3) and ``symLSbar-sum S=2`` (the odd parts) by the DP
 BENCH_20.json).  ``to_schur`` is Horner's rule on the forward ribbon walk
 since BENCH_17.json; a tree before it sums characters over every partition
 of n, filling ``_char``.  Since BENCH_20.json the walk keys every shape by
-its beta-set integer.  ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
+its beta-set integer.  The DP is imported from the package, which has it
+from ``symfunc`` since BENCH_21.json and from ``plethysm`` before.
+``--table scans`` runs ``scan_positivity`` over n = 1..20 with S = {2, 3}
+for ``symLS-even-sum``, which averages the DP's expansion with its omega
+image, and for ``symLS-sum``, the same slices without it, and records the
+negatives (BENCH_21.json).  ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
 for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
 (BENCH_14.json and BENCH_20.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
 ``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
@@ -89,6 +94,10 @@ TABLES = {
         + [{"route": "to_schur", "scan": "fT-product T=all", "n": n} for n in (16, 18, 20, 22, 24, 28, 32)]
         + [{"route": "to_schur", "scan": "lie", "n": 32}],
     ),
+    "scans": (
+        "scan_positivity(scan, range(1, 21), {'S': PrimeSet((2, 3))})",
+        [{"scan": scan, "S": "2,3", "n": 20} for scan in ("symLS-even-sum", "symLS-sum")],
+    ),
     "lifting": (
         "lifting_check(q, n, budget=n)",
         [{"q": 3, "n": n} for n in (20, 24, 28, 32, 36, 40)] + [{"q": 5, "n": n} for n in (26, 32, 36, 40)],
@@ -100,9 +109,7 @@ TABLES = {
 def _call(table: str, point: dict) -> dict:
     """Run one point; return what it answered."""
     if table == "routes":
-        from symlie.families import lie
-        from symlie.plethysm import product_slice, product_slice_schur
-        from symlie.symfunc import to_schur
+        from symlie import lie, product_slice, product_slice_schur, to_schur
 
         if point["scan"] == "lie":
             to_schur(lie(point["n"]))
@@ -114,6 +121,11 @@ def _call(table: str, point: dict) -> dict:
         else:
             to_schur(product_slice(factors, point["n"]))
         return {}
+    if table == "scans":
+        from symlie import PrimeSet, scan_positivity
+
+        S = PrimeSet.from_text(point["S"])
+        return {"negatives": scan_positivity(point["scan"], range(1, point["n"] + 1), {"S": S}).negatives()}
     if table == "partitions":
         from symlie.partitions import partitions_of
 

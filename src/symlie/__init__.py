@@ -5,9 +5,9 @@ characters and Schur expansions, plethysm of truncated series, the
 representation families generated by divisor weights, and a catalog of
 exactly-checkable identities with Schur-positivity scans.  Functions are
 stored in the power-sum basis with integer numerators over one denominator.
-Schur expansions run over the integers without evaluating a character: the
-product scans by a rim-hook DP, everything else by ``to_schur``, both by
-adding border strips to shapes.
+Schur expansions run over the integers without evaluating a character, all
+in ``symfunc``: the product scans by a rim-hook DP, everything else by
+``to_schur``, both by adding border strips to shapes keyed by beta sets.
 
 The package namespace holds every name in each module's ``__all__``.
 """

@@ -3,7 +3,9 @@
 A Series holds homogeneous components for degrees 0..N, the constant term
 at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
-the catalog into a finite exact check.
+the catalog into a finite exact check.  The products of factors
+(1 + s p_m)^{+/-1} are read off partitions here, in the power-sum basis;
+``symfunc.product_slice_schur`` expands them in the Schur basis.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of
-from .symfunc import ONE, ZERO, SchurExpansion, SymFunc, _add_ribbons, _from_packed, _pack, _packed_products, _power_schur, _schur_of, _units, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _from_packed, _pack, _packed_products, _units, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -29,7 +31,6 @@ __all__ = [
     "pleth_p",
     "product_series",
     "product_slice",
-    "product_slice_schur",
     "series_exp",
     "sym_power_layers",
     "sym_powers",
@@ -443,22 +444,6 @@ def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
-    """Check (m, sign, exponent) factors: the sign each part m contributes, and the m allowed once."""
-    weights: dict[int, int] = {}
-    once = set()
-    for m, s, e in factors:
-        m = int(m)
-        if m < 1 or s not in (1, -1) or e not in (1, -1):
-            raise ValueError(f"malformed factor {(m, s, e)}")
-        if m in weights:
-            raise ValueError(f"duplicate factor value {m}")
-        weights[m] = s if e == 1 else -s
-        if e == 1:
-            once.add(m)
-    return weights, once
-
-
 def _weighted_slice(weights: dict[int, int], once: set[int], d: int) -> SymFunc:
     """The degree-d slice: every partition of d into factor parts, descending, with its sign product.
 
@@ -493,53 +478,6 @@ def product_slice(factors, d: int) -> SymFunc:
     series, so it provides a side independent of the plethysm machinery.
     """
     return _weighted_slice(*_factor_weights(factors), d)
-
-
-def product_slice_schur(factors, d: int) -> SchurExpansion:
-    """The Schur expansion of ``product_slice(factors, d)``, by a rim-hook dynamic program.
-
-    One map per degree k = 0..d, from the beta keys of the shapes of k
-    (``symfunc._beta_key``) to integers, starts from the constant 1, and the
-    factors are applied one at a time, smallest m first, in the Schur basis
-    through p_m * s_mu = sum (-1)^{height} s_lam over the m-border strips
-    lam/mu (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m
-    contributes, a factor (1 + s p_m)^{-1} solves b = a + w p_m b in
-    ascending degree, and a factor 1 + s p_m adds w p_m a in descending
-    degree: either way w p_m times the degree k - m map is added into the
-    degree-k map in place, pushing each shape mu forward to the lam its
-    strips reach (``symfunc._add_ribbons``).  The first factor needs no
-    walk: its powers w^j p_m^j are the ribbon chains ``_power_schur(m, j)``.
-    No character is evaluated, no partition is enumerated or interned, and
-    no key is decoded until the result is read at its edge.
-    ``to_schur(product_slice(...))`` runs the same forward walk but groups
-    the slice's monomials by their smallest part, and is several times
-    slower on a dense slice.  The tests check the DP against characters,
-    which recurse over the backward walk ``symfunc._border_strips``.
-    """
-    weights, once = _factor_weights(factors)
-    order = sorted(m for m in weights if m <= d)
-    # gaps[i]: the sums <= d that the factors order[i:] can still add; a degree
-    # k with d - k outside them is never read again, so it is left stale
-    gaps = [{0}]
-    for m in reversed(order):
-        prev, gap = gaps[-1], set(gaps[-1])
-        for t in range(d - m + 1):
-            if t in (prev if m in once else gap):
-                gap.add(t + m)
-        gaps.append(gap)
-    gaps.reverse()
-    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(d)]
-    for i, m in enumerate(order):
-        w, need = weights[m], (gaps[i + 1] if m in once else gaps[i])
-        if not i:
-            for j in range(1, 2 if m in once else d // m + 1):
-                if d - j * m in need:
-                    levels[j * m] = {lam: w**j * c for lam, c in _power_schur(m, j).items()}
-            continue
-        for k in range(d, m - 1, -1) if m in once else range(m, d + 1):
-            if d - k in need and levels[k - m]:
-                _add_ribbons(levels[k - m], m, w, levels[k])
-    return _schur_of(d, levels[d])
 
 
 def product_series(factors, n: int) -> Series:

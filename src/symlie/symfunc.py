@@ -5,10 +5,11 @@ n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
 numerators over one denominator, keyed by parts tuples.  A SchurExpansion
 stores its shapes by beta key instead: the shape lam of degree n is the
 integer sum 2^(lam_i + n - i) over its n rows padded with zeros, and each
-class decodes its keys only at the API edge.  The zero function carries no
-degree and absorbs additions.  Sums and products run on the integers
-(``_sum_scaled``, ``_packed_products``).  The one product loop keys shapes
-by multiplicity vectors packed into one integer: a product of two SymFuncs
+class decodes its keys only at the API edge.  Both classes add, subtract
+and scale on the integers (``_sum_scaled``) and have omega, which signs p_mu
+and conjugates a beta key.  The zero function carries no degree and absorbs
+additions.  The one product loop (``_packed_products``) keys shapes by
+multiplicity vectors packed into one integer: a product of two SymFuncs
 packs both factors into it and unpacks the result, and the plethysm kernel
 keeps its factors and node products packed and unpacks only the sums it
 yields.  The Murnaghan-Nakayama rule runs on beta-sets in two directions.
@@ -19,11 +20,12 @@ beta keys, moving beads by bit operations, and adds p_m times a whole Schur
 expansion into a map in place (Pieri for m = 1).  Chained in the memo
 ``_power_schur`` it gives p_d^k in the Schur basis.  ``to_schur`` expands
 any SymFunc over the forward walk by Horner's rule on the smallest part
-(``_expand``), and the walk drives the Schur-basis product DP in plethysm;
-neither evaluates a character or decodes a shape.  The tests check each
-walk against the other, the backward one against strips enumerated from
-cell sets, p_d^k against a d-quotient formula, and ``to_schur`` against
-characters.
+(``_expand``), and ``product_slice_schur`` expands a product of factors
+(1 + s p_m)^{+/-1} by a DP over the same walk.  Neither evaluates a
+character or decodes a shape, and no other module reads a beta key.  The
+tests check each walk against the other, the backward one against strips
+enumerated from cell sets, p_d^k against a d-quotient formula, and
+``to_schur`` and the DP against characters.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "h_of",
     "is_schur_positive",
     "p_of",
+    "product_slice_schur",
     "s_of",
     "syt_maj_distribution",
     "terms_json",
@@ -69,13 +72,15 @@ class _TermMap:
     converts at the edge: ``_encode(parts, degree)`` gives the key of a
     parts tuple and ``_decode(key)`` its parts.  A SymFunc keys by parts
     tuples, a SchurExpansion by beta-set integers.  Keys of one degree sort
-    in the order of their partitions.  ``Partition`` and ``Fraction`` appear
-    only at the edge: the constructor validates every key through
-    ``Partition.of``, and ``num``, ``terms``, ``support``, ``negatives`` and
-    the text and JSON forms hand out fresh read-only maps and tuples keyed
-    by interned partitions, so a memoized value cannot be changed through
-    them.  ``symbol`` names the basis element in text and ``basis`` names
-    the basis in JSON; the empty partition prints as its bare coefficient.
+    in the order of their partitions.  Sums, negation and ``scaled`` keep
+    the class, and the two classes do not mix: their sum raises TypeError.
+    ``Partition`` and ``Fraction`` appear only at the edge: the constructor
+    validates every key through ``Partition.of``, and ``num``, ``terms``,
+    ``support``, ``negatives`` and the text and JSON forms hand out fresh
+    read-only maps and tuples keyed by interned partitions, so a memoized
+    value cannot be changed through them.  ``symbol`` names the basis
+    element in text and ``basis`` names the basis in JSON; the empty
+    partition prints as its bare coefficient.
     """
 
     __slots__ = ("degree", "_num", "den")
@@ -146,6 +151,29 @@ class _TermMap:
     def __hash__(self):
         return hash((self.degree, self.den, frozenset(self._num.items())))
 
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch in add: {self.degree} vs {other.degree}")
+        return _sum_scaled(((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return self + (-other) if type(other) is type(self) else NotImplemented
+
+    def __neg__(self):
+        return self._make(self.degree, {k: -c for k, c in self._num.items()}, self.den)
+
+    def scaled(self, c):
+        c = Fraction(c)
+        if not c or self.is_zero:
+            return self._make(None, {})
+        return _sum_scaled(((c, self),))
+
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
@@ -189,29 +217,6 @@ class SymFunc(_TermMap):
     def zero(cls) -> "SymFunc":
         return ZERO
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch in add: {self.degree} vs {other.degree}")
-        return _sum_scaled(((1, self), (1, other)))
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-other)
-
-    def __neg__(self) -> "SymFunc":
-        return SymFunc._make(self.degree, {k: -c for k, c in self._num.items()}, self.den)
-
-    def scaled(self, c) -> "SymFunc":
-        c = Fraction(c)
-        if not c or self.is_zero:
-            return ZERO
-        return _sum_scaled(((c, self),))
-
     def __mul__(self, other):
         if isinstance(other, SymFunc):
             if self.is_zero or other.is_zero:
@@ -226,8 +231,6 @@ class SymFunc(_TermMap):
 
     def omega(self) -> "SymFunc":
         """The involution p_mu -> (-1)^{|mu| - l(mu)} p_mu (h_n <-> e_n)."""
-        if self.is_zero:
-            return ZERO
         n = self.degree
         return SymFunc._make(n, {k: c if (n - len(k)) % 2 == 0 else -c for k, c in self._num.items()}, self.den)
 
@@ -301,21 +304,20 @@ def _unpack(key: int, w: int) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
-def _sum_scaled(pairs) -> SymFunc:
-    """sum c * f over (c, f) pairs, c a nonzero int or Fraction and f a nonzero SymFunc of one common degree.
+def _sum_scaled(pairs) -> _TermMap:
+    """sum c * f over (c, f) pairs, c a nonzero int or Fraction and f a nonzero term map of their one class and degree.
 
     One lcm of the pairs' denominators, integer sums, one gcd at the end.
     """
-    if not pairs:
-        return ZERO
     den = lcm(*(c.denominator * f.den for c, f in pairs))
-    out: dict[tuple[int, ...], int] = {}
+    out: dict = {}
     get = out.get
     for c, f in pairs:
         scale = den // (c.denominator * f.den) * c.numerator
         for k, v in f._num.items():
             out[k] = get(k, 0) + v * scale
-    return SymFunc._make(pairs[0][1].degree, {k: v for k, v in out.items() if v}, den)
+    f = pairs[0][1]
+    return f._make(f.degree, {k: v for k, v in out.items() if v}, den)
 
 
 ZERO = SymFunc._make(0, {})
@@ -520,6 +522,19 @@ class SchurExpansion(_TermMap):
     def negatives(self) -> dict[Partition, Fraction]:
         return {self._partition(k): Fraction(c, self.den) for k, c in self._num.items() if c < 0}
 
+    def omega(self) -> "SchurExpansion":
+        """The involution s_lam -> s_lam' on the beta keys, no shape decoded.
+
+        The n beads of the key of lam lie in [0, 2n), and the free positions
+        there are n - 1 + j - lam'_j for j = 1..n (Macdonald I.1.7), so the
+        key of lam' is the complement of lam's in [0, 2n) read in reverse.
+        """
+        if self.is_zero:
+            return self
+        n = self.degree
+        mask = (1 << 2 * n) - 1
+        return _schur_of(n, {int(f"{K ^ mask:0{2 * n}b}"[::-1], 2): c for K, c in self._num.items()}, self.den)
+
 
 def _schur_of(n: int, num: Mapping[int, int], den: int = 1) -> SchurExpansion:
     """The Schur expansion of degree n with numerators ``num`` (by beta key) over ``den``.
@@ -572,6 +587,67 @@ def to_schur(f: SymFunc) -> SchurExpansion:
     shape is decoded until the result is read at its edge.
     """
     return _schur_of(f.degree, _expand(f._num), f.den)
+
+
+def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
+    """Check (m, sign, exponent) factors, for the DP and ``plethysm``'s products: the sign each part m contributes, and the m allowed once."""
+    weights: dict[int, int] = {}
+    once = set()
+    for m, s, e in factors:
+        m = int(m)
+        if m < 1 or s not in (1, -1) or e not in (1, -1):
+            raise ValueError(f"malformed factor {(m, s, e)}")
+        if m in weights:
+            raise ValueError(f"duplicate factor value {m}")
+        weights[m] = s if e == 1 else -s
+        if e == 1:
+            once.add(m)
+    return weights, once
+
+
+def product_slice_schur(factors, d: int) -> SchurExpansion:
+    """The Schur expansion of ``plethysm.product_slice(factors, d)``, by a rim-hook dynamic program.
+
+    One map per degree k = 0..d, from the beta keys of the shapes of k to
+    integers, starts from the constant 1, and the factors are applied one
+    at a time, smallest m first, in the Schur basis through
+    p_m * s_mu = sum (-1)^{height} s_lam over the m-border strips lam/mu
+    (Macdonald I.3, ex. 11).  With w = +/-1 the sign each part m
+    contributes, a factor (1 + s p_m)^{-1} solves b = a + w p_m b in
+    ascending degree, and a factor 1 + s p_m adds w p_m a in descending
+    degree: either way w p_m times the degree k - m map is added into the
+    degree-k map in place, pushing each shape mu forward to the lam its
+    strips reach (``_add_ribbons``).  The first factor needs no walk: its
+    powers w^j p_m^j are the ribbon chains ``_power_schur(m, j)``.  No
+    character is evaluated, no partition is enumerated or interned, and no
+    key is decoded until the result is read at its edge.  The tests check
+    the DP against ``to_schur`` and against characters, which recurse over
+    the backward walk ``_border_strips``.
+    """
+    weights, once = _factor_weights(factors)
+    order = sorted(m for m in weights if m <= d)
+    # gaps[i]: the sums <= d that the factors order[i:] can still add; a degree
+    # k with d - k outside them is never read again, so it is left stale
+    gaps = [{0}]
+    for m in reversed(order):
+        prev, gap = gaps[-1], set(gaps[-1])
+        for t in range(d - m + 1):
+            if t in (prev if m in once else gap):
+                gap.add(t + m)
+        gaps.append(gap)
+    gaps.reverse()
+    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(d)]
+    for i, m in enumerate(order):
+        w, need = weights[m], (gaps[i + 1] if m in once else gaps[i])
+        if not i:
+            for j in range(1, 2 if m in once else d // m + 1):
+                if d - j * m in need:
+                    levels[j * m] = {lam: w**j * c for lam, c in _power_schur(m, j).items()}
+            continue
+        for k in range(d, m - 1, -1) if m in once else range(m, d + 1):
+            if d - k in need and levels[k - m]:
+                _add_ribbons(levels[k - m], m, w, levels[k])
+    return _schur_of(d, levels[d])
 
 
 def is_schur_positive(f: SymFunc) -> tuple[bool, dict[Partition, Fraction]]:

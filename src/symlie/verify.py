@@ -9,11 +9,13 @@ through ``product_series``/``product_slice``, and the length-graded
 products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
 through ``graded_product_series``.  The eight p_lam-sum scans take the
 same factor lists but expand them directly in the Schur basis
-(``product_slice_schur``), adding m-border strips forwards.  The five
-part-set family scans, the lifting check and the hook-content check expand
-their divisor-family members with ``to_schur``, which reads each power
-p_d^{n/d} off its ribbon chain.  Neither route evaluates a character; the
-tests compare both with characters, which remove the strips backwards.
+(``symfunc.product_slice_schur``), adding m-border strips forwards; the
+even sum applies omega there, on the beta keys.  The five part-set family
+scans, the lifting check and the hook-content check expand their
+divisor-family members with ``to_schur``, which reads each power p_d^{n/d}
+off its ribbon chain.  Neither route evaluates a character or decodes a
+shape before its witnesses; the tests compare both with characters, which
+remove the strips backwards.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .plethysm import (
     pleth_p,
     product_series,
     product_slice,
-    product_slice_schur,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
@@ -52,6 +53,7 @@ from .symfunc import (
     h_of,
     is_schur_positive,
     p_of,
+    product_slice_schur,
     terms_json,
     to_schur,
 )
@@ -1062,18 +1064,9 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
 # ---------------------------------------------------------------------------
 
 
-def _omega_even(A: SymFunc) -> SymFunc:
-    """(A + w(A)) / 2: the terms p_lam of A with an even number of even parts."""
+def _omega_even(A):
+    """(A + w(A)) / 2 for a SymFunc or a SchurExpansion A; in the power-sum basis, its p_lam with an even number of even parts."""
     return (A + A.omega()).scaled(Fraction(1, 2))
-
-
-def _conjugate_even(E: SchurExpansion) -> SchurExpansion:
-    """(E + w(E)) / 2 in the Schur basis, where w sends s_lam to s_lam'."""
-    terms: dict[Partition, Fraction] = {}
-    for lam, c in E.terms.items():
-        for key in (lam, lam.conjugate()):
-            terms[key] = terms.get(key, 0) + c / 2
-    return SchurExpansion(E.degree, terms)
 
 
 class _Scan(NamedTuple):
@@ -1094,20 +1087,12 @@ def _family_scan(schema: dict[str, Param], part_set: Callable[[dict], PartSet]) 
 def _product_scan(schema: dict[str, Param], factors: Callable[[int, dict], list], even: bool = False) -> _Scan:
     """The degree-n slice of the product of ``factors(n, params)``, expanded by the rim-hook DP.
 
-    With ``even`` the slice is averaged with its omega image: in the power-sum
-    basis that keeps the p_lam with an even number of even parts, and in the
-    Schur basis omega conjugates the shape.
+    With ``even`` both sides are averaged with their omega image by one
+    ``_omega_even``: in the power-sum basis omega signs p_lam, and in the
+    Schur basis it conjugates the shape on its beta key.
     """
-
-    def build(n, p):
-        A = product_slice(factors(n, p), n)
-        return _omega_even(A) if even else A
-
-    def expand(n, p):
-        E = product_slice_schur(factors(n, p), n)
-        return _conjugate_even(E) if even else E
-
-    return _Scan(schema, build, expand)
+    part = _omega_even if even else (lambda A: A)
+    return _Scan(schema, lambda n, p: part(product_slice(factors(n, p), n)), lambda n, p: part(product_slice_schur(factors(n, p), n)))
 
 
 def _geom_factors(part_set: Callable[[dict], PartSet]) -> Callable[[int, dict], list]:

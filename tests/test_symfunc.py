@@ -70,6 +70,23 @@ class TestRingOps:
         assert f.scaled(0).is_zero
         assert (2 * f).coefficient((2,)) == 2
 
+    def test_schur_expansions_add_and_scale_in_their_own_basis(self):
+        E = to_schur(h_of(3) - 2 * e_of(3))
+        assert E + E == E.scaled(2) == -(E.scaled(-2))
+        assert (E - E).is_zero and type(E - E) is SchurExpansion
+        assert type(E.scaled(0)) is SchurExpansion and E.scaled(0).is_zero
+        assert E + SchurExpansion(3) == E and (E - to_schur(h_of(3))).coefficient((3,)) == 0
+        with pytest.raises(ValueError):
+            E + to_schur(h_of(2))
+
+    def test_bases_do_not_mix(self):
+        f = h_of(3)
+        for a, b in ((f, to_schur(f)), (to_schur(f), f)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+
     def test_coefficient_lookup(self):
         f = h_of(2)
         assert f.coefficient((1, 1)) == frac(1, 2)
@@ -272,12 +289,30 @@ class TestSchur:
 
     def test_omega_conjugates_schur_support(self):
         rng = random.Random(11)
-        for deg in range(1, 9):
-            f = random_symfunc(rng, deg)
+        for deg in range(1, 13):
+            f = random_symfunc(rng, deg, nterms=5)
             exp = to_schur(f)
             expw = to_schur(f.omega())
+            assert expw == exp.omega() and expw.omega() == exp
             for lam in partitions_of(deg):
                 assert exp.coefficient(lam) == expw.coefficient(lam.conjugate())
+
+    def test_schur_omega_conjugates_every_shape(self):
+        # omega works on the beta keys; Partition.conjugate reads the parts
+        for n in range(15):
+            shapes = partitions_of(n)
+            E = SchurExpansion(n, {lam: Fraction(i + 1, 3) for i, lam in enumerate(shapes)})
+            assert E.omega() == SchurExpansion(n, {lam.conjugate(): Fraction(i + 1, 3) for i, lam in enumerate(shapes)}), n
+            assert list(E.omega().terms) == sorted({lam.conjugate() for lam in shapes}, key=lambda lam: lam.parts, reverse=True)
+        zero = SchurExpansion(0)
+        assert zero.omega().is_zero and zero.omega() == zero
+
+    def test_to_schur_is_linear(self):
+        rng = random.Random(5)
+        for deg in range(1, 13):
+            f, g = random_symfunc(rng, deg, nterms=4), random_symfunc(rng, deg, nterms=4)
+            a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert to_schur(a * f + b * g) == to_schur(f).scaled(a) + to_schur(g).scaled(b), deg
 
     def test_strip_walk_against_cell_sets(self):
         # the backward walk behind to_schur, against strips found by brute force

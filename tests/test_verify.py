@@ -387,11 +387,11 @@ class TestMemberExpansions:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
     def test_only_reported_witnesses_are_interned(self):
-        # the engines key shapes by parts tuples; a Partition is interned only
-        # for a witness handed out through negatives()
+        # the engines key shapes by parts tuples and beta keys; a Partition is
+        # interned only for a witness handed out through negatives()
         code = (
             "import symlie\n"
-            "from symlie import PartSet, lifting_check, scan_positivity\n"
+            "from symlie import PartSet, PrimeSet, lifting_check, scan_positivity\n"
             "from symlie.partitions import _interned\n"
             "from symlie.verify import _lifting_expansions\n"
             "start = len(_interned)\n"
@@ -399,7 +399,8 @@ class TestMemberExpansions:
             "    pass\n"
             "print(len(_interned) - start)\n"
             "reports = [lifting_check(3, 24)]\n"
-            "for family, p in (('powk', {'k': 2}), ('onek', {'k': 3}), ('lek', {'k': 3}), ('divk', {'k': 6}), ('fT', {'T': PartSet.everything()})):\n"
+            "for family, p in (('powk', {'k': 2}), ('onek', {'k': 3}), ('lek', {'k': 3}), ('divk', {'k': 6}), ('fT', {'T': PartSet.everything()}),\n"
+            "                  ('symLS-even-sum', {'S': PrimeSet((2, 3))})):\n"
             "    reports.append(scan_positivity(family, range(1, 17), p))\n"
             "witnesses = {k for r in reports for v in r.verdicts for k in v.witnesses}\n"
             "print(len(_interned) - start - len(witnesses), len(witnesses) > 0)\n"
