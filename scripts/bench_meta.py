@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 scripts/bench_meta.py [--table NAME] [label=SRC_DIR ...]
 
 ``--table meta`` (the default) times the five length-graded ``meta-*``
-identities at N = 8..14 (BENCH_7.json); ``--table inverse`` times six
+identities at N = 8..14 (BENCH_7.json) and, since BENCH_22.json,
+``extLieConj3``, whose left side sums Thrall's higher modules
+H_lam[Lie] over the partitions lam; ``--table inverse`` times six
 plethystic-inverse identities, the four of the Lie, L^(2), L^(q) and Conj
 inverses and the two Cadogan inverses, at N = 12, 16, 20 and 24
 (BENCH_19.json and BENCH_18.json; BENCH_13.json ran the first four at
@@ -74,8 +76,8 @@ def _verify_points(ids, ns):
 
 TABLES = {
     "meta": (
-        "verify(meta-*, N) at weight mu",
-        _verify_points(("meta-sym", "meta-ext", "meta-altext", "meta-altsym", "meta-equiv"), (8, 10, 12, 14)),
+        "verify(meta-*, N) at weight mu, and verify(extLieConj3, N)",
+        _verify_points(("meta-sym", "meta-ext", "meta-altext", "meta-altsym", "meta-equiv", "extLieConj3"), (8, 10, 12, 14)),
     ),
     "inverse": (
         "verify(inverse id, N) at default parameters",

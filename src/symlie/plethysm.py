@@ -4,15 +4,18 @@ A Series holds homogeneous components for degrees 0..N, the constant term
 at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
 the catalog into a finite exact check.  The products of factors
-(1 + s p_m)^{+/-1} are read off partitions here, in the power-sum basis;
-``symfunc.product_slice_schur`` expands them in the Schur basis.
+(1 + s p_m)^{+/-1} are read off one walk over the partitions into factor
+parts here, in the power-sum basis; ``symfunc.product_slice_schur``
+expands them in the Schur basis.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import lcm
 
-from .partitions import EMPTY, Partition, partitions_of
+from .partitions import EMPTY, Partition
 from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _from_packed, _pack, _packed_products, _units, e_of, h_of, p_of
 
 __all__ = [
@@ -444,56 +447,59 @@ def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_slice(weights: dict[int, int], once: set[int], d: int) -> SymFunc:
-    """The degree-d slice: every partition of d into factor parts, descending, with its sign product.
+def _factor_partitions(rows: dict[int, list], n: int, one, mul):
+    """Yield (d, parts, c) for every partition of d <= n into factor parts, c = one * prod rows[m][j].
 
-    The partitions are built part by part, largest first, so no partition
-    with a part outside the factors is visited; a part in ``once`` is used
-    at most once.
+    The product runs over each part value m of multiplicity j < len(rows[m]).
+    One explicit stack extends a partition by j parts m below its last part,
+    largest m and then largest j first, so each degree comes out in
+    descending order; a zero coefficient ends its branch.
     """
-    parts = sorted(weights, reverse=True)
-    terms: dict[tuple[int, ...], int] = {}
-
-    def extend(rest: int, i: int, prefix: tuple[int, ...], c: int) -> None:
-        if not rest:
-            terms[prefix] = c
-            return
-        for j in range(i, len(parts)):
-            a = parts[j]
-            if a <= rest:
-                extend(rest - a, j + (a in once), prefix + (a,), c * weights[a])
-
-    extend(d, 0, (), 1)
-    return SymFunc._make(d, terms)
+    values = sorted(rows, reverse=True)
+    stack = [(0, (), 0, one)]
+    while stack:
+        d, parts, i, c = stack.pop()
+        yield d, parts, c
+        for k in range(len(values) - 1, i - 1, -1):
+            m, row = values[k], rows[values[k]]
+            for j in range(1, min((n - d) // m + 1, len(row))):
+                x = mul(c, row[j])
+                if x:
+                    stack.append((d + m * j, parts + (m,) * j, k + 1, x))
 
 
 def product_slice(factors, d: int) -> SymFunc:
-    """The degree-d component of prod (1 + sign*p_m)^{exponent}, read off the partitions of d into factor parts.
+    """The degree-d component of prod (1 + sign*p_m)^{exponent}: ``product_series(factors, d).component(d)``."""
+    return product_series(factors, d).component(d)
 
-    ``factors`` is an iterable of (m, sign, exponent) with sign and exponent
-    in {+1, -1}; part values m must be distinct.  The coefficient of p_lam is
+
+def product_series(factors, n: int) -> Series:
+    """prod (1 + sign*p_m)^{exponent} truncated at n, read off one walk over the partitions into factor parts.
+
+    ``factors`` is an iterable of (m, sign, exponent): m a positive int, the
+    m distinct, sign and exponent in {+1, -1}.  The coefficient of p_lam is
     a product over the parts of lam: s for each part of a factor 1 + s p_m,
     which may appear at most once, and -s for each part of a factor
     (1 + s p_m)^{-1} = sum_j (-s)^j p_m^j.  The expansion never divides
     series, so it provides a side independent of the plethysm machinery.
     """
-    return _weighted_slice(*_factor_weights(factors), d)
-
-
-def product_series(factors, n: int) -> Series:
-    """prod (1 + sign*p_m)^{exponent} truncated at n: 1 plus product_slice for d = 1..n."""
     weights, once = _factor_weights(factors)
-    return Series(n, {d: _weighted_slice(weights, once, d) for d in range(1, n + 1)}, constant=1)
+    rows = {m: [w**j for j in range(2 if m in once else n // m + 1)] for m, w in weights.items()}
+    comps: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 1)]
+    for d, parts, c in _factor_partitions(rows, n, 1, operator.mul):
+        comps[d][parts] = c
+    return Series(n, {d: SymFunc._make(d, t) for d, t in enumerate(comps)})
 
 
 def graded_product_series(factors, n: int) -> list[Series]:
     """prod (1 + sign*p_m)^{P_m(v)} truncated at n, as the list of its v^0, v^1, ..., v^n parts.
 
-    ``factors`` holds (m, sign, P_m), checked as by ``product_slice``, with
+    ``factors`` holds (m, sign, P_m), checked as by ``product_series``, with
     P_m a map v-exponent -> coefficient (``families.exponent_poly``).  By the
     binomial theorem the coefficient of p_lam is the product, over each part
     value m of multiplicity j in lam, of sign^j * binom(P_m(v), j); powers of
-    v above n are dropped.  Like ``product_series`` it multiplies no series.
+    v above n are dropped.  It is read off the walk of ``product_series``,
+    and like it multiplies no series.
     """
 
     def mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -503,6 +509,10 @@ def graded_product_series(factors, n: int) -> list[Series]:
                 if i + k <= n:
                     out[i + k] = out.get(i + k, 0) + x * y
         return {e: c for e, c in out.items() if c}
+
+    def exact(d: int, terms: dict[tuple[int, ...], Fraction]) -> SymFunc:
+        den = lcm(*(c.denominator for c in terms.values()))
+        return SymFunc._make(d, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
     factors = list(factors)
     _factor_weights((m, s, 1) for m, s, _ in factors)
@@ -514,19 +524,12 @@ def graded_product_series(factors, n: int) -> list[Series]:
             step = {e: Fraction(c) * s / j for e, c in P.items()}
             step[0] = step.get(0, 0) - Fraction(s * (j - 1), j)
             row.append(mul(row[-1], step))
-        binoms[int(m)] = row
-    layers: list[dict[int, dict[Partition, Fraction]]] = [{} for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        for lam in partitions_of(d):
-            c = {0: Fraction(1)}
-            for m, j in lam.multiplicities().items():
-                c = mul(c, binoms[m][j]) if m in binoms else {}
-            for r, x in c.items():
-                layers[r].setdefault(d, {})[lam] = x
-    return [
-        Series(n, {d: SymFunc(d, t) for d, t in comps.items()}, constant=int(r == 0))
-        for r, comps in enumerate(layers)
-    ]
+        binoms[m] = row
+    layers: list[dict[int, dict[tuple[int, ...], Fraction]]] = [{} for _ in range(n + 1)]
+    for d, parts, c in _factor_partitions(binoms, n, {0: Fraction(1)}, mul):
+        for r, x in c.items():
+            layers[r].setdefault(d, {})[parts] = x
+    return [Series(n, {d: exact(d, t) for d, t in comps.items()}) for comps in layers]
 
 
 def pleth_inverse(F: Series) -> Series:

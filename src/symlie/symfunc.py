@@ -590,12 +590,11 @@ def to_schur(f: SymFunc) -> SchurExpansion:
 
 
 def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
-    """Check (m, sign, exponent) factors, for the DP and ``plethysm``'s products: the sign each part m contributes, and the m allowed once."""
+    """Check (m, sign, exponent) factors, m an int >= 1 (never rounded), for the DP and ``plethysm``'s products: the sign each part m contributes, and the m allowed once."""
     weights: dict[int, int] = {}
     once = set()
     for m, s, e in factors:
-        m = int(m)
-        if m < 1 or s not in (1, -1) or e not in (1, -1):
+        if type(m) is not int or m < 1 or s not in (1, -1) or e not in (1, -1):
             raise ValueError(f"malformed factor {(m, s, e)}")
         if m in weights:
             raise ValueError(f"duplicate factor value {m}")

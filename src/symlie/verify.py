@@ -2,18 +2,18 @@
 
 Each catalog entry is a named, parameterized identity between truncated
 symmetric-function series, checked by exact equality per graded slice.
-Every product side is read off the partition enumeration, never
-re-derived through the plethysm path that produced the left side, so the
-two routes stay independent: products of factors (1 + s p_m)^{+/-1}
-through ``product_series``/``product_slice``, and the length-graded
+Every product side is read off one walk over the partitions into factor
+parts, never re-derived through the plethysm path that produced the left
+side, so the two routes stay independent: products of factors
+(1 + s p_m)^{+/-1} through ``product_series``, and the length-graded
 products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
-through ``graded_product_series``.  The eight p_lam-sum scans take the
-same factor lists but expand them directly in the Schur basis
-(``symfunc.product_slice_schur``), adding m-border strips forwards; the
-even sum applies omega there, on the beta keys.  The five part-set family
-scans, the lifting check and the hook-content check expand their
-divisor-family members with ``to_schur``, which reads each power p_d^{n/d}
-off its ribbon chain.  Neither route evaluates a character or decodes a
+through ``graded_product_series``.  No id enumerates a partition.  The
+eight p_lam-sum scans take the same factor lists but expand them directly
+in the Schur basis (``symfunc.product_slice_schur``), adding m-border
+strips forwards; the even sum applies omega there, on the beta keys.
+The five part-set family scans, the lifting check and the hook-content
+check expand their divisor-family members with ``to_schur``, which reads
+each power p_d^{n/d} off its ribbon chain.  Neither route evaluates a character or decodes a
 shape before its witnesses; the tests compare both with characters, which
 remove the strips backwards.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .partitions import Partition, PrimeSet, divisors, is_prime, moebius, partitions_of
+from .partitions import Partition, PrimeSet, divisors, is_prime, moebius
 from .plethysm import (
     Series,
     alt_omega,
@@ -35,7 +35,6 @@ from .plethysm import (
     ext_powers_signed,
     graded_product_series,
     h_series,
-    higher_module,
     p1_series,
     pleth,
     pleth_inverse,
@@ -452,19 +451,16 @@ def _b_extLieConj2(p, n):
 
 
 def _b_extLieConj3(p, n):
+    # |lam| - l(lam) = sum_i m_i (i - 1), so the sum over lam of (-1)^{|lam|-l} prod_i h_{m_i}[Lie_i]
+    # is prod_i H[Lie_i] over odd i times prod_i H^pm[Lie_i] over even i, H^pm = sum_m (-1)^m h_m
     L = lie_series(n)
-    comps = {}
-    for d in range(1, n + 1):
-        acc = SymFunc.zero()
-        for lam in partitions_of(d):
-            t = higher_module(L, lam)
-            if (d - lam.length) % 2:
-                t = -t
-            acc = acc + t
-        if not acc.is_zero:
-            comps[d] = acc
-    direct = Series(n, comps, constant=1)
-    lhs2 = ext_powers(alt_omega(lie_series(n))).omega_each()
+    direct = Series.one(n)
+    for i in range(1, n + 1):
+        H = h_series(n // i)
+        if i % 2 == 0:
+            H = Series(n // i, {m: f if m % 2 == 0 else -f for m, f in H.components.items()})
+        direct = direct * pleth(H, Series.from_symfunc(L.component(i), n))
+    lhs2 = ext_powers(alt_omega(L)).omega_each()
     rhs = product_series([(1, 1, 1), (2, -1, -1)], n)
     return [
         _clause("sum (-1)^{|lam|-l} H_lam[Lie] = w(E[alt-w(Lie)])", direct, lhs2),

@@ -446,7 +446,9 @@ class TestProductSlice:
         assert _char.cache_info() == before[0] and set(_interned) - before[1] <= witnesses
 
     def test_malformed_and_duplicate_factors_rejected(self):
-        for bad in ([(0, -1, -1)], [(2, 0, 1)], [(2, 1, 2)], [(2, -1, -1), (2, 1, 1)], [(3, 1, 1), (1, 1, 1), (3, -1, -1)]):
+        # a part value that is not an int is malformed, not rounded: 2.5 once read as p_2, "3" as p_3
+        malformed = ([(0, -1, -1)], [(2, 0, 1)], [(2, 1, 2)], [(2.5, -1, -1)], [("3", -1, -1)], [(True, -1, -1)])
+        for bad in malformed + ([(2, -1, -1), (2, 1, 1)], [(3, 1, 1), (1, 1, 1), (3, -1, -1)]):
             for build in (product_slice, product_series, product_slice_schur):
                 with pytest.raises(ValueError):
                     build(bad, 4)
@@ -456,36 +458,39 @@ class TestGradedProductSeries:
     def test_necklace_polynomials_and_constant_exponents(self):
         # At v = t the exponent polynomial of mu or phi counts necklaces, an
         # integer, so sum_r t^r * layer_r must be an integer power product of
-        # (1 - p_m)^{-1} factors, multiplied out as Series.
+        # (1 - p_m)^{-1} factors, multiplied out as Series.  The part values
+        # run over 1..n and over a set with gaps.
         for w in (MOEBIUS, TOTIENT):
-            for n in range(1, 9):
-                for t in (2, 3):
-                    counts = {m: exponent_eval(m, w, t) for m in range(1, n + 1)}
-                    assert all(c.denominator == 1 and c >= 0 for c in counts.values()), (w.tag, t)
-                    layers = graded_product_series(
-                        [(m, -1, {e: -c for e, c in exponent_poly(m, w).items()}) for m in range(1, n + 1)], n
-                    )
-                    assert len(layers) == n + 1
-                    at_t = Series.zero(n)
-                    for r, layer in enumerate(layers):
-                        at_t = at_t + layer.scaled(t**r)
-                    want = Series.one(n)
-                    for m, c in counts.items():
-                        for _ in range(int(c)):
-                            want = want * product_series([(m, -1, -1)], n)
-                    assert at_t == want, (w.tag, n, t)
-        # a constant exponent k: (1 + p_m)^k, all of it in layer 0
+            for part_set in (range(1, 9), (2, 3, 5)):
+                for n in range(1, 9):
+                    ms = [m for m in part_set if m <= n]
+                    for t in (2, 3):
+                        counts = {m: exponent_eval(m, w, t) for m in ms}
+                        assert all(c.denominator == 1 and c >= 0 for c in counts.values()), (w.tag, t)
+                        layers = graded_product_series([(m, -1, {e: -c for e, c in exponent_poly(m, w).items()}) for m in ms], n)
+                        assert len(layers) == n + 1
+                        at_t = Series.zero(n)
+                        for r, layer in enumerate(layers):
+                            at_t = at_t + layer.scaled(t**r)
+                        want = Series.one(n)
+                        for m, c in counts.items():
+                            for _ in range(int(c)):
+                                want = want * product_series([(m, -1, -1)], n)
+                        assert at_t == want, (w.tag, list(part_set), n, t)
+        # a constant exponent k: (1 + s p_m)^k, all of it in layer 0
         n = 8
-        layers = graded_product_series([(m, 1, {0: Fraction(m + 1)}) for m in (1, 2, 3)], n)
-        want = Series.one(n)
-        for m in (1, 2, 3):
-            for _ in range(m + 1):
-                want = want * product_series([(m, 1, 1)], n)
-        assert layers[0] == want
-        assert all(layer == Series.zero(n) for layer in layers[1:])
+        for factors in ([(1, 1, 2), (2, 1, 3), (3, 1, 4)], [(1, 1, 2), (3, 1, 4)], [(1, -1, 3), (3, 1, -2)]):
+            layers = graded_product_series([(m, s, {0: Fraction(k)}) for m, s, k in factors], n)
+            want = Series.one(n)
+            for m, s, k in factors:
+                for _ in range(abs(k)):
+                    want = want * product_series([(m, s, 1 if k > 0 else -1)], n)
+            assert layers[0] == want, factors
+            assert all(layer == Series.zero(n) for layer in layers[1:])
 
     def test_malformed_and_duplicate_factors_rejected(self):
-        for bad in ([(0, -1, {1: 1})], [(2, 0, {1: 1})], [(2, -1, {1: 1}), (2, 1, {2: 1})]):
+        bad_parts = ([(2.5, -1, {1: 1})], [("3", -1, {1: 1})])
+        for bad in ([(0, -1, {1: 1})], [(2, 0, {1: 1})], [(2, -1, {1: 1}), (2, 1, {2: 1})]) + bad_parts:
             with pytest.raises(ValueError):
                 graded_product_series(bad, 4)
 

@@ -22,10 +22,10 @@ from symlie import (
     scan_positivity,
     verify,
 )
-from symlie.partitions import partitions_of
-from symlie.plethysm import Series
+from symlie.partitions import _partitions_interned, partitions_of
+from symlie.plethysm import Series, higher_module
 from symlie.symfunc import SymFunc, p_of, to_schur
-from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, from_divisor_weight, lie_primes
+from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, from_divisor_weight, lie_primes, lie_series
 from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _lifting_expansions, _series_mismatch, build_clauses
 
 from helpers import P, fraction_terms, quotient_power_schur, schur_by_characters
@@ -59,6 +59,29 @@ class TestCatalog:
             r = verify(e["id"])
             assert r.passed, (e["id"], r.first_mismatch)
             assert json.dumps(r.to_json_dict(), sort_keys=True) + "\n" == RECORDED_CATALOG[e["id"]]
+
+    def test_catalog_enumerates_no_partition(self):
+        # every product side is read off the walk over factor parts, and
+        # extLieConj3 multiplies one factor series per part size
+        before = _partitions_interned.cache_info()
+        for e in list_identities():
+            assert verify(e["id"]).passed, e["id"]
+        assert _partitions_interned.cache_info() == before
+
+    def test_extLieConj3_product_is_the_sum_over_partitions(self):
+        # the first clause's left side against the sum over lam of
+        # (-1)^{|lam| - l(lam)} H_lam[Lie], one higher_module per partition
+        for n in range(1, 11):
+            L = lie_series(n)
+            comps = {}
+            for d in range(1, n + 1):
+                acc = SymFunc.zero()
+                for lam in partitions_of(d):
+                    t = higher_module(L, lam)
+                    acc = acc + (-t if (d - lam.length) % 2 else t)
+                comps[d] = acc
+            (_, _, lhs, _), _ = build_clauses("extLieConj3", N=n)
+            assert lhs == Series(n, comps, constant=1), n
 
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentityError):
