@@ -22,6 +22,7 @@ from symlie import (
     scan_positivity,
     verify,
 )
+from symlie.cli import main, parse_weight
 from symlie.partitions import _partitions_interned, partitions_of
 from symlie.plethysm import Series, higher_module
 from symlie.symfunc import SymFunc, p_of, to_schur
@@ -33,6 +34,18 @@ from helpers import P, fraction_terms, quotient_power_schur, schur_by_characters
 # The exact bytes `symlie verify --id ID --format json` printed for every
 # catalog id at its default window, recorded with the benchmark's answers.
 RECORDED_CATALOG = json.loads((Path(__file__).parents[1] / "bench" / "answers.json").read_text())["catalog"]
+# The exact stdout of `symlie verify` at one non-default parameter set of every
+# parameterized id, each with the (label, kind) list of its clauses, and the
+# clause list of every id without a custom runner at its defaults: a label
+# reaches the output only when its clause fails.
+RECORDED_PARAMS = json.loads((Path(__file__).parent / "golden" / "verify-params.json").read_text())
+_FLAGS = {"--S": ("S", PrimeSet.from_text), "--T": ("T", PartSet.parse), "--q": ("q", int), "--k": ("k", int),
+          "--n-max": ("n_max", int), "--weight": ("weight", parse_weight), "--g": ("g", str),
+          "--fam": ("family", str), "--sign": ("sign", int)}
+
+
+def _labels(clauses) -> list:
+    return [[label, kind] for label, kind, _, _ in clauses]
 
 
 class TestCatalog:
@@ -59,6 +72,21 @@ class TestCatalog:
             r = verify(e["id"])
             assert r.passed, (e["id"], r.first_mismatch)
             assert json.dumps(r.to_json_dict(), sort_keys=True) + "\n" == RECORDED_CATALOG[e["id"]]
+
+    def test_recorded_bytes_and_labels_at_other_params(self, capsys):
+        parameterized = {e["id"] for e in list_identities() if e["params"]}
+        assert {r["argv"][2] for r in RECORDED_PARAMS["runs"]} == parameterized
+        for run in RECORDED_PARAMS["runs"]:
+            assert main(run["argv"]) == 0, run["argv"]
+            assert capsys.readouterr().out == run["stdout"], run["argv"]
+            if run["clauses"] is not None:
+                flags = run["argv"][3:-2]
+                params = {_FLAGS[f][0]: _FLAGS[f][1](v) for f, v in zip(flags[::2], flags[1::2])}
+                assert _labels(build_clauses(run["argv"][2], params)) == run["clauses"], run["argv"]
+        custom = {"mod1k-beta", "conj-hooks", "lifting"}
+        assert set(RECORDED_PARAMS["clauses_at_defaults"]) == {e["id"] for e in list_identities()} - custom
+        for id, labels in RECORDED_PARAMS["clauses_at_defaults"].items():
+            assert _labels(build_clauses(id)) == labels, id
 
     def test_catalog_enumerates_no_partition(self):
         # every product side is read off the walk over factor parts, and
