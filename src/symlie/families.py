@@ -47,7 +47,8 @@ __all__ = [
 
 
 def _param(head: str, k) -> int:
-    k = int(k)
+    if type(k) is not int:
+        raise ValueError(f"{head} parameter must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"{head} parameter must be >= 1")
     return k
@@ -72,9 +73,9 @@ class PartSet:
 
     @classmethod
     def of(cls, *values) -> "PartSet":
-        parts = tuple(sorted({int(x) for x in values}))
-        if not parts or parts[0] < 1:
+        if not values or any(type(x) is not int or x < 1 for x in values):
             raise ValueError("explicit part set must be nonempty positive integers")
+        parts = tuple(sorted(set(values)))
         return cls(",".join(map(str, parts)), frozenset(parts).__contains__)
 
     @classmethod
@@ -224,9 +225,8 @@ class DivisorWeight:
         This is the sum of the r-th powers of the primitive d-th roots of
         unity, the value driving the eigenvalue-r induced character.
         """
-        r = int(r)
-        if r < 1:
-            raise ValueError("ramanujan weight requires r >= 1")
+        if type(r) is not int or r < 1:
+            raise ValueError(f"ramanujan weight requires an integer r >= 1, got {r!r}")
 
         def fn(d: int) -> int:
             co = d // gcd(d, r)

@@ -38,10 +38,10 @@ class Partition:
     __slots__ = ("parts", "size", "_hash")
 
     def __init__(self, parts=()):
-        pt = tuple(int(a) for a in parts)
+        pt = tuple(parts)
         prev = None
         for a in pt:
-            if a < 1:
+            if type(a) is not int or a < 1:
                 raise ValueError(f"parts must be positive integers: {pt!r}")
             if prev is not None and a > prev:
                 raise ValueError(f"parts must be weakly decreasing: {pt!r}")
@@ -205,7 +205,10 @@ class PrimeSet:
     __slots__ = ("primes",)
 
     def __init__(self, primes=()):
-        ps = tuple(sorted({int(q) for q in primes}))
+        primes = tuple(primes)
+        if any(type(q) is not int for q in primes):
+            raise ValueError(f"primes must be integers: {primes!r}")
+        ps = tuple(sorted(set(primes)))
         for q in ps:
             if not is_prime(q):
                 raise ValueError(f"{q} is not prime")

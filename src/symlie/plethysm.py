@@ -52,10 +52,9 @@ class Series:
 
     def __init__(self, max_degree: int, components=None, constant=None):
         """``constant``, when given, sets the degree-0 component to ``constant`` * 1."""
-        n = int(max_degree)
-        if n < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.max_degree = n
+        if type(max_degree) is not int or max_degree < 0:
+            raise ValueError(f"max_degree must be an integer >= 0, got {max_degree!r}")
+        n = self.max_degree = max_degree
         items = dict(components or {})
         if constant is not None:
             items[0] = ONE.scaled(constant)
@@ -210,8 +209,8 @@ def _stretch(f: SymFunc, k: int) -> SymFunc:
 
 def pleth_p(k: int, g):
     """p_k[g] for g a SymFunc or a Series (series components above N are dropped)."""
-    if k < 1:
-        raise ValueError("pleth_p requires k >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"pleth_p requires an integer k >= 1, got {k!r}")
     if isinstance(g, SymFunc):
         return _stretch(g, k)
     n = g.max_degree

@@ -2,6 +2,13 @@
 
 Each catalog entry is a named, parameterized identity between truncated
 symmetric-function series, checked by exact equality per graded slice.
+An identity is declared once, by the ``_identity`` decorator on its
+builder: its id, statement, default window and each parameter as a
+(Param, default) pair.  The builder receives the degree bound and every
+parameter by name, checked and with the defaults filled in, and returns
+its (label, kind, lhs, rhs) clauses; the three custom runners are
+declared the same way and return their verdict themselves.
+
 Every product side is read off one walk over the partitions into factor
 parts, never re-derived through the plethysm path that produced the left
 side, so the two routes stay independent: products of factors
@@ -222,15 +229,6 @@ def _run_clauses(clauses) -> tuple[str, dict | None]:
     return "pass", None
 
 
-def _negpoly(p: dict) -> dict:
-    return {e: -c for e, c in p.items()}
-
-
-def _flippoly(p: dict) -> dict:
-    # substitute v -> -v
-    return {e: (c if e % 2 == 0 else -c) for e, c in p.items()}
-
-
 def _signed_layers(layers: list[Series]) -> list[Series]:
     # [L_0, L_1, L_2, ...] -> [L_0, -L_1, L_2, ...]: the layers of the signed powers
     return [-s if r % 2 else s for r, s in enumerate(layers)]
@@ -329,7 +327,7 @@ class Param(NamedTuple):
 
 
 def _int_at_least(m: int) -> Param:
-    return Param(f"integer >= {m}", lambda v: isinstance(v, int) and v >= m)
+    return Param(f"integer >= {m}", lambda v: type(v) is int and v >= m)
 
 
 def _one_of(*values) -> Param:
@@ -337,7 +335,15 @@ def _one_of(*values) -> Param:
 
 
 def _is_prime(v) -> bool:
-    return isinstance(v, int) and is_prime(v)
+    return type(v) is int and is_prime(v)
+
+
+_S = Param("comma-separated primes (empty for the empty set)", lambda v: isinstance(v, PrimeSet))
+_S_NO2 = Param("comma-separated primes, without 2", lambda v: isinstance(v, PrimeSet) and 2 not in v)
+_T = Param("part set: explicit list, le(k), div(k), mod1(k), pow(k), all, smooth(..), rough(..)", lambda v: isinstance(v, PartSet))
+_W = Param("divisor weight: mu, phi, primes:2,3, primesbar:2,3, parts:<set>, ramanujan:r", lambda v: isinstance(v, DivisorWeight))
+_PRIME = Param("prime", _is_prime)
+_G = _one_of("one", "id")
 
 
 def _check_params(id: str, schema: dict[str, Param], p: dict) -> None:
@@ -359,15 +365,28 @@ class IdentityEntry:
     param_schema: dict[str, Param]
     defaults: dict
     default_N: int
-    builder: object  # callable(params, N) -> list of (label, kind, lhs, rhs)
-    custom: object = None  # callable(params, N) -> VerifyReport pieces
+    builder: object  # callable(n, **params) -> list of (label, kind, lhs, rhs)
+    custom: object = None  # callable(n, **params) -> (status, first mismatch, details)
 
 
 _REGISTRY: dict[str, IdentityEntry] = {}
 
 
-def _register(id, statement, builder=None, schema=None, defaults=None, N=10, custom=None):
-    _REGISTRY[id] = IdentityEntry(id, statement, schema or {}, defaults or {}, N, builder, custom)
+def _identity(id: str, statement: str, N: int = 10, runner: bool = False, **params: tuple[Param, object]):
+    """Register the decorated function as the builder of ``id``, or with ``runner`` as its custom runner.
+
+    ``N`` is the default window.  Each further keyword is one parameter, a
+    (Param, default) pair, in the order the reports print them.  The
+    function is called with the degree bound and every parameter by name.
+    """
+
+    def register(fn):
+        schema = {key: param for key, (param, _) in params.items()}
+        defaults = {key: default for key, (_, default) in params.items()}
+        _REGISTRY[id] = IdentityEntry(id, statement, schema, defaults, N, None if runner else fn, fn if runner else None)
+        return fn
+
+    return register
 
 
 def _clause(label, lhs, rhs):
@@ -381,34 +400,37 @@ def _vclause(label, lhs, rhs):
 # -- classical decompositions ------------------------------------------------
 
 
-def _b_thrall(p, n):
+@_identity("thrall", "H[Lie](t) = (1 - t p_1)^{-1}  (Thrall)")
+def _b_thrall(n):
     return [_clause("H[Lie] = (1-p_1)^{-1}", sym_powers(lie_series(n)), _geom([1], n))]
 
 
-def _b_cadogan(p, n):
+@_identity("cadogan", "H[sum (-1)^{d-1} w(Lie_d)](t) = 1 + t p_1  (Cadogan)")
+def _b_cadogan(n):
     rhs = Series(n, {1: p_of((1,))}, constant=1)
     return [_clause("H[sum (-1)^{d-1} w(Lie_d)] = 1 + p_1", sym_powers(alt_omega(lie_series(n))), rhs)]
 
 
-def _b_solomon(p, n):
+@_identity("solomon", "H[sum Conj_d](t) = prod (1 - t^m p_m)^{-1}  (Solomon)")
+def _b_solomon(n):
     return [_clause("H[Conj] = prod (1-p_m)^{-1}", sym_powers(conj_series(n)), _geom(range(1, n + 1), n))]
 
 
-def _b_symLS(p, n):
-    S = p["S"]
+@_identity("symLS", "H[L] = prod over smooth m of (1 - p_m)^{-1}", S=(_S, PrimeSet((2,))))
+def _b_symLS(n, S):
     lhs = sym_powers(lie_primes_series(S, n))
     return [_clause("H[L] = prod over smooth m of (1-p_m)^{-1}", lhs, _geom(_smooth_members(S, n), n))]
 
 
-def _b_altsymLS(p, n):
-    S = p["S"]
+@_identity("altsymLS", "H[alt-w(L)] = prod over smooth m of (1 + p_m)", S=(_S, PrimeSet((2,))))
+def _b_altsymLS(n, S):
     lhs = sym_powers(alt_omega(lie_primes_series(S, n)))
     rhs = product_series([(m, 1, 1) for m in _smooth_members(S, n)], n)
     return [_clause("H[alt-w(L)] = prod over smooth m of (1+p_m)", lhs, rhs)]
 
 
-def _b_extLS(p, n):
-    S = p["S"]
+@_identity("extLS", "E[L]: smooth product with the 2-in-S / 2-not-in-S branches", S=(_S, PrimeSet((2,))))
+def _b_extLS(n, S):
     lhs = ext_powers(lie_primes_series(S, n))
     sm = _smooth_members(S, n)
     if 2 in S:
@@ -420,15 +442,15 @@ def _b_extLS(p, n):
     return [_clause(label, lhs, rhs)]
 
 
-def _b_extLS_omega(p, n):
-    S = p["S"]
+@_identity("extLS-omega", "w(E[L]) product form (needs 2 not in S)", S=(_S_NO2, PrimeSet((3,))))
+def _b_extLS_omega(n, S):
     lhs = ext_powers(lie_primes_series(S, n)).omega_each()
     rhs = product_series(_ext_omega_factors(S, n), n)
     return [_clause("w(E[L]) = prod smooth (1-p_m)^{-1} * prod half-smooth even (1+p_m)", lhs, rhs)]
 
 
-def _b_altextLS(p, n):
-    S = p["S"]
+@_identity("altextLS", "E[alt-w(L)]: signed product with both branches", S=(_S, PrimeSet((2,))))
+def _b_altextLS(n, S):
     lhs = ext_powers(alt_omega(lie_primes_series(S, n)))
     sm = _smooth_members(S, n)
     if 2 in S:
@@ -440,17 +462,20 @@ def _b_altextLS(p, n):
     return [_clause(label, lhs, rhs)]
 
 
-def _b_extLieConj1(p, n):
+@_identity("extLieConj1", "w(E[Lie]) = (1+p_2)(1-p_1)^{-1}")
+def _b_extLieConj1(n):
     lhs = ext_powers(lie_series(n)).omega_each()
     return [_clause("w(E[Lie]) = (1+p_2)(1-p_1)^{-1}", lhs, product_series([(2, 1, 1), (1, -1, -1)], n))]
 
 
-def _b_extLieConj2(p, n):
+@_identity("extLieConj2", "E[Conj] = prod over odd m of (1-p_m)^{-1}")
+def _b_extLieConj2(n):
     rhs = _geom(range(1, n + 1, 2), n)
     return [_clause("E[Conj] = prod over odd m of (1-p_m)^{-1}", ext_powers(conj_series(n)), rhs)]
 
 
-def _b_extLieConj3(p, n):
+@_identity("extLieConj3", "sum (-1)^{|lam|-l} H_lam[Lie] = (1+p_1)(1-p_2)^{-1}", N=8)
+def _b_extLieConj3(n):
     # |lam| - l(lam) = sum_i m_i (i - 1), so the sum over lam of (-1)^{|lam|-l} prod_i h_{m_i}[Lie_i]
     # is prod_i H[Lie_i] over odd i times prod_i H^pm[Lie_i] over even i, H^pm = sum_m (-1)^m h_m
     L = lie_series(n)
@@ -468,17 +493,20 @@ def _b_extLieConj3(p, n):
     ]
 
 
-def _b_extLieConj4(p, n):
+@_identity("extLieConj4", "E[sum (-1)^{d-1} w(Conj_d)] = prod over odd m of (1+p_m)")
+def _b_extLieConj4(n):
     lhs = ext_powers(alt_omega(conj_series(n)))
     rhs = product_series([(m, 1, 1) for m in range(1, n + 1, 2)], n)
     return [_clause("E[alt-w(Conj)] = prod over odd m of (1+p_m)", lhs, rhs)]
 
 
-def _b_dualityA(p, n):
-    return _b_thrall(p, n) + _b_lie2_reg(p, n)
+@_identity("dualityA", "(1-p_1)^{-1} = H[Lie] = E[L^(2)]")
+def _b_dualityA(n):
+    return _b_thrall(n) + _b_lie2_reg(n)
 
 
-def _b_dualityB(p, n):
+@_identity("dualityB", "prod odd (1-p_m)^{-1} = H[Lbar^(2)] = E[Conj]")
+def _b_dualityB(n):
     rhs = _geom(range(1, n + 1, 2), n)
     return [
         _clause("H[Lbar^(2)] = prod odd (1-p_m)^{-1}", sym_powers(lie_primes_bar_series(PrimeSet((2,)), n)), rhs),
@@ -486,16 +514,19 @@ def _b_dualityB(p, n):
     ]
 
 
-def _b_lie2_reg(p, n):
+@_identity("lie2-reg", "E[L^(2)](t) = (1 - t p_1)^{-1}")
+def _b_lie2_reg(n):
     return [_clause("E[L^(2)] = (1-p_1)^{-1}", ext_powers(_lieq_series(2, n)), _geom([1], n))]
 
 
-def _b_lie2_hpm(p, n):
+@_identity("lie2-hpm", "Hpm[L^(2)](t) = 1 - t p_1")
+def _b_lie2_hpm(n):
     rhs = Series(n, {1: -p_of((1,))}, constant=1)
     return [_clause("Hpm[L^(2)] = 1 - p_1", sym_powers_signed(_lieq_series(2, n)), rhs)]
 
 
-def _b_lie2_cadogan(p, n):
+@_identity("lie2-cadogan", "E[sum (-1)^{d-1} w(L^(2)_d)](t) = 1 + t p_1")
+def _b_lie2_cadogan(n):
     rhs = Series(n, {1: p_of((1,))}, constant=1)
     return [_clause("E[sum (-1)^{d-1} w(L^(2)_d)] = 1 + p_1", ext_powers(alt_omega(_lieq_series(2, n))), rhs)]
 
@@ -503,44 +534,47 @@ def _b_lie2_cadogan(p, n):
 # -- part-set families --------------------------------------------------------
 
 
-def _b_fT_sym(p, n):
-    T = p["T"]
+@_identity("fT-sym", "H[F] = prod over the part set of (1-p_m)^{-1}", N=12, T=(_T, PartSet.of(1, 3)))
+def _b_fT_sym(n, T):
     lhs = sym_powers(part_family_series(T, n))
     return [_clause("H[F] = prod over the part set of (1-p_m)^{-1}", lhs, _geom(T.members_up_to(n), n))]
 
 
-def _b_fT_decomp(p, n):
-    T = p["T"]
+@_identity("fT-decomp", "F = (sum over the part set of p_m)[Lie]", N=12, T=(_T, PartSet.of(1, 3)))
+def _b_fT_decomp(n, T):
     lhs = part_family_series(T, n)
     rhs = Series(n, {d: part_family_via_lie(d, T) for d in range(1, n + 1)})
     return [_clause("f_d = sum over set members m | d of Lie_{d/m}[p_m]", lhs, rhs)]
 
 
-def _b_fT_ext(p, n):
-    T = p["T"]
+@_identity("fT-ext", "E[G] = prod over the part set of (1-p_m)^{-1} = H[F]", N=12, T=(_T, PartSet.of(1, 3)))
+def _b_fT_ext(n, T):
     lhs = ext_powers(part_family_ext_series(T, n))
     return [_clause("E[G] = prod over the part set of (1-p_m)^{-1}", lhs, _geom(T.members_up_to(n), n))]
 
 
-def _b_conj_decomp(p, n):
+@_identity("conj-decomp", "sum_m p_m[Lie] = sum Conj_d")
+def _b_conj_decomp(n):
     return [_clause("sum_m p_m[Lie] = sum Conj_d", _pm_sum(range(1, n + 1), lie_series(n)), conj_series(n))]
 
 
-def _b_conj_psums(p, n):
+@_identity("conj-psums", "Conj[sum (-1)^{r-1} e_r] = sum_m p_m")
+def _b_conj_psums(n):
     lhs = pleth(conj_series(n), _alt_e_series(n))
     rhs = Series(n, {d: p_of((d,)) for d in range(1, n + 1)})
     return [_clause("Conj[sum (-1)^{r-1} e_r] = sum_m p_m", lhs, rhs)]
 
 
-def _b_conj_inverse(p, n):
+@_identity("conj-inverse", "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]")
+def _b_conj_inverse(n):
     M = Series(n, {d: p_of((d,)).scaled(moebius(d)) for d in range(1, n + 1) if moebius(d)})
     rhs = Series.one(n) - ext_powers_signed(M)
     C = conj_series(n)
     return _inverse_of(C, rhs, "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", "Conj[candidate inverse] = p_1", n)
 
 
-def _b_lieq_decomp(p, n):
-    q = p["q"]
+@_identity("lieq-decomp", "L^(q)_d = sum_r Lie_{d/q^r}[p_{q^r}]", q=(_PRIME, 3))
+def _b_lieq_decomp(n, q):
     comps = {}
     for d in range(1, n + 1):
         acc = SymFunc.zero()
@@ -553,16 +587,16 @@ def _b_lieq_decomp(p, n):
     return [_clause("L^(q)_d = sum over q-power divisors q^r of Lie_{d/q^r}[p_{q^r}]", _lieq_series(q, n), rhs)]
 
 
-def _b_lieq_transport(p, n):
-    q = p["q"]
+@_identity("lieq-transport", "Lie = (p_1 - p_q)[L^(q)] = L^(q) - L^(q)[p_q]", q=(_PRIME, 3))
+def _b_lieq_transport(n, q):
     # (p_1 - p_q) composed outermost: L^(q) - p_q[L^(q)]
     Lq = _lieq_series(q, n)
     lhs = Lq - pleth_p(q, Lq)
     return [_clause("(p_1 - p_q)[L^(q)] = L^(q) - L^(q)[p_q] = Lie", lhs, lie_series(n))]
 
 
-def _b_lieq_inverse(p, n):
-    q = p["q"]
+@_identity("lieq-inverse", "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", q=(_PRIME, 3))
+def _b_lieq_inverse(n, q):
     B = Series.one(n) - ext_powers_signed(_p1_pq(q, -1, n))
     Lq = _lieq_series(q, n)
     return _inverse_of(Lq, B, "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", "L^(q)[candidate inverse] = p_1", n)
@@ -573,14 +607,14 @@ def _lie_plus_pk(X: Series, k: int) -> Series:
     return lie_series(X.max_degree) + pleth_p(k, X)
 
 
-def _b_powk_recurrence(p, n):
-    k = p["k"]
+@_identity("powk-recurrence", "powers-of-k family: f_d = Lie_d + f_{d/k}[p_k] when k | d", k=(_int_at_least(2), 4))
+def _b_powk_recurrence(n, k):
     F = part_family_series(PartSet.powers_of(k), n)
     return [_clause("f_d = Lie_d (+ f_{d/k}[p_k] when k | d)", F, _lie_plus_pk(F, k))]
 
 
-def _b_onek(p, n):
-    k = p["k"]
+@_identity("onek", "T={1,k}: f_d = Lie_d (+ Lie_{d/k}[p_k]); prime k gives the induced character", k=(_int_at_least(2), 3))
+def _b_onek(n, k):
     T = PartSet.of(1, k)
     clauses = [_clause("f_d = Lie_d (+ Lie_{d/k}[p_k] when k | d)", part_family_series(T, n), _lie_plus_pk(lie_series(n), k))]
     if is_prime(k):
@@ -590,8 +624,8 @@ def _b_onek(p, n):
     return clauses
 
 
-def _b_onek_ext(p, n):
-    k = p["k"]
+@_identity("onek-ext", "w(E[F^{1,k}]) = (1-p_1)^{-1}(1-(-1)^{k-1}p_k)^{-1}(1+p_2)(1+p_{2k})", k=(_int_at_least(2), 3))
+def _b_onek_ext(n, k):
     T = PartSet.of(1, k)
     lhs = ext_powers(part_family_series(T, n)).omega_each()
     sgn = -1 if k % 2 else 1
@@ -601,21 +635,23 @@ def _b_onek_ext(p, n):
 
 def _fT_forms(T: PartSet, n: int) -> list:
     """[the product form, the Lie decomposition] of the family of T: the clauses of fT-sym and fT-decomp."""
-    return _b_fT_sym({"T": T}, n) + _b_fT_decomp({"T": T}, n)
+    return _b_fT_sym(n, T) + _b_fT_decomp(n, T)
 
 
-def _b_lek(p, n):
-    return _fT_forms(PartSet.up_to(p["k"]), n)
+@_identity("lek", "T={m <= k}: product and Lie-decomposition forms", k=(_int_at_least(2), 3))
+def _b_lek(n, k):
+    return _fT_forms(PartSet.up_to(k), n)
 
 
-def _b_divk(p, n):
-    k = p["k"]
+@_identity("divk", "T={m | k}: the family is the eigenvalue-k induced character", k=(_int_at_least(2), 6))
+def _b_divk(n, k):
     T = PartSet.divisors_of(k)
     product, decomp = _fT_forms(T, n)
     return [_clause("f_d equals the eigenvalue-k induced character", part_family_series(T, n), foulkes_series(k, n)), decomp, product]
 
 
-def _b_regdecomp(p, n):
+@_identity("regdecomp", "p_1^d = sum_{e|d} e Lie_e[p_{d/e}] = sum_r (eigenvalue-r characters)")
+def _b_regdecomp(n):
     comps1, comps2, ones = {}, {}, {}
     for d in range(1, n + 1):
         acc = SymFunc.zero()
@@ -634,18 +670,20 @@ def _b_regdecomp(p, n):
     ]
 
 
-def _b_mod1k(p, n):
-    return _fT_forms(PartSet.mod_one(p["k"]), n)
+@_identity("mod1k", "T={m = 1 mod k}: product and Lie-decomposition forms", k=(_int_at_least(1), 3))
+def _b_mod1k(n, k):
+    return _fT_forms(PartSet.mod_one(k), n)
 
 
-def _b_oddlie(p, n):
+@_identity("oddlie", "sum over odd m | d of Lie_{d/m}[p_m] = Lbar^(2)_d")
+def _b_oddlie(n):
     T = PartSet.mod_one(2)
     lhs = Series(n, {d: part_family_via_lie(d, T) for d in range(1, n + 1)})
     return [_clause("sum over odd m | d of Lie_{d/m}[p_m] = Lbar^(2)_d", lhs, lie_primes_bar_series(PrimeSet((2,)), n))]
 
 
-def _b_conj_via_lieq(p, n):
-    q = p["q"]
+@_identity("conj-via-lieq", "sum Conj = sum over positions m not divisible by q of p_m[L^(q)]", q=(_int_at_least(2), 3))
+def _b_conj_via_lieq(n, q):
     B = _pm_sum(PartSet.powers_of(q).members_up_to(n), lie_series(n))
     C, positions = conj_series(n), [m for m in range(1, n + 1) if m % q]
     clauses = [_clause("sum over m coprime-position of p_m[sum_k Lie[p_{q^k}]] = sum Conj", _pm_sum(positions, B), C)]
@@ -657,33 +695,35 @@ def _b_conj_via_lieq(p, n):
 # -- plethystic-inverse catalog ------------------------------------------------
 
 
-def _b_pq(p, n):
-    q = p["q"]
+@_identity("pq", "p_1 - p_q and sum p_{q^k} are plethystic inverses", q=(_int_at_least(2), 2))
+def _b_pq(n, q):
     A = _p1_pq(q, -1, n)
     comps = {qk: p_of((qk,)) for qk in PartSet.powers_of(q).members_up_to(n)}
     return _inverse_pair(A, Series(n, comps), "p_1 - p_q", "sum p_{q^k}", n)
 
 
-def _b_pq_alt(p, n):
-    q = p["q"]
+@_identity("pq-alt", "p_1 + p_q and sum (-1)^k p_{q^k} are plethystic inverses", q=(_int_at_least(2), 3))
+def _b_pq_alt(n, q):
     A = _p1_pq(q, 1, n)
     comps = {qk: p_of((qk,)).scaled((-1) ** k) for k, qk in enumerate(PartSet.powers_of(q).members_up_to(n))}
     return _inverse_pair(A, Series(n, comps), "p_1 + p_q", "sum (-1)^k p_{q^k}", n)
 
 
-def _b_Hquot(p, n):
-    q = p["q"]
+@_identity("Hquot", "H[p_1 - p_q] = H / H[p_q]", q=(_int_at_least(2), 3))
+def _b_Hquot(n, q):
     H = h_series(n)
     lhs = sym_powers(_p1_pq(q, -1, n)) * pleth_p(q, H)
     return [_clause("H[p_1 - p_q] * H[p_q] = H  (quotient form cross-multiplied)", lhs, H)]
 
 
-def _b_HE(p, n):
+@_identity("HE", "H[p_1 - p_2] = E")
+def _b_HE(n):
     return [_clause("H[p_1 - p_2] = E", sym_powers(_p1_pq(2, -1, n)), e_series(n))]
 
 
-def _b_HFEG(p, n):
-    F = lie_series(n) if p["family"] == "lie" else conj_series(n)
+@_identity("HF-EG", "H[F] = E[G] with G = sum_k F[p_{2^k}], and F = G - G[p_2]", family=(_one_of("lie", "conj"), "lie"))
+def _b_HFEG(n, family):
+    F = lie_series(n) if family == "lie" else conj_series(n)
     G = _pm_sum(PartSet.powers_of(2).members_up_to(n), F)
     return [
         _clause("H[F] = E[sum_k F[p_{2^k}]]", sym_powers(F), ext_powers(G)),
@@ -691,122 +731,82 @@ def _b_HFEG(p, n):
     ]
 
 
-def _b_psibar(p, n):
-    q, w, sign = p["q"], p["weight"], p["sign"]
-    G = family_series(w, n)
+@_identity(
+    "psibar",
+    "(p_1 +/- p_q)[G] shifts the divisor weight by w(d) +/- q w(d/q) at multiples of q",
+    q=(_int_at_least(2), 2),
+    weight=(_W, MOEBIUS),
+    sign=(Param("+1 or -1", lambda v: type(v) is int and v in (1, -1)), -1),
+)
+def _b_psibar(n, q, weight, sign):
+    G = family_series(weight, n)
     lhs = G + pleth_p(q, G).scaled(sign)
 
     def barred(d: int) -> int:
-        return w(d) + sign * q * w(d // q) if d % q == 0 else w(d)
+        return weight(d) + sign * q * weight(d // q) if d % q == 0 else weight(d)
 
-    wb = DivisorWeight(f"pbar[{w.tag},{q},{sign:+d}]", barred)
+    wb = DivisorWeight(f"pbar[{weight.tag},{q},{sign:+d}]", barred)
     return [_clause("(p_1 +/- p_q)[G] has the shifted divisor weight", lhs, family_series(wb, n))]
 
 
-def _b_gmult(p, n, odd_only=False):
-    g = (lambda m: 1) if p["g"] == "one" else (lambda m: m)
-    rng = range(1, n + 1, 2) if odd_only else range(1, n + 1)
-    A = Series(n, {m: p_of((m,)).scaled(g(m)) for m in rng})
-    B = Series(n, {m: p_of((m,)).scaled(g(m) * moebius(m)) for m in rng if moebius(m)})
+def _gmult_pair(g: str, ms: range, n: int) -> list:
+    """The inverse pair sum g(m) p_m and sum g(m) mu(m) p_m over m in ``ms``, g = 1 or g = id."""
+    gm = (lambda m: 1) if g == "one" else (lambda m: m)
+    A = Series(n, {m: p_of((m,)).scaled(gm(m)) for m in ms})
+    B = Series(n, {m: p_of((m,)).scaled(gm(m) * moebius(m)) for m in ms if moebius(m)})
     return _inverse_pair(A, B, "sum g(m) p_m", "sum g(m) mu(m) p_m", n)
 
 
-def _b_odd_gmult(p, n):
-    return _b_gmult(p, n, odd_only=True)
+@_identity("gmult", "sum g(m) p_m and sum g(m) mu(m) p_m are plethystic inverses (multiplicative g)", g=(_G, "one"))
+def _b_gmult(n, g):
+    return _gmult_pair(g, range(1, n + 1), n)
 
 
-def _b_lie_inv(p, n):
+@_identity("odd-gmult", "odd-indexed restriction of the multiplicative inverse pair", g=(_G, "one"))
+def _b_odd_gmult(n, g):
+    return _gmult_pair(g, range(1, n + 1, 2), n)
+
+
+@_identity("lie-inv", "Lie and (H-1)/H = sum (-1)^{r-1} e_r are plethystic inverses")
+def _b_lie_inv(n):
     B = _alt_e_series(n)
     L = lie_series(n)
     return _inverse_of(L, B, "Lie^{<-1>} = sum (-1)^{r-1} e_r", "Lie[sum (-1)^{r-1} e_r] = p_1", n)
 
 
-def _b_lie2_inv(p, n):
+@_identity("lie2-inv", "L^(2) and (E-1)/E = sum (-1)^{r-1} h_r are plethystic inverses")
+def _b_lie2_inv(n):
     B = Series(n, {d: h_of(d) if d % 2 else -h_of(d) for d in range(1, n + 1)})
     Lq = _lieq_series(2, n)
     return _inverse_of(Lq, B, "(L^(2))^{<-1>} = sum (-1)^{r-1} h_r", "L^(2)[sum (-1)^{r-1} h_r] = p_1", n)
 
 
-def _b_pp_frac(p, n):
+@_identity("pp-frac", "p_1/(1+p_1) and p_1/(1-p_1) are plethystic inverses")
+def _b_pp_frac(n):
     A = Series(n, {d: p_of((1,) * d).scaled(1 if d % 2 else -1) for d in range(1, n + 1)})
     B = Series(n, {d: p_of((1,) * d) for d in range(1, n + 1)})
     return _inverse_pair(A, B, "p_1/(1+p_1)", "p_1/(1-p_1)", n)
 
 
-def _b_cadogan_inverse(p, n):
+@_identity("cadogan-inverse", "(H-1)^{<-1>} = sum (-1)^{d-1} w(Lie_d)")
+def _b_cadogan_inverse(n):
     Hm1 = Series(n, {d: h_of(d) for d in range(1, n + 1)})
     return [_clause("(H-1)^{<-1>} = sum (-1)^{d-1} w(Lie_d)", pleth_inverse(Hm1), alt_omega(lie_series(n)))]
 
 
-def _b_lie2_cadogan_inverse(p, n):
+@_identity("lie2-cadogan-inverse", "(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)")
+def _b_lie2_cadogan_inverse(n):
     Em1 = Series(n, {d: e_of(d) for d in range(1, n + 1)})
     return [_clause("(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)", pleth_inverse(Em1), alt_omega(_lieq_series(2, n)))]
 
 
-def _b_jordan_eta(p, n):
-    # Stand-in derivative family: d/dp_1 of e_{2m} is e_{2m-1}; the genuine
-    # even-block homology modules are out of scope, so the transport
-    # mechanics are exercised on this exterior stand-in.
-    D = Series(n, {d: e_of(d) if ((d + 1) // 2) % 2 else -e_of(d) for d in range(1, n + 1, 2)})
-    eta = pleth_inverse(D)
-    odd_only = Series(n, {d: f for d, f in eta.components.items() if d % 2})
-    return [
-        _clause("odd-degree alternating e-derivative series inverts back to p_1", pleth(eta, D), p1_series(n)),
-        _clause("the inverse is supported in odd degrees", eta, odd_only),
-        _clause("omega transport commutes with inversion on odd-supported series", pleth_inverse(D.omega_each()), eta.omega_each()),
-    ]
-
-
-# -- length-graded master identities -------------------------------------------
-
-
-def _b_meta(which):
-    def build(p, n):
-        w = p["weight"]
-        F = family_series(w, n)
-        polys = {m: exponent_poly(m, w) for m in range(1, n + 1)}
-        if which == "sym":
-            lhs = sym_power_layers(F)
-            rhs = graded_product_series([(m, -1, _negpoly(polys[m])) for m in polys], n)
-            return [_vclause("H(v)[F] = prod (1-p_m)^{-poly_m(v)}", lhs, rhs)]
-        if which == "ext":
-            lhs = ext_power_layers(F)
-            rhs = graded_product_series([(m, -1, _flippoly(polys[m])) for m in polys], n)
-            return [_vclause("E(v)[F] = prod (1-p_m)^{poly_m(-v)}", lhs, rhs)]
-        if which == "altext":
-            lhs = sym_power_layers(alt_omega(F))
-            rhs = graded_product_series([(m, 1, polys[m]) for m in polys], n)
-            return [_vclause("H(v)[alt-w(F)] = prod (1+p_m)^{poly_m(v)}", lhs, rhs)]
-        if which == "altsym":
-            lhs = ext_power_layers(alt_omega(F))
-            rhs = graded_product_series([(m, 1, _negpoly(_flippoly(polys[m]))) for m in polys], n)
-            return [_vclause("E(v)[alt-w(F)] = prod (1+p_m)^{-poly_m(-v)}", lhs, rhs)]
-        if which == "equiv":
-            lhs1 = _signed_layers(ext_power_layers(F))
-            rhs1 = graded_product_series([(m, -1, polys[m]) for m in polys], n)
-            lhs2 = _signed_layers(sym_power_layers(F))
-            rhs2 = graded_product_series([(m, -1, _negpoly(_flippoly(polys[m]))) for m in polys], n)
-            return [
-                _vclause("Epm(v)[F] = prod (1-p_m)^{poly_m(v)}", lhs1, rhs1),
-                _vclause("Hpm(v)[F] = prod (1-p_m)^{-poly_m(-v)}", lhs2, rhs2),
-            ]
-        raise AssertionError(which)
-
-    return build
-
-
-def _b_selfconj_powq(p, n):
-    q = p["q"]
-    T = PartSet.powers_of(q)
-    prod = _geom(T.members_up_to(n), n)
-    return [_clause("the power-sum sum over q-power parts is w-invariant", prod.omega_each(), prod)]
-
-
-# -- custom runners -------------------------------------------------------------
-
-
-def _c_mod1k_beta(p, n):
-    k = p["k"]
+@_identity(
+    "mod1k-beta",
+    "inversion of sum_{d=1 mod k} h_d: support, composition, and even-k omega transport",
+    runner=True,
+    k=(_int_at_least(2), 2),
+)
+def _c_mod1k_beta(n, k):
     A = _mod1_h(k, n)
     B = pleth_inverse(A)
     filtered = Series(n, {d: f for d, f in B.components.items() if d % k == 1 % k})
@@ -828,7 +828,76 @@ def _c_mod1k_beta(p, n):
     return status, mismatch, details
 
 
-def _c_conj_hooks(p, n):
+@_identity("jordan-eta", "inversion of an odd-degree alternating derivative series: odd support and omega transport")
+def _b_jordan_eta(n):
+    # Stand-in derivative family: d/dp_1 of e_{2m} is e_{2m-1}; the genuine
+    # even-block homology modules are out of scope, so the transport
+    # mechanics are exercised on this exterior stand-in.
+    D = Series(n, {d: e_of(d) if ((d + 1) // 2) % 2 else -e_of(d) for d in range(1, n + 1, 2)})
+    eta = pleth_inverse(D)
+    odd_only = Series(n, {d: f for d, f in eta.components.items() if d % 2})
+    return [
+        _clause("odd-degree alternating e-derivative series inverts back to p_1", pleth(eta, D), p1_series(n)),
+        _clause("the inverse is supported in odd degrees", eta, odd_only),
+        _clause("omega transport commutes with inversion on odd-supported series", pleth_inverse(D.omega_each()), eta.omega_each()),
+    ]
+
+
+# -- length-graded master identities -------------------------------------------
+
+
+def _graded_product(weight: DivisorWeight, n: int, s: int, sign: int, v_sign: int) -> list[Series]:
+    """prod over m <= n of (1 + s p_m)^{sign * poly_m(v_sign * v)}, poly_m the exponent polynomial of ``weight``."""
+    factors = [(m, s, {e: sign * v_sign**e * c for e, c in exponent_poly(m, weight).items()}) for m in range(1, n + 1)]
+    return graded_product_series(factors, n)
+
+
+@_identity("meta-sym", "H(v)[F] = prod (1-p_m)^{-poly_m(v)} (length-graded)", N=8, weight=(_W, MOEBIUS))
+def _b_meta_sym(n, weight):
+    lhs = sym_power_layers(family_series(weight, n))
+    return [_vclause("H(v)[F] = prod (1-p_m)^{-poly_m(v)}", lhs, _graded_product(weight, n, -1, -1, 1))]
+
+
+@_identity("meta-ext", "E(v)[F] = prod (1-p_m)^{poly_m(-v)} (length-graded)", N=8, weight=(_W, MOEBIUS))
+def _b_meta_ext(n, weight):
+    lhs = ext_power_layers(family_series(weight, n))
+    return [_vclause("E(v)[F] = prod (1-p_m)^{poly_m(-v)}", lhs, _graded_product(weight, n, -1, 1, -1))]
+
+
+@_identity("meta-altext", "H(v)[alt-w(F)] = prod (1+p_m)^{poly_m(v)} (length-graded)", N=8, weight=(_W, MOEBIUS))
+def _b_meta_altext(n, weight):
+    lhs = sym_power_layers(alt_omega(family_series(weight, n)))
+    return [_vclause("H(v)[alt-w(F)] = prod (1+p_m)^{poly_m(v)}", lhs, _graded_product(weight, n, 1, 1, 1))]
+
+
+@_identity("meta-altsym", "E(v)[alt-w(F)] = prod (1+p_m)^{-poly_m(-v)} (length-graded)", N=8, weight=(_W, MOEBIUS))
+def _b_meta_altsym(n, weight):
+    lhs = ext_power_layers(alt_omega(family_series(weight, n)))
+    return [_vclause("E(v)[alt-w(F)] = prod (1+p_m)^{-poly_m(-v)}", lhs, _graded_product(weight, n, 1, -1, -1))]
+
+
+@_identity("meta-equiv", "Epm(v)[F] and Hpm(v)[F] product forms (length-graded)", N=8, weight=(_W, MOEBIUS))
+def _b_meta_equiv(n, weight):
+    F = family_series(weight, n)
+    lhs1, lhs2 = _signed_layers(ext_power_layers(F)), _signed_layers(sym_power_layers(F))
+    return [
+        _vclause("Epm(v)[F] = prod (1-p_m)^{poly_m(v)}", lhs1, _graded_product(weight, n, -1, 1, 1)),
+        _vclause("Hpm(v)[F] = prod (1-p_m)^{-poly_m(-v)}", lhs2, _graded_product(weight, n, -1, -1, -1)),
+    ]
+
+
+@_identity(
+    "selfconj-powq",
+    "sum of p_lam over q-power parts is w-invariant (odd prime q)",
+    q=(Param("odd prime", lambda v: v != 2 and _is_prime(v)), 3),
+)
+def _b_selfconj_powq(n, q):
+    prod = _geom(PartSet.powers_of(q).members_up_to(n), n)
+    return [_clause("the power-sum sum over q-power parts is w-invariant", prod.omega_each(), prod)]
+
+
+@_identity("conj-hooks", "hook multiplicities of Conj_n follow the three-exception pattern", runner=True)
+def _c_conj_hooks(n):
     details, mismatch = [], None
     for d in range(2, n + 1):
         rep = hook_content_check(d)
@@ -839,8 +908,15 @@ def _c_conj_hooks(p, n):
     return status, mismatch, details
 
 
-def _c_lifting(p, n):
-    q, n_max = p["q"], p["n_max"]
+@_identity(
+    "lifting",
+    "p_1 L^(q)_{n-1} - L^(q)_n schur-negative exactly on the recorded exception lists (q=3,5)",
+    N=18,
+    runner=True,
+    q=(_PRIME, 3),
+    n_max=(_int_at_least(2), 18),
+)
+def _c_lifting(n, q, n_max):
     report = lifting_check(q, n_max)
     negs = report.negatives()
     details = [f"negatives: {negs}"]
@@ -852,138 +928,6 @@ def _c_lifting(p, n):
         return "fail", {"degree": min(set(negs) ^ set(expected)), "diffs": diffs}, details
     details.append("no recorded exception list for this q: informational run")
     return "pass", None, details
-
-
-# -- registration ---------------------------------------------------------------
-
-_S_SCHEMA = {"S": Param("comma-separated primes (empty for the empty set)", lambda v: isinstance(v, PrimeSet))}
-_S_NO2_SCHEMA = {"S": Param("comma-separated primes, without 2", lambda v: isinstance(v, PrimeSet) and 2 not in v)}
-_T_SCHEMA = {
-    "T": Param(
-        "part set: explicit list, le(k), div(k), mod1(k), pow(k), all, smooth(..), rough(..)",
-        lambda v: isinstance(v, PartSet),
-    )
-}
-_Q_SCHEMA = {"q": _int_at_least(2)}
-_PRIME_Q_SCHEMA = {"q": Param("prime", _is_prime)}
-_K_SCHEMA = {"k": _int_at_least(2)}
-_K1_SCHEMA = {"k": _int_at_least(1)}
-_W_SCHEMA = {
-    "weight": Param(
-        "divisor weight: mu, phi, primes:2,3, primesbar:2,3, parts:<set>, ramanujan:r",
-        lambda v: isinstance(v, DivisorWeight),
-    )
-}
-_G_SCHEMA = {"g": _one_of("one", "id")}
-_LIFT_SCHEMA = {"q": _PRIME_Q_SCHEMA["q"], "n_max": _int_at_least(2)}
-
-_register("thrall", "H[Lie](t) = (1 - t p_1)^{-1}  (Thrall)", _b_thrall)
-_register("cadogan", "H[sum (-1)^{d-1} w(Lie_d)](t) = 1 + t p_1  (Cadogan)", _b_cadogan)
-_register("solomon", "H[sum Conj_d](t) = prod (1 - t^m p_m)^{-1}  (Solomon)", _b_solomon)
-_register("symLS", "H[L] = prod over smooth m of (1 - p_m)^{-1}", _b_symLS, _S_SCHEMA, {"S": PrimeSet((2,))})
-_register("altsymLS", "H[alt-w(L)] = prod over smooth m of (1 + p_m)", _b_altsymLS, _S_SCHEMA, {"S": PrimeSet((2,))})
-_register("extLS", "E[L]: smooth product with the 2-in-S / 2-not-in-S branches", _b_extLS, _S_SCHEMA, {"S": PrimeSet((2,))})
-_register("extLS-omega", "w(E[L]) product form (needs 2 not in S)", _b_extLS_omega, _S_NO2_SCHEMA, {"S": PrimeSet((3,))})
-_register("altextLS", "E[alt-w(L)]: signed product with both branches", _b_altextLS, _S_SCHEMA, {"S": PrimeSet((2,))})
-_register("extLieConj1", "w(E[Lie]) = (1+p_2)(1-p_1)^{-1}", _b_extLieConj1)
-_register("extLieConj2", "E[Conj] = prod over odd m of (1-p_m)^{-1}", _b_extLieConj2)
-_register("extLieConj3", "sum (-1)^{|lam|-l} H_lam[Lie] = (1+p_1)(1-p_2)^{-1}", _b_extLieConj3, N=8)
-_register("extLieConj4", "E[sum (-1)^{d-1} w(Conj_d)] = prod over odd m of (1+p_m)", _b_extLieConj4)
-_register("dualityA", "(1-p_1)^{-1} = H[Lie] = E[L^(2)]", _b_dualityA)
-_register("dualityB", "prod odd (1-p_m)^{-1} = H[Lbar^(2)] = E[Conj]", _b_dualityB)
-_register("lie2-reg", "E[L^(2)](t) = (1 - t p_1)^{-1}", _b_lie2_reg)
-_register("lie2-hpm", "Hpm[L^(2)](t) = 1 - t p_1", _b_lie2_hpm)
-_register("lie2-cadogan", "E[sum (-1)^{d-1} w(L^(2)_d)](t) = 1 + t p_1", _b_lie2_cadogan)
-_register("fT-sym", "H[F] = prod over the part set of (1-p_m)^{-1}", _b_fT_sym, _T_SCHEMA, {"T": PartSet.of(1, 3)}, N=12)
-_register("fT-decomp", "F = (sum over the part set of p_m)[Lie]", _b_fT_decomp, _T_SCHEMA, {"T": PartSet.of(1, 3)}, N=12)
-_register("fT-ext", "E[G] = prod over the part set of (1-p_m)^{-1} = H[F]", _b_fT_ext, _T_SCHEMA, {"T": PartSet.of(1, 3)}, N=12)
-_register("conj-decomp", "sum_m p_m[Lie] = sum Conj_d", _b_conj_decomp)
-_register("conj-psums", "Conj[sum (-1)^{r-1} e_r] = sum_m p_m", _b_conj_psums)
-_register("conj-inverse", "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", _b_conj_inverse)
-_register("lieq-decomp", "L^(q)_d = sum_r Lie_{d/q^r}[p_{q^r}]", _b_lieq_decomp, _PRIME_Q_SCHEMA, {"q": 3})
-_register("lieq-transport", "Lie = (p_1 - p_q)[L^(q)] = L^(q) - L^(q)[p_q]", _b_lieq_transport, _PRIME_Q_SCHEMA, {"q": 3})
-_register("lieq-inverse", "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", _b_lieq_inverse, _PRIME_Q_SCHEMA, {"q": 3})
-_register("powk-recurrence", "powers-of-k family: f_d = Lie_d + f_{d/k}[p_k] when k | d", _b_powk_recurrence, _K_SCHEMA, {"k": 4})
-_register("onek", "T={1,k}: f_d = Lie_d (+ Lie_{d/k}[p_k]); prime k gives the induced character", _b_onek, _K_SCHEMA, {"k": 3})
-_register("onek-ext", "w(E[F^{1,k}]) = (1-p_1)^{-1}(1-(-1)^{k-1}p_k)^{-1}(1+p_2)(1+p_{2k})", _b_onek_ext, _K_SCHEMA, {"k": 3})
-_register("lek", "T={m <= k}: product and Lie-decomposition forms", _b_lek, _K_SCHEMA, {"k": 3})
-_register("divk", "T={m | k}: the family is the eigenvalue-k induced character", _b_divk, _K_SCHEMA, {"k": 6})
-_register("regdecomp", "p_1^d = sum_{e|d} e Lie_e[p_{d/e}] = sum_r (eigenvalue-r characters)", _b_regdecomp)
-_register("mod1k", "T={m = 1 mod k}: product and Lie-decomposition forms", _b_mod1k, _K1_SCHEMA, {"k": 3})
-_register("oddlie", "sum over odd m | d of Lie_{d/m}[p_m] = Lbar^(2)_d", _b_oddlie)
-_register("conj-via-lieq", "sum Conj = sum over positions m not divisible by q of p_m[L^(q)]", _b_conj_via_lieq, _Q_SCHEMA, {"q": 3})
-_register("pq", "p_1 - p_q and sum p_{q^k} are plethystic inverses", _b_pq, _Q_SCHEMA, {"q": 2})
-_register("pq-alt", "p_1 + p_q and sum (-1)^k p_{q^k} are plethystic inverses", _b_pq_alt, _Q_SCHEMA, {"q": 3})
-_register("Hquot", "H[p_1 - p_q] = H / H[p_q]", _b_Hquot, _Q_SCHEMA, {"q": 3})
-_register("HE", "H[p_1 - p_2] = E", _b_HE)
-_register(
-    "HF-EG",
-    "H[F] = E[G] with G = sum_k F[p_{2^k}], and F = G - G[p_2]",
-    _b_HFEG,
-    {"family": _one_of("lie", "conj")},
-    {"family": "lie"},
-)
-_register(
-    "psibar",
-    "(p_1 +/- p_q)[G] shifts the divisor weight by w(d) +/- q w(d/q) at multiples of q",
-    _b_psibar,
-    {"q": _Q_SCHEMA["q"], "weight": _W_SCHEMA["weight"], "sign": Param("+1 or -1", lambda v: v in (1, -1))},
-    {"q": 2, "weight": MOEBIUS, "sign": -1},
-)
-_register(
-    "gmult",
-    "sum g(m) p_m and sum g(m) mu(m) p_m are plethystic inverses (multiplicative g)",
-    _b_gmult,
-    _G_SCHEMA,
-    {"g": "one"},
-)
-_register(
-    "odd-gmult",
-    "odd-indexed restriction of the multiplicative inverse pair",
-    _b_odd_gmult,
-    _G_SCHEMA,
-    {"g": "one"},
-)
-_register("lie-inv", "Lie and (H-1)/H = sum (-1)^{r-1} e_r are plethystic inverses", _b_lie_inv)
-_register("lie2-inv", "L^(2) and (E-1)/E = sum (-1)^{r-1} h_r are plethystic inverses", _b_lie2_inv)
-_register("pp-frac", "p_1/(1+p_1) and p_1/(1-p_1) are plethystic inverses", _b_pp_frac)
-_register("cadogan-inverse", "(H-1)^{<-1>} = sum (-1)^{d-1} w(Lie_d)", _b_cadogan_inverse)
-_register("lie2-cadogan-inverse", "(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)", _b_lie2_cadogan_inverse)
-_register(
-    "mod1k-beta",
-    "inversion of sum_{d=1 mod k} h_d: support, composition, and even-k omega transport",
-    None,
-    _K_SCHEMA,
-    {"k": 2},
-    custom=_c_mod1k_beta,
-)
-_register(
-    "jordan-eta",
-    "inversion of an odd-degree alternating derivative series: odd support and omega transport",
-    _b_jordan_eta,
-)
-_register("meta-sym", "H(v)[F] = prod (1-p_m)^{-poly_m(v)} (length-graded)", _b_meta("sym"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
-_register("meta-ext", "E(v)[F] = prod (1-p_m)^{poly_m(-v)} (length-graded)", _b_meta("ext"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
-_register("meta-altext", "H(v)[alt-w(F)] = prod (1+p_m)^{poly_m(v)} (length-graded)", _b_meta("altext"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
-_register("meta-altsym", "E(v)[alt-w(F)] = prod (1+p_m)^{-poly_m(-v)} (length-graded)", _b_meta("altsym"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
-_register("meta-equiv", "Epm(v)[F] and Hpm(v)[F] product forms (length-graded)", _b_meta("equiv"), _W_SCHEMA, {"weight": MOEBIUS}, N=8)
-_register(
-    "selfconj-powq",
-    "sum of p_lam over q-power parts is w-invariant (odd prime q)",
-    _b_selfconj_powq,
-    {"q": Param("odd prime", lambda v: v != 2 and _is_prime(v))},
-    {"q": 3},
-)
-_register("conj-hooks", "hook multiplicities of Conj_n follow the three-exception pattern", None, {}, {}, 10, custom=_c_conj_hooks)
-_register(
-    "lifting",
-    "p_1 L^(q)_{n-1} - L^(q)_n schur-negative exactly on the recorded exception lists (q=3,5)",
-    None,
-    _LIFT_SCHEMA,
-    {"q": 3, "n_max": 18},
-    18,
-    custom=_c_lifting,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,7 +968,9 @@ def _resolve(id: str, params: dict | None, N: int | None) -> tuple[IdentityEntry
     p = dict(entry.defaults)
     p.update(params or {})
     _check_params(id, entry.param_schema, p)
-    n = entry.default_N if N is None else int(N)
+    if N is not None and type(N) is not int:
+        raise ValueError(f"N must be an integer, got {N!r}")
+    n = entry.default_N if N is None else N
     if "n_max" in p:
         if N is not None and n != p["n_max"]:
             raise ValueError(f"{id}: N must equal n_max ({p['n_max']}), got {n}")
@@ -1039,7 +985,7 @@ def build_clauses(id: str, params: dict | None = None, N: int | None = None):
     entry, p, n = _resolve(id, params, N)
     if entry.builder is None:
         raise ValueError(f"identity {id!r} uses a custom runner and has no series clauses")
-    return entry.builder(p, n)
+    return entry.builder(n, **p)
 
 
 def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyReport:
@@ -1048,9 +994,9 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
     printable = {k: str(v) for k, v in p.items()}
     t0 = time.perf_counter()
     if entry.custom is not None:
-        status, mismatch, details = entry.custom(p, n)
+        status, mismatch, details = entry.custom(n, **p)
     else:
-        status, mismatch = _run_clauses(entry.builder(p, n))
+        status, mismatch = _run_clauses(entry.builder(n, **p))
         details = []
     return VerifyReport(id, printable, n, status, mismatch, [], (time.perf_counter() - t0) * 1000, details)
 
@@ -1071,54 +1017,54 @@ class _Scan(NamedTuple):
     expand: Callable[[int, dict], SchurExpansion]  # (n, params) -> its Schur expansion
 
 
-def _family_scan(schema: dict[str, Param], part_set: Callable[[dict], PartSet]) -> _Scan:
-    """The degree-n member of the family of the part set ``part_set(params)``, expanded by ``to_schur``."""
+def _family_scan(schema: dict[str, Param], part_set: Callable[..., PartSet]) -> _Scan:
+    """The degree-n member of the family of the part set ``part_set(**params)``, expanded by ``to_schur``."""
 
     def build(n, p):
-        return part_family(n, part_set(p))
+        return part_family(n, part_set(**p))
 
     return _Scan(schema, build, lambda n, p: to_schur(build(n, p)))
 
 
-def _product_scan(schema: dict[str, Param], factors: Callable[[int, dict], list], even: bool = False) -> _Scan:
-    """The degree-n slice of the product of ``factors(n, params)``, expanded by the rim-hook DP.
+def _product_scan(schema: dict[str, Param], factors: Callable[..., list], even: bool = False) -> _Scan:
+    """The degree-n slice of the product of ``factors(n, **params)``, expanded by the rim-hook DP.
 
     With ``even`` both sides are averaged with their omega image by one
     ``_omega_even``: in the power-sum basis omega signs p_lam, and in the
     Schur basis it conjugates the shape on its beta key.
     """
     part = _omega_even if even else (lambda A: A)
-    return _Scan(schema, lambda n, p: part(product_slice(factors(n, p), n)), lambda n, p: part(product_slice_schur(factors(n, p), n)))
+    return _Scan(schema, lambda n, p: part(product_slice(factors(n, **p), n)), lambda n, p: part(product_slice_schur(factors(n, **p), n)))
 
 
-def _geom_factors(part_set: Callable[[dict], PartSet]) -> Callable[[int, dict], list]:
-    """The factors (1 - p_m)^{-1} over the members m <= n of ``part_set(params)``.
+def _geom_factors(part_set: Callable[..., PartSet]) -> Callable[..., list]:
+    """The factors (1 - p_m)^{-1} over the members m <= n of ``part_set(**params)``.
 
     Their product is the sum of p_lam over the partitions with every part in the set.
     """
-    return lambda n, p: [(m, -1, -1) for m in part_set(p).members_up_to(n)]
+    return lambda n, **p: [(m, -1, -1) for m in part_set(**p).members_up_to(n)]
 
 
-_SCAN_T = {"T": Param("part-set descriptor", _T_SCHEMA["T"].ok)}
-_SCAN_S = {"S": Param("prime set", _S_SCHEMA["S"].ok)}
-_SCAN_S_NO2 = {"S": Param("prime set without 2", _S_NO2_SCHEMA["S"].ok)}
+_SCAN_K = {"k": _int_at_least(2)}
+_SCAN_T = {"T": Param("part-set descriptor", _T.ok)}
+_SCAN_S = {"S": Param("prime set", _S.ok)}
 
 # Five scans take the degree-n member of a part-set family; the other eight
 # take the degree-n slice of a product of factors (1 + s p_m)^{+/-1}.
 _SCANS = {
-    "powk": _family_scan(_K_SCHEMA, lambda p: PartSet.powers_of(p["k"])),
-    "product-powk": _product_scan(_K_SCHEMA, _geom_factors(lambda p: PartSet.powers_of(p["k"]))),
-    "onek": _family_scan(_K_SCHEMA, lambda p: PartSet.of(1, p["k"])),
-    "lek": _family_scan(_K_SCHEMA, lambda p: PartSet.up_to(p["k"])),
-    "divk": _family_scan(_K_SCHEMA, lambda p: PartSet.divisors_of(p["k"])),
-    "mod1k-product": _product_scan(_K1_SCHEMA, _geom_factors(lambda p: PartSet.mod_one(p["k"]))),
-    "fT": _family_scan(_SCAN_T, lambda p: p["T"]),
-    "fT-product": _product_scan(_SCAN_T, _geom_factors(lambda p: p["T"])),
-    "symLS-sum": _product_scan(_SCAN_S, _geom_factors(lambda p: PartSet.smooth_over(p["S"]))),
-    "symLSbar-sum": _product_scan(_SCAN_S, _geom_factors(lambda p: PartSet.rough_over(p["S"]))),
-    "symLS-even-sum": _product_scan(_SCAN_S, _geom_factors(lambda p: PartSet.smooth_over(p["S"])), even=True),
-    "altsymLS-sum": _product_scan(_SCAN_S, lambda n, p: [(m, 1, 1) for m in _smooth_members(p["S"], n)]),
-    "extLS-sum": _product_scan(_SCAN_S_NO2, lambda n, p: _ext_omega_factors(p["S"], n)),
+    "powk": _family_scan(_SCAN_K, lambda k: PartSet.powers_of(k)),
+    "product-powk": _product_scan(_SCAN_K, _geom_factors(lambda k: PartSet.powers_of(k))),
+    "onek": _family_scan(_SCAN_K, lambda k: PartSet.of(1, k)),
+    "lek": _family_scan(_SCAN_K, lambda k: PartSet.up_to(k)),
+    "divk": _family_scan(_SCAN_K, lambda k: PartSet.divisors_of(k)),
+    "mod1k-product": _product_scan({"k": _int_at_least(1)}, _geom_factors(lambda k: PartSet.mod_one(k))),
+    "fT": _family_scan(_SCAN_T, lambda T: T),
+    "fT-product": _product_scan(_SCAN_T, _geom_factors(lambda T: T)),
+    "symLS-sum": _product_scan(_SCAN_S, _geom_factors(lambda S: PartSet.smooth_over(S))),
+    "symLSbar-sum": _product_scan(_SCAN_S, _geom_factors(lambda S: PartSet.rough_over(S))),
+    "symLS-even-sum": _product_scan(_SCAN_S, _geom_factors(lambda S: PartSet.smooth_over(S)), even=True),
+    "altsymLS-sum": _product_scan(_SCAN_S, lambda n, S: [(m, 1, 1) for m in _smooth_members(S, n)]),
+    "extLS-sum": _product_scan({"S": Param("prime set without 2", _S_NO2.ok)}, lambda n, S: _ext_omega_factors(S, n)),
 }
 
 
@@ -1149,7 +1095,11 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
     scan = _SCANS[family]
     p = dict(params or {})
     _check_params(family, scan.schema, p)
-    ns = sorted(set(int(x) for x in ns))
+    ns = list(ns)
+    for x in ns:
+        if type(x) is not int:
+            raise ValueError(f"scan degrees must be integers, got {x!r}")
+    ns = sorted(set(ns))
     if not ns:
         raise ValueError("the scan degree range is empty")
     if ns[0] < 1:
@@ -1168,7 +1118,7 @@ def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: i
     keyword stays only because ``bench/workloads.py`` passes it; it goes with
     the next revision of the benchmark.
     """
-    _check_params("lifting", _LIFT_SCHEMA, {"q": q, "n_max": n_max})
+    _check_params("lifting", _REGISTRY["lifting"].param_schema, {"q": q, "n_max": n_max})
     if n_max > budget:
         raise BudgetError(f"n_max {n_max} exceeds the lifting budget {budget}; raise the budget explicitly")
     expansions = _lifting_expansions(q, n_max)

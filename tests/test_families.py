@@ -87,6 +87,17 @@ class TestPartSet:
             PartSet.parse("le(0)")
         with pytest.raises(ValueError, match="explicit part set must be nonempty positive integers"):
             PartSet.of(0, 2)
+        # the constructors take ints, never rounded, and never a bool
+        for make, head in ((PartSet.up_to, "le"), (PartSet.divisors_of, "div"), (PartSet.mod_one, "mod1"), (PartSet.powers_of, "pow")):
+            for k in (2.5, True, "3"):
+                with pytest.raises(ValueError, match=f"{head} parameter must be an integer, got {k!r}"):
+                    make(k)
+        for values in ((1.5, 3), (True,), ("1",)):
+            with pytest.raises(ValueError, match="explicit part set must be nonempty positive integers"):
+                PartSet.of(*values)
+        for r in (2.5, True):
+            with pytest.raises(ValueError, match=f"ramanujan weight requires an integer r >= 1, got {r!r}"):
+                DivisorWeight.ramanujan(r)
 
     def test_parse_names_the_malformed_descriptor(self):
         for text in ("le(x)", "div(x)", "mod1(x)", "pow(x)", "le()", "pow(2.5)", "1,x"):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from symlie import Partition, PrimeSet, divisors, is_prime, moebius, partitions_of, totient, z_of
+from symlie import Partition, PrimeSet, divisors, is_prime, moebius, p_of, partitions_of, totient, z_of
 from symlie.partitions import EMPTY
 
 from helpers import P, brute_partitions, naive_moebius, naive_totient, sieve_primes
@@ -26,6 +26,12 @@ class TestPartition:
             Partition((2, 0))
         with pytest.raises(ValueError):
             Partition((-1,))
+        # parts are ints, never rounded
+        for parts in ((3.7, 1), (True,), ("2",)):
+            with pytest.raises(ValueError, match="parts must be positive integers"):
+                Partition(parts)
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            p_of((2.5,))
 
     def test_basic_fields(self):
         p = P(3, 1, 1)
@@ -131,6 +137,9 @@ class TestPrimeSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             PrimeSet((4,))
+        for primes in ((2.5,), (True,), (3, 2.0)):
+            with pytest.raises(ValueError, match="primes must be integers"):
+                PrimeSet(primes)
         assert PrimeSet((3, 2, 2)).primes == (2, 3)
 
     def test_factor_split_examples(self):

@@ -162,6 +162,16 @@ class TestPlethP:
         assert set(s.components) <= {2, 4}
         assert s.component(4) == pleth_p(2, lie(2))
 
+    def test_non_integer_k_and_window_rejected(self):
+        # a stretch by 2.5 would build parts 2.5 and 5.0; a window of 2.5 would round to 2
+        for k in (2.5, True, "2"):
+            for g in (lie(2), lie_series(4)):
+                with pytest.raises(ValueError, match="pleth_p requires an integer k >= 1"):
+                    pleth_p(k, g)
+        for n in (2.5, True, "4"):
+            with pytest.raises(ValueError, match="max_degree must be an integer >= 0"):
+                Series(n)
+
 
 class TestPleth:
     def test_p1_is_identity(self):

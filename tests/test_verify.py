@@ -134,6 +134,18 @@ class TestCatalog:
             scan_positivity("extLS-sum", [3], {"S": PrimeSet((2,))})
         with pytest.raises(ValueError):
             scan_positivity("powk", [3], {})
+        # windows, degrees and integer parameters are ints, never rounded, and never a bool
+        for N in (2.5, True, "4"):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                verify("thrall", N=N)
+        with pytest.raises(ValueError, match="scan degrees must be integers, got 2.5"):
+            scan_positivity("fT-product", [2.5], {"T": PartSet.everything()})
+        with pytest.raises(ValueError, match="mod1k: k must be integer >= 1, got True"):
+            verify("mod1k", {"k": True})
+        with pytest.raises(ValueError, match="mod1k-product: k must be integer >= 1, got True"):
+            scan_positivity("mod1k-product", [3], {"k": True})
+        with pytest.raises(ValueError, match="psibar: sign must be"):
+            verify("psibar", {"sign": True})
 
     def test_unknown_params_refused(self):
         with pytest.raises(ValueError, match="thrall: unknown parameter r"):
