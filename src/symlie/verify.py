@@ -835,10 +835,10 @@ def _b_jordan_eta(n):
     # mechanics are exercised on this exterior stand-in.
     D = Series(n, {d: e_of(d) if ((d + 1) // 2) % 2 else -e_of(d) for d in range(1, n + 1, 2)})
     eta = pleth_inverse(D)
-    odd_only = Series(n, {d: f for d, f in eta.components.items() if d % 2})
+    odd_part = Series(n, {d: f for d, f in eta.components.items() if d % 2})
     return [
         _clause("odd-degree alternating e-derivative series inverts back to p_1", pleth(eta, D), p1_series(n)),
-        _clause("the inverse is supported in odd degrees", eta, odd_only),
+        _clause("the inverse is supported in odd degrees", eta, odd_part),
         _clause("omega transport commutes with inversion on odd-supported series", pleth_inverse(D.omega_each()), eta.omega_each()),
     ]
 
