@@ -30,7 +30,11 @@ image, and for ``symLS-sum``, the same slices without it, and records the
 negatives (BENCH_21.json).  ``--table lifting`` runs ``lifting_check(q, n, budget=n)``
 for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
 (BENCH_14.json and BENCH_20.json; BENCH_10.json ran n <= 32); ``--table partitions`` enumerates
-``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json).
+``partitions_of(k)`` for every k <= n from a cold memo (BENCH_12.json);
+``--table catalog`` verifies all 58 catalog ids in one cold interpreter at
+their default windows and at windows raised by 6 and by 10 (``lifting`` at
+``n_max`` = N, at most its budget), and records the ids that did not pass
+and the three slowest of the last untraced run (BENCH_24.json).
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
 none, the tree on PYTHONPATH is timed under the label ``here``.  Every
@@ -105,6 +109,10 @@ TABLES = {
         [{"q": 3, "n": n} for n in (20, 24, 28, 32, 36, 40)] + [{"q": 5, "n": n} for n in (26, 32, 36, 40)],
     ),
     "partitions": ("partitions_of(k) for every k <= n", [{"n": n} for n in (20, 24, 28, 32)]),
+    "catalog": (
+        "verify(id, N=default_N + plus) for all 58 ids in one process, lifting at n_max = N up to its budget",
+        [{"plus": plus} for plus in (0, 6, 10)],
+    ),
 }
 
 
@@ -134,6 +142,21 @@ def _call(table: str, point: dict) -> dict:
         for k in range(point["n"] + 1):
             partitions_of(k)
         return {}
+    if table == "catalog":
+        from symlie.verify import DEFAULT_LIFT_BUDGET, list_identities, verify
+
+        failed, times = [], {}
+        for entry in list_identities():
+            id, n, params = entry["id"], entry["default_N"] + point["plus"], None
+            if "n_max" in entry["defaults"]:
+                n = min(n, DEFAULT_LIFT_BUDGET)
+                params = {"n_max": n}
+            t0 = time.perf_counter()
+            if not verify(id, params, N=n).passed:
+                failed.append(id)
+            times[id] = time.perf_counter() - t0
+        slowest = sorted(times, key=times.get, reverse=True)[:3]
+        return {"failed": failed, "slowest": [[id, round(times[id], 3)] for id in slowest]}
     if table == "lifting":
         from symlie.verify import lifting_check
 

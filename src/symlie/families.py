@@ -260,8 +260,8 @@ def from_divisor_weight(n: int, w: DivisorWeight) -> SymFunc:
     The coefficient of p_{1^n} is w(1)/n, so the dimension of the underlying
     virtual character is (n-1)! * w(1).
     """
-    if n < 1:
-        raise ValueError("family members are indexed by n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"family members are indexed by integers n >= 1, got {n!r}")
     key = (w.tag, n)
     hit = _family_cache.get(key)
     if hit is None:
@@ -299,6 +299,8 @@ def exponent_poly(n: int, w: DivisorWeight) -> dict[int, Fraction]:
 
 
 def family_series(w: DivisorWeight, n: int) -> Series:
+    if type(n) is not int:
+        raise ValueError(f"a family series window must be an integer, got {n!r}")
     return Series(n, {d: from_divisor_weight(d, w) for d in range(1, n + 1)})
 
 

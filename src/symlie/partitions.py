@@ -52,8 +52,14 @@ class Partition:
 
     @classmethod
     def of(cls, parts) -> "Partition":
-        """Interning constructor: equal partitions share one instance."""
+        """Interning constructor: equal partitions share one instance.
+
+        The parts must be ints before the lookup, since a float or bool part
+        compares equal to an int one and would find its interned partition.
+        """
         key = parts if isinstance(parts, tuple) else tuple(parts)
+        if not all(type(a) is int for a in key):
+            raise ValueError(f"parts must be positive integers: {key!r}")
         hit = _interned.get(key)
         if hit is None:
             hit = cls(key)
@@ -127,6 +133,8 @@ def _partitions_interned(n: int) -> tuple[Partition, ...]:
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in descending lexicographic order."""
+    if type(n) is not int:
+        raise ValueError(f"partitions_of requires an integer n, got {n!r}")
     if n < 0:
         raise ValueError("partitions of negative integers are not defined")
     return _partitions_interned(n)

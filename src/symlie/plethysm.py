@@ -3,17 +3,22 @@
 A Series holds homogeneous components for degrees 0..N, the constant term
 at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
-the catalog into a finite exact check.  The products of factors
-(1 + s p_m)^{+/-1} are read off one walk over the partitions into factor
-parts here, in the power-sum basis; ``symfunc.product_slice_schur``
-expands them in the Schur basis.
+the catalog into a finite exact check.  Series products, the plethysm
+kernel and the Newton recurrence behind ``series_exp`` and the power
+layers all keep their components packed (``symfunc._packed_products``,
+one key width per window) and unpack only the components they return.
+The products of factors (1 + s p_m)^{+/-1} are read off one walk over the
+partitions into factor parts here, in the power-sum basis, and so are the
+length-graded ones, whose v-polynomial coefficients are integer
+numerators over one denominator; ``symfunc.product_slice_schur`` expands
+the ungraded ones in the Schur basis.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .partitions import EMPTY, Partition
 from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _from_packed, _pack, _packed_products, _units, e_of, h_of, p_of
@@ -132,22 +137,24 @@ class Series:
         return out
 
     def __mul__(self, other):
+        """The product truncated at the window, or ``scaled(other)`` for a scalar.
+
+        Each component is packed once (``symfunc._units`` of the window), the
+        pairs of components of each output degree are summed in one
+        ``symfunc._packed_products`` call, and only those sums are unpacked
+        and reduced, in ascending degree.
+        """
         if not isinstance(other, Series):
             return self.scaled(other)
         self._require_same_window(other)
         n = self.max_degree
-        comps: dict[int, SymFunc] = {}
-        for a, fa in self.components.items():
-            for b, fb in other.components.items():
-                if a + b <= n:
-                    g = comps.get(a + b)
-                    s = fa * fb if g is None else g + fa * fb
-                    if s.is_zero:
-                        comps.pop(a + b, None)
-                    else:
-                        comps[a + b] = s
+        w, unit = _units(n)
+        pairs = _degree_pairs(_packed(self, unit), _packed(other, unit), n, {})
         out = Series(n)
-        out.components = comps
+        for d in sorted(pairs):
+            f = _from_packed(d, _packed_products(pairs[d]), w)
+            if not f.is_zero:
+                out.components[d] = f
         return out
 
     def __rmul__(self, other):
@@ -172,6 +179,20 @@ class Series:
 
     def __repr__(self):
         return " + ".join(f"({self.components[d].to_text()})" for d in sorted(self.components)) or "0"
+
+
+def _packed(F: Series, unit: tuple[int, ...]) -> dict[int, tuple[dict[int, int], int]]:
+    """F's components by degree, each packed by ``symfunc._pack``."""
+    return {d: _pack(f, unit) for d, f in F.components.items()}
+
+
+def _degree_pairs(xs: dict, ys: dict, n: int, into: dict) -> dict:
+    """Append (xs[a], ys[b]) to ``into[a + b]`` for every a + b <= n; return ``into``."""
+    for a, x in xs.items():
+        for b, y in ys.items():
+            if a + b <= n:
+                into.setdefault(a + b, []).append((x, y))
+    return into
 
 
 def p1_series(n: int) -> Series:
@@ -337,31 +358,47 @@ def pleth(f, g) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _newton(P, one):
-    """[X_0 = one, X_1, ..., X_N] with r X_r = sum_{k=1..r} P[k] X_{r-k}, N = len(P) - 1.
+def _newton(P: list, n: int) -> list[Series]:
+    """[X_0 = 1, X_1, ..., X_N] with r X_r = sum_{k=1..r} P[k] X_{r-k}, N = len(P) - 1, on series truncated at n.
 
-    Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2) as a recurrence
-    on SymFuncs or Series alike; P[0] is not read, and the 1/r scaling is exact.
+    Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2); P[0] is not
+    read.  Every component is packed once with the window's width
+    (``symfunc._units``).  The pairs P[k]_a * X_{r-k}_b of each degree of X_r
+    are summed in one ``symfunc._packed_products`` call, 1/r is folded into
+    the sum's denominator, and the sum is reduced by one gcd before a later
+    step reads it; it is unpacked once, into the returned X_r.
     """
-    X = [one]
+    w, unit = _units(n)
+    P = [None] + [_packed(p, unit) for p in P[1:]]
+    X = [{0: ({0: 1}, 1)}]
+    out = [Series.one(n)]
     for r in range(1, len(P)):
-        acc = one.scaled(0)
+        pairs: dict[int, list] = {}
         for k in range(1, r + 1):
-            acc = acc + P[k] * X[r - k]
-        X.append(acc.scaled(Fraction(1, r)))
-    return X
+            _degree_pairs(P[k], X[r - k], n, pairs)
+        X.append({})
+        out.append(Series(n))
+        for d in sorted(pairs):
+            num, den = _packed_products(pairs[d])
+            num = {key: c for key, c in num.items() if c}
+            if num:
+                g = gcd(den * r, *num.values())
+                X[r][d] = {key: c // g for key, c in num.items()}, den * r // g
+                out[r].components[d] = _from_packed(d, X[r][d], w)
+    return out
 
 
 def series_exp(x: Series) -> Series:
     """exp(x) for a constant-free series, truncated at x's window.
 
-    The degree-d component solves the Newton recurrence d E_d = sum_k k x_k E_{d-k}.
+    The degree-d component E_d solves d E_d = sum_k k x_k E_{d-k}: ``_newton``
+    with P_k the series whose one component is k x_k, so X_d = E_d.
     """
     if not x.is_constant_free:
         raise ValueError("series_exp requires a constant-free argument")
     n = x.max_degree
-    E = _newton([None] + [x.component(k).scaled(k) for k in range(1, n + 1)], ONE)
-    return Series(n, dict(enumerate(E)))
+    E = _newton([None] + [Series.from_symfunc(x.component(k).scaled(k), n) for k in range(1, n + 1)], n)
+    return Series(n, {d: X.component(d) for d, X in enumerate(E)})
 
 
 def _log_sum(F: Series, alternating: bool) -> Series:
@@ -402,8 +439,8 @@ def _power_layers(F: Series, alternating: bool) -> list[Series]:
     P_k = p_k[F]; with ``alternating`` it is (-1)^{k-1} p_k[F], and X_r = e_r[F].
     """
     n = F.max_degree
-    P = [None] + [pleth_p(k, F).scaled(-1 if alternating and k % 2 == 0 else 1) for k in range(1, n + 1)]
-    return _newton(P, Series.one(n))
+    P = [None] + [-pleth_p(k, F) if alternating and k % 2 == 0 else pleth_p(k, F) for k in range(1, n + 1)]
+    return _newton(P, n)
 
 
 def sym_power_layers(F: Series) -> list[Series]:
@@ -498,36 +535,47 @@ def graded_product_series(factors, n: int) -> list[Series]:
     binomial theorem the coefficient of p_lam is the product, over each part
     value m of multiplicity j in lam, of sign^j * binom(P_m(v), j); powers of
     v above n are dropped.  It is read off the walk of ``product_series``,
-    and like it multiplies no series.
+    and like it multiplies no series.  Each row entry and each walk node's
+    coefficient is a v-polynomial held as integer numerators over one
+    denominator, reduced by one gcd per product; each term of a layer is
+    brought to the layer's common denominator once, when it is built.
     """
 
-    def mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, x in a.items():
-            for k, y in b.items():
+    def mul(a, b):
+        # the product of two v-polynomials (numerators, den), powers above n dropped, reduced; None for zero
+        out: dict[int, int] = {}
+        for i, x in a[0].items():
+            for k, y in b[0].items():
                 if i + k <= n:
                     out[i + k] = out.get(i + k, 0) + x * y
-        return {e: c for e, c in out.items() if c}
+        out = {e: c for e, c in out.items() if c}
+        if not out:
+            return None
+        g = gcd(a[1] * b[1], *out.values())
+        return {e: c // g for e, c in out.items()}, a[1] * b[1] // g
 
-    def exact(d: int, terms: dict[tuple[int, ...], Fraction]) -> SymFunc:
-        den = lcm(*(c.denominator for c in terms.values()))
-        return SymFunc._make(d, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
+    def exact(d: int, terms: dict[tuple[int, ...], tuple[int, int]]) -> SymFunc:
+        den = lcm(*(dx for _, dx in terms.values()))
+        return SymFunc._make(d, {k: x * (den // dx) for k, (x, dx) in terms.items()}, den)
 
     factors = list(factors)
     _factor_weights((m, s, 1) for m, s, _ in factors)
     # binoms[m][j] = sign^j * binom(P_m(v), j) = binoms[m][j-1] * sign * (P_m(v) - j + 1) / j
-    binoms: dict[int, list[dict[int, Fraction]]] = {}
+    binoms: dict[int, list[tuple[dict[int, int], int]]] = {}
     for m, s, P in factors:
-        row = [{0: Fraction(1)}]
+        P = {e: Fraction(c) for e, c in P.items()}
+        den = lcm(*(c.denominator for c in P.values()))
+        row = [({0: 1}, 1)]
         for j in range(1, n // m + 1):
-            step = {e: Fraction(c) * s / j for e, c in P.items()}
-            step[0] = step.get(0, 0) - Fraction(s * (j - 1), j)
-            row.append(mul(row[-1], step))
+            step = {e: s * c.numerator * (den // c.denominator) for e, c in P.items()}
+            step[0] = step.get(0, 0) - s * (j - 1) * den
+            # binom(c, j) = 0 for an integer 0 <= c < j ends the row in zero polynomials ({}, 1)
+            row.append(mul(row[-1], (step, j * den)) or ({}, 1))
         binoms[m] = row
-    layers: list[dict[int, dict[tuple[int, ...], Fraction]]] = [{} for _ in range(n + 1)]
-    for d, parts, c in _factor_partitions(binoms, n, {0: Fraction(1)}, mul):
+    layers: list[dict[int, dict[tuple[int, ...], tuple[int, int]]]] = [{} for _ in range(n + 1)]
+    for d, parts, (c, den) in _factor_partitions(binoms, n, ({0: 1}, 1), mul):
         for r, x in c.items():
-            layers[r].setdefault(d, {})[parts] = x
+            layers[r].setdefault(d, {})[parts] = x, den
     return [Series(n, {d: exact(d, t) for d, t in comps.items()}) for comps in layers]
 
 

@@ -10,9 +10,10 @@ and scale on the integers (``_sum_scaled``) and have omega, which signs p_mu
 and conjugates a beta key.  The zero function carries no degree and absorbs
 additions.  The one product loop (``_packed_products``) keys shapes by
 multiplicity vectors packed into one integer: a product of two SymFuncs
-packs both factors into it and unpacks the result, and the plethysm kernel
-keeps its factors and node products packed and unpacks only the sums it
-yields.  The Murnaghan-Nakayama rule runs on beta-sets in two directions.
+packs both factors into it and unpacks the result, while Series products,
+the Newton recurrence on series and the plethysm kernel pack each
+component once and unpack only the components they return.  The
+Murnaghan-Nakayama rule runs on beta-sets in two directions.
 Backwards, ``_border_strips`` removes the m-border strips of a parts tuple,
 and characters recurse over it (memoized across all calls in ``_char``) for
 ``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds the strips on
@@ -266,8 +267,9 @@ def _packed_products(pairs) -> tuple[dict[int, int], int]:
     den_y once and its numerators are multiplied term by term; the sum is
     not reduced and keeps the zeros that cancellation leaves.  This is the
     one product loop: ``SymFunc.__mul__`` packs its two factors into it,
-    and the plethysm kernel keeps its factors and prefix products packed
-    from one node to the next.
+    ``Series.__mul__`` and the Newton recurrence of ``plethysm`` sum the
+    pairs of each output degree in one call, and the plethysm kernel keeps
+    its factors and prefix products packed from one node to the next.
     """
     den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
     out: dict[int, int] = {}
@@ -334,25 +336,34 @@ def _p1(k: int) -> SymFunc:
     return p_of((k,)) if k else ONE
 
 
-@lru_cache(maxsize=None)
 def h_of(n: int) -> SymFunc:
     """Complete homogeneous h_n via the Newton recurrence n*h_n = sum p_k h_{n-k}."""
-    if n < 0:
-        raise ValueError("h_of requires n >= 0")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"h_of requires an integer n >= 0, got {n!r}")
+    return _h_of(n)
+
+
+def e_of(n: int) -> SymFunc:
+    """Elementary e_n = omega(h_n)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"e_of requires an integer n >= 0, got {n!r}")
+    return _e_of(n)
+
+
+# the memos behind h_of and e_of, which check n first: True == 1 would find the entry for 1
+@lru_cache(maxsize=None)
+def _h_of(n: int) -> SymFunc:
     if n == 0:
         return ONE
     acc = ZERO
     for k in range(1, n + 1):
-        acc = acc + _p1(k) * h_of(n - k)
+        acc = acc + _p1(k) * _h_of(n - k)
     return acc.scaled(Fraction(1, n))
 
 
 @lru_cache(maxsize=None)
-def e_of(n: int) -> SymFunc:
-    """Elementary e_n = omega(h_n)."""
-    if n < 0:
-        raise ValueError("e_of requires n >= 0")
-    return h_of(n).omega()
+def _e_of(n: int) -> SymFunc:
+    return _h_of(n).omega()
 
 
 # ---------------------------------------------------------------------------

@@ -1072,6 +1072,11 @@ def scan_families() -> dict[str, dict]:
     return {name: {k: v.text for k, v in scan.schema.items()} for name, scan in sorted(_SCANS.items())}
 
 
+def _check_budget(budget) -> None:
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+
+
 def _verdicts(ns, expansion) -> list[ScanVerdict]:
     """Time and check each degree n in ``ns`` in turn: is the Schur expansion ``expansion(n)`` positive?"""
     verdicts = []
@@ -1092,6 +1097,7 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
     """
     if family not in _SCANS:
         raise ValueError(f"unknown scan family {family!r}")
+    _check_budget(budget)
     scan = _SCANS[family]
     p = dict(params or {})
     _check_params(family, scan.schema, p)
@@ -1119,6 +1125,7 @@ def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: i
     the next revision of the benchmark.
     """
     _check_params("lifting", _REGISTRY["lifting"].param_schema, {"q": q, "n_max": n_max})
+    _check_budget(budget)
     if n_max > budget:
         raise BudgetError(f"n_max {n_max} exceeds the lifting budget {budget}; raise the budget explicitly")
     expansions = _lifting_expansions(q, n_max)
@@ -1144,8 +1151,8 @@ def hook_content_check(n: int) -> dict:
     exceptions, which must vanish: (n-1, 1) for all n >= 2, (2, 1^{n-2}) for
     odd n >= 3, and (1^n) for even n.
     """
-    if n < 2:
-        raise ValueError("hook_content_check requires n >= 2")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"hook_content_check requires an integer n >= 2, got {n!r}")
     exp = to_schur(conj(n))
     exceptions = {Partition.of((n - 1, 1))}
     if n % 2 and n >= 3:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths where an
 independent route exists: brute-force partition enumeration, border strips
 found on cell sets, hook-length dimensions, characters on rectangular cycle
 types from d-quotients, naive arithmetic functions, p-basis arithmetic
-on plain partition -> Fraction maps, and a beta-key codec written from the
-definition for reading the package's ribbon walk.
+on plain partition -> Fraction maps, a beta-key codec written from the
+definition for reading the package's ribbon walk, and the per-pair and
+``Fraction`` loops that the packed series products replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 from symlie import Partition, SchurExpansion, Series, SymFunc, character, p_of, partitions_of
+from symlie.plethysm import _factor_partitions
+from symlie.symfunc import ZERO
 
 
 def brute_partitions(n: int) -> set[tuple[int, ...]]:
@@ -265,8 +268,23 @@ def P(*parts: int) -> Partition:
     return Partition.of(parts)
 
 
+def series_product(a: Series, b: Series) -> Series:
+    """a * b truncated at a's window, one ``SymFunc`` product per pair of components, summed by ``+``.
+
+    The reference for ``Series.__mul__``, which packs each component once and
+    sums the pairs of each degree in one packed product.
+    """
+    n = a.max_degree
+    comps: dict[int, SymFunc] = {}
+    for d, f in a.components.items():
+        for e, g in b.components.items():
+            if d + e <= n:
+                comps[d + e] = comps.get(d + e, ZERO) + f * g
+    return Series(n, comps)
+
+
 def horner_exp(x: Series) -> Series:
-    """sum_{j<=n} x^j/j! for a constant-free x truncated at n, by Horner's rule in Series products.
+    """sum_{j<=n} x^j/j! for a constant-free x truncated at n, by Horner's rule in ``series_product``.
 
     The reference for ``series_exp``, which solves the Newton recurrence
     degree by degree instead.
@@ -274,5 +292,36 @@ def horner_exp(x: Series) -> Series:
     n = x.max_degree
     out = Series.one(n)
     for j in range(n, 0, -1):
-        out = Series.one(n) + (x * out).scaled(Fraction(1, j))
+        out = Series.one(n) + series_product(x, out).scaled(Fraction(1, j))
     return out
+
+
+def fraction_graded_product_series(factors, n: int) -> list[Series]:
+    """``graded_product_series`` with its binomial v-polynomial rows as maps v-exponent -> Fraction.
+
+    The reference for the package's rows of integer numerators over one
+    denominator; it reads the same walk over the factor parts, and checks
+    no factor.
+    """
+
+    def mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for i, x in a.items():
+            for k, y in b.items():
+                if i + k <= n:
+                    out[i + k] = out.get(i + k, 0) + x * y
+        return {e: c for e, c in out.items() if c}
+
+    binoms: dict[int, list[dict[int, Fraction]]] = {}
+    for m, s, P in factors:
+        row = [{0: Fraction(1)}]
+        for j in range(1, n // m + 1):
+            step = {e: Fraction(c) * s / j for e, c in P.items()}
+            step[0] = step.get(0, 0) - Fraction(s * (j - 1), j)
+            row.append(mul(row[-1], step))
+        binoms[m] = row
+    layers: list[dict[int, dict[tuple[int, ...], Fraction]]] = [{} for _ in range(n + 1)]
+    for d, parts, c in _factor_partitions(binoms, n, {0: Fraction(1)}, mul):
+        for r, x in c.items():
+            layers[r].setdefault(d, {})[parts] = x
+    return [Series(n, {d: SymFunc(d, t) for d, t in comps.items()}) for comps in layers]

@@ -26,6 +26,7 @@ from symlie import (
     lie,
     lie_primes,
     lie_primes_bar,
+    lie_series,
     moebius,
     part_family,
     part_family_ext,
@@ -164,6 +165,16 @@ class TestFamilyMembers:
     def test_degree_one(self):
         for w in (MOEBIUS, TOTIENT, DivisorWeight.ramanujan(5)):
             assert from_divisor_weight(1, w) == p_of((1,))
+
+    def test_non_integer_degrees_rejected(self):
+        # checked before the member cache, where True would find the member of degree 1
+        lie(1)
+        for n in (2.5, True, 2.0, "3"):
+            for build in (lie, conj, lambda n: from_divisor_weight(n, TOTIENT)):
+                with pytest.raises(ValueError, match=f"family members are indexed by integers n >= 1, got {n!r}"):
+                    build(n)
+            with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
+                lie_series(n)
 
     def test_dimension_identity(self):
         # coefficient of p_{1^n} times n! equals (n-1)! * w(1)

@@ -32,6 +32,11 @@ class TestPartition:
                 Partition(parts)
         with pytest.raises(ValueError, match="parts must be positive integers"):
             p_of((2.5,))
+        # the interning constructor refuses the same parts once their int twin is interned
+        assert Partition.of((2, 1)) is P(2, 1)
+        for parts in ((2.0, 1), (2, 1.0), (True,), [2.0, 1]):
+            with pytest.raises(ValueError, match="parts must be positive integers"):
+                Partition.of(parts)
 
     def test_basic_fields(self):
         p = P(3, 1, 1)
@@ -87,6 +92,11 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
+        # checked before the memo, where True would find the entry for 1
+        partitions_of(1)
+        for n in (True, 2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"partitions_of requires an integer n, got {n!r}"):
+                partitions_of(n)
 
 
 class TestArithmetic:

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from symlie import (
+    DivisorWeight,
     MOEBIUS,
     PartSet,
     PrimeSet,
@@ -50,7 +51,18 @@ from symlie.plethysm import series_exp
 from symlie.partitions import _interned
 from symlie.symfunc import ONE, ZERO, _char
 
-from helpers import P, frac, horner_exp, random_series, random_symfunc, random_unit_series, schur_by_characters
+from helpers import (
+    P,
+    frac,
+    fraction_graded_product_series,
+    horner_exp,
+    random_series,
+    random_sparse_symfunc,
+    random_symfunc,
+    random_unit_series,
+    schur_by_characters,
+    series_product,
+)
 
 
 def series_pleth(f, g: Series) -> Series:
@@ -135,6 +147,23 @@ class TestSeries:
         a = Series(3, {2: p_of((2,))})
         assert (a * a).component(3).is_zero
         assert all(d <= 3 for d in (a * a).components)
+
+    @pytest.mark.parametrize("n", (7, 8, 15, 16))
+    def test_mul_against_componentwise_products(self, n):
+        # Mixed denominators, a constant term, a degree that cancels to zero, and p_1^n at
+        # degree n: its multiplicity n is 2^w - 1 for the packed width w = n.bit_length()
+        # at n = 7 and 15, and the first multiplicity of a new width at n = 8 and 16.
+        rng = random.Random(n)
+        dense = Series(n, {d: random_sparse_symfunc(rng, d) for d in range(1, n + 1)}, constant=frac(5, 7))
+        sparse = Series(n, {d: random_sparse_symfunc(rng, d) for d in (1, 3, n - 2)})
+        x = Series(n, {1: p_of((1,)).scaled(frac(1, 3)), 2: p_of((2,)).scaled(frac(1, 2))}, constant=frac(-2, 9))
+        y = Series(n, {1: p_of((1,)).scaled(frac(2, 3)), 2: -p_of((2,))})
+        assert 3 not in (x * y).components and (x * y).component(4) == -p_of((2, 2)).scaled(frac(1, 2))
+        ones = Series(n, {a: p_of((1,) * a) for a in range(1, n)})
+        assert (ones * ones).component(n) == p_of((1,) * n).scaled(n - 1)
+        for a in (dense, sparse, x, y, ones, Series.one(n), Series.zero(n)):
+            for b in (dense, sparse, x, ones):
+                assert a * b == series_product(a, b)
 
     def test_alt_omega(self):
         s = alt_omega(lie_series(4))
@@ -326,6 +355,19 @@ class TestPowerOperators:
                     assert layers[r].component(n) == want_h
                     assert elayers[r].component(n) == want_e
 
+    def test_layers_against_pleth_of_h_and_e(self):
+        # h_r[F] and e_r[F] against pleth(h_r, F) and pleth(e_r, F) through the plethysm
+        # kernel, which shares no step with the Newton recurrence on layers
+        rng = random.Random(41)
+        for n in (1, 6, 9):
+            gaps = Series(n, {d: random_sparse_symfunc(rng, d) for d in (2, 3, 7) if d <= n})
+            for F in (lie_series(n), conj_series(n), random_series(rng, n), gaps):
+                layers, elayers = sym_power_layers(F), ext_power_layers(F)
+                assert len(layers) == len(elayers) == n + 1
+                for r in range(n + 1):
+                    assert layers[r] == pleth(h_of(r), F), (n, r)
+                    assert elayers[r] == pleth(e_of(r), F), (n, r)
+
     def test_sum_of_layers_matches_exponential_form(self):
         rng = random.Random(29)
         F = random_series(rng, 8)
@@ -497,6 +539,22 @@ class TestGradedProductSeries:
                     want = want * product_series([(m, s, 1 if k > 0 else -1)], n)
             assert layers[0] == want, factors
             assert all(layer == Series.zero(n) for layer in layers[1:])
+
+    def test_against_fraction_rows(self):
+        # the integer rows against the Fraction rows they replaced, on exponent polynomials of
+        # three weights and on random ones with mixed denominators, constants and the zero one
+        rng = random.Random(43)
+        for n in (1, 5, 9):
+            for w in (MOEBIUS, TOTIENT, DivisorWeight.part_set(PartSet.of(1, 3))):
+                for s in (1, -1):
+                    factors = [(m, s if m % 2 else -s, exponent_poly(m, w)) for m in range(1, n + 1)]
+                    assert graded_product_series(factors, n) == fraction_graded_product_series(factors, n)
+            for _ in range(4):
+                polys = [{e: frac(rng.randint(-6, 6), rng.choice((1, 2, 3, 7, 12))) for e in rng.sample(range(n + 2), 2)}]
+                polys += [{0: frac(rng.randint(-3, 3))}, {}, {0: frac(1, 2), 1: frac(-1, 3)}]
+                ms = rng.sample(range(1, n + 1), min(n, len(polys)))
+                factors = [(m, rng.choice((1, -1)), P) for m, P in zip(ms, polys)]
+                assert graded_product_series(factors, n) == fraction_graded_product_series(factors, n), factors
 
     def test_malformed_and_duplicate_factors_rejected(self):
         bad_parts = ([(2.5, -1, {1: 1})], [("3", -1, {1: 1})])

@@ -209,6 +209,15 @@ class TestBases:
         assert h_of(2) == SymFunc(2, {P(1, 1): frac(1, 2), P(2): frac(1, 2)})
         assert e_of(2) == SymFunc(2, {P(1, 1): frac(1, 2), P(2): frac(-1, 2)})
 
+    def test_non_integer_degrees_rejected(self):
+        # checked before the memos, where True would find the entry for 1
+        assert h_of(1) == e_of(1) == p_of((1,))
+        for n in (True, 2.5, 2.0, "3", -1):
+            with pytest.raises(ValueError, match=f"h_of requires an integer n >= 0, got {n!r}"):
+                h_of(n)
+            with pytest.raises(ValueError, match=f"e_of requires an integer n >= 0, got {n!r}"):
+                e_of(n)
+
     def test_h_matches_z_formula(self):
         # independent oracle: h_n = sum over partitions of p_lam / z_lam
         for n in range(13):

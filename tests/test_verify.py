@@ -281,6 +281,9 @@ class TestScans:
         with pytest.raises(BudgetError):
             scan_positivity("powk", [25], {"k": 4})
         scan_positivity("powk", [21], {"k": 4}, budget=21)
+        for budget in (21.5, True, "21"):
+            with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+                scan_positivity("powk", [1], {"k": 4}, budget=budget)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -495,6 +498,9 @@ class TestLifting:
     def test_budget(self):
         with pytest.raises(BudgetError):
             lifting_check(3, 33)
+        for budget in (10.5, True, "10"):
+            with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+                lifting_check(3, 10, budget=budget)
 
     def test_catalog_entry(self):
         r = verify("lifting", params={"q": 3, "n_max": 12})
@@ -545,3 +551,6 @@ class TestHooks:
             assert hook_content_check(n)["status"] == "pass"
         with pytest.raises(ValueError):
             hook_content_check(1)
+        for n in (2.5, True, 4.0, "4"):
+            with pytest.raises(ValueError, match=f"hook_content_check requires an integer n >= 2, got {n!r}"):
+                hook_content_check(n)
