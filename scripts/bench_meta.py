@@ -9,10 +9,13 @@ H_lam[Lie] over the partitions lam; ``--table inverse`` times six
 plethystic-inverse identities, the four of the Lie, L^(2), L^(q) and Conj
 inverses and the two Cadogan inverses, at N = 12, 16, 20 and 24
 (BENCH_19.json and BENCH_18.json; BENCH_13.json ran the first four at
-N = 10..24 and BENCH_8.json at N = 10..16); ``--table powers`` times four
-identities whose left sides are power series of modules (``series_exp``)
-at N = 12..24 (BENCH_9.json).  These three time cold ``verify(id, N=N)``
-calls at the id's default parameters and record the status.
+N = 10..24 and BENCH_8.json at N = 10..16); ``--table powers`` times
+identities whose left sides are power series of modules at N = 12..24:
+``solomon`` and ``fT-sym`` (H[F]), ``extLieConj2`` (E[F]),
+``conj-inverse`` (E^pm[F]) and, since BENCH_25.json, ``lie2-hpm``
+(H^pm[F]), so each of the four has a point (BENCH_9.json).  These three
+time cold ``verify(id, N=N)`` calls at the id's default parameters and
+record the status.
 ``--table routes`` expands the degree-n slice of ``fT-product T=all``, the
 product prod_m (1 - p_m)^{-1} whose support is every partition of n, by the
 rim-hook DP ``product_slice_schur`` and by ``to_schur(product_slice(...))``
@@ -91,7 +94,7 @@ TABLES = {
     ),
     "powers": (
         "verify(power-series id, N) at default parameters",
-        _verify_points(("solomon", "extLieConj2", "fT-sym", "conj-inverse"), (12, 16, 20, 24)),
+        _verify_points(("solomon", "extLieConj2", "fT-sym", "conj-inverse", "lie2-hpm"), (12, 16, 20, 24)),
     ),
     "routes": (
         "the degree-n slice of three product scans by the Schur DP, and of fT-product T=all and lie(n) by to_schur",

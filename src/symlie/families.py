@@ -397,6 +397,8 @@ def foulkes_series(k: int, n: int) -> Series:
 
     For d < k the exponent reduces mod d (the character only sees k mod d).
     """
-    if k < 1:
-        raise ValueError("foulkes_series requires k >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"foulkes_series requires an integer k >= 1, got {k!r}")
+    if type(n) is not int:
+        raise ValueError(f"a family series window must be an integer, got {n!r}")
     return Series(n, {d: foulkes(d, ((k - 1) % d) + 1) for d in range(1, n + 1)})

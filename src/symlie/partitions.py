@@ -108,7 +108,11 @@ class Partition:
         inner = t[1:-1].strip()
         if not inner:
             return EMPTY
-        return cls.of(tuple(int(x) for x in inner.split(",")))
+        try:
+            parts = tuple(int(x) for x in inner.split(","))
+        except ValueError:
+            raise ValueError(f"malformed partition text: {text!r}") from None
+        return cls.of(parts)
 
 
 EMPTY = Partition.of(())
@@ -140,11 +144,20 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return _partitions_interned(n)
 
 
-@lru_cache(maxsize=None)
+def _require_positive_int(name: str, n) -> None:
+    # before any cache lookup: a float or bool equal to an int would find its entry
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{name} requires an integer n >= 1, got {n!r}")
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) by trial division."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+    _require_positive_int("factorize", n)
+    return _factorize(n)
+
+
+@lru_cache(maxsize=None)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     out = []
     m = n
     d = 2
@@ -161,38 +174,41 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """Ascending divisors of n >= 1."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
+    _require_positive_int("divisors", n)
+    return _divisors(n)
+
+
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
     out = [1]
-    for p, e in factorize(n):
+    for p, e in _factorize(n):
         out = [d * p**k for d in out for k in range(e + 1)]
     return tuple(sorted(out))
 
 
 def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"moebius requires n >= 1, got {n}")
-    fac = factorize(n)
+    _require_positive_int("moebius", n)
+    fac = _factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
 
 
 def totient(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"totient requires n >= 1, got {n}")
+    _require_positive_int("totient", n)
     out = 1
-    for p, e in factorize(n):
+    for p, e in _factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
 
 def is_prime(n: int) -> bool:
     """Whether n is prime, read off its factorization."""
-    return n >= 2 and factorize(n) == ((n, 1),)
+    if type(n) is not int:
+        raise ValueError(f"is_prime requires an integer n, got {n!r}")
+    return n >= 2 and _factorize(n) == ((n, 1),)
 
 
 def z_of(p: Partition) -> int:

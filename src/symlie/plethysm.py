@@ -4,14 +4,15 @@ A Series holds homogeneous components for degrees 0..N, the constant term
 at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
 the catalog into a finite exact check.  Series products, the plethysm
-kernel and the Newton recurrence behind ``series_exp`` and the power
-layers all keep their components packed (``symfunc._packed_products``,
-one key width per window) and unpack only the components they return.
-The products of factors (1 + s p_m)^{+/-1} are read off one walk over the
-partitions into factor parts here, in the power-sum basis, and so are the
-length-graded ones, whose v-polynomial coefficients are integer
-numerators over one denominator; ``symfunc.product_slice_schur`` expands
-the ungraded ones in the Schur basis.
+kernel and the one Newton recurrence keep their components packed
+(``symfunc._packed_products``, one key width per window) and unpack only
+the components they return.  That recurrence reads one packed list of
+power sums sign(k) p_k[F] (``_power_sums``) for every power series of
+modules and its length layers, and x alone for ``series_exp``.  The
+products of factors (1 + s p_m)^{+/-1}, and the length-graded ones with
+integer v-polynomial numerators over one denominator, are read off one
+walk over the partitions into factor parts, in the power-sum basis;
+``symfunc.product_slice_schur`` expands the ungraded ones in Schur.
 """
 
 from __future__ import annotations
@@ -221,11 +222,7 @@ def _stretch(f: SymFunc, k: int) -> SymFunc:
     # p_k[f]: every part of every p-monomial is multiplied by k
     if f.is_zero or k == 1:
         return f
-    return SymFunc._make(
-        f.degree * k,
-        {tuple([a * k for a in part]): c for part, c in f._num.items()},
-        f.den,
-    )
+    return SymFunc._make(f.degree * k, {tuple([a * k for a in part]): c for part, c in f._num.items()}, f.den)
 
 
 def pleth_p(k: int, g):
@@ -235,9 +232,7 @@ def pleth_p(k: int, g):
     if isinstance(g, SymFunc):
         return _stretch(g, k)
     n = g.max_degree
-    out = Series(n)
-    out.components = {d * k: _stretch(f, k) for d, f in g.components.items() if d * k <= n}
-    return out
+    return Series(n, {d * k: _stretch(f, k) for d, f in g.components.items() if d * k <= n})
 
 
 def _monomials(fs) -> list[tuple[tuple[int, ...], int, int]]:
@@ -248,10 +243,11 @@ def _monomials(fs) -> list[tuple[tuple[int, ...], int, int]]:
     return [(part, c, f.den) for f in fs for part, c in f._num.items() if part]
 
 
-def _pleth_degrees(monos, g: Series):
-    """Yield (t, degree-t component of sum_c c * prod_i p_{a_i}[g]) over ``monos`` for t = 1..N.
+def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
+    """Yield (t, degree-t component of sum_c c * prod_i p_{a_i}[g]) over ``monos`` for t = 1..n.
 
-    g is constant-free.  The monomials sit on a trie of their (descending)
+    g is the constant-free series truncated at n whose components by degree
+    are ``comps``.  The monomials sit on a trie of their (descending)
     parts.  The degree-t component of a node's prefix product is the sum
     over s of its parent's degree-s component times the degree-(t - s)
     component of p_a[g]; a one-part node (a,) is p_a[g] itself, so the node
@@ -263,16 +259,14 @@ def _pleth_degrees(monos, g: Series):
     that is how ``pleth_inverse`` solves online.
 
     Every component is a packed map (``symfunc._packed_products``) with one
-    width for the whole call, that of degree N (``symfunc._units``), since
-    no multiplicity of a degree-t product exceeds t <= N.  A component g_j
+    width for the whole call, that of degree n (``symfunc._units``), since
+    no multiplicity of a degree-t product exceeds t <= n.  A component g_j
     is packed into every p_a[g] once, at the first step that finds it set,
     so a node product only adds keys, and only the degree-t sum is unpacked
     and reduced.  ``monos`` holds (parts, numerator, den) triples with
     distinct parts, and a monomial's end node is multiplied by the packed
     constant numerator * p_() (key 0) over den.
     """
-    n = g.max_degree
-    comps = g.components
     low = min(comps, default=n + 1)
     w, unit = _units(n)
     ends: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -350,7 +344,8 @@ def pleth(f, g) -> Series:
         raise ValueError("plethysm requires a constant-free inner series")
     fs = [f] if isinstance(f, SymFunc) else list(f.components.values())
     # _monomials leaves out f's constant term, which is f[g]'s since g is constant-free
-    return Series(g.max_degree, dict(_pleth_degrees(_monomials(fs), g)), constant=sum(h.coefficient(EMPTY) for h in fs))
+    degrees = _pleth_degrees(_monomials(fs), g.components, g.max_degree)
+    return Series(g.max_degree, dict(degrees), constant=sum(h.coefficient(EMPTY) for h in fs))
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +353,30 @@ def pleth(f, g) -> Series:
 # ---------------------------------------------------------------------------
 
 
+def _power_sums(F: Series, sign) -> list:
+    """[None, P_1, ..., P_N], P_k = sign(k) p_k[F] as packed maps by degree, N = F's window.
+
+    p_k[F_e] is F_e packed once, by ``symfunc._pack`` with ``unit[::k]``, which reads each part a as k * a.
+    """
+    n, unit = F.max_degree, _units(F.max_degree)[1]
+    P: list = [None]
+    for k in range(1, n + 1):
+        P.append({k * e: _pack(f, unit[::k]) for e, f in F.components.items() if k * e <= n})
+        if sign(k) < 0:
+            P[k] = {d: ({key: -c for key, c in num.items()}, den) for d, (num, den) in P[k].items()}
+    return P
+
+
 def _newton(P: list, n: int) -> list[Series]:
     """[X_0 = 1, X_1, ..., X_N] with r X_r = sum_{k=1..r} P[k] X_{r-k}, N = len(P) - 1, on series truncated at n.
 
-    Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2); P[0] is not
-    read.  Every component is packed once with the window's width
-    (``symfunc._units``).  The pairs P[k]_a * X_{r-k}_b of each degree of X_r
-    are summed in one ``symfunc._packed_products`` call, 1/r is folded into
-    the sum's denominator, and the sum is reduced by one gcd before a later
-    step reads it; it is unpacked once, into the returned X_r.
+    Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2).  P[k] maps
+    degrees to packed maps of the window's width, as ``_power_sums`` builds
+    them.  The pairs of each degree of X_r are summed in one
+    ``symfunc._packed_products`` call, 1/r is folded into the denominator,
+    and one gcd reduces the sum before a later step reads it.
     """
-    w, unit = _units(n)
-    P = [None] + [_packed(p, unit) for p in P[1:]]
+    w = _units(n)[0]
     X = [{0: ({0: 1}, 1)}]
     out = [Series.one(n)]
     for r in range(1, len(P)):
@@ -388,59 +395,53 @@ def _newton(P: list, n: int) -> list[Series]:
     return out
 
 
-def series_exp(x: Series) -> Series:
-    """exp(x) for a constant-free series, truncated at x's window.
+def _exp(P: list, n: int) -> Series:
+    """exp(sum_k P_k / k) truncated at n, for packed power sums P = [None, P_1, ...] with no degree 0.
 
-    The degree-d component E_d solves d E_d = sum_k k x_k E_{d-k}: ``_newton``
-    with P_k the series whose one component is k x_k, so X_d = E_d.
+    ``_newton`` runs on the one-component Q_j = sum_k (j/k) P_k[j], j times
+    the log's degree-j component, so X_j is the degree-j component of the
+    exponential.  P_k lives only in degrees that are multiples of k, so each
+    weight j/k is an integer, the packed constant j // k (key 0).
     """
+    Q: list = [None]
+    for j in range(1, n + 1):
+        pairs = [(Pk[j], ({0: j // k}, 1)) for k, Pk in enumerate(P[1 : j + 1], 1) if j in Pk]
+        Q.append({j: _packed_products(pairs)} if pairs else {})
+    return Series(n, {j: X.component(j) for j, X in enumerate(_newton(Q, n))})
+
+
+def series_exp(x: Series) -> Series:
+    """exp(x) for a constant-free series, truncated at x's window: ``_exp`` with P_1 = x and no other P_k."""
     if not x.is_constant_free:
         raise ValueError("series_exp requires a constant-free argument")
-    n = x.max_degree
-    E = _newton([None] + [Series.from_symfunc(x.component(k).scaled(k), n) for k in range(1, n + 1)], n)
-    return Series(n, {d: X.component(d) for d, X in enumerate(E)})
+    return _exp([None, _packed(x, _units(x.max_degree)[1])], x.max_degree)
 
 
-def _log_sum(F: Series, alternating: bool) -> Series:
-    # sum_k p_k[F]/k, or with signs (-1)^{k-1} for the exterior variant
+def _module_powers(F: Series, sign) -> Series:
+    # exp(sum_k sign(k) p_k[F] / k)
     if not F.is_constant_free:
         raise ValueError("power series of modules require a constant-free argument")
-    n = F.max_degree
-    acc = Series.zero(n)
-    for k in range(1, n + 1):
-        t = pleth_p(k, F).scaled(Fraction(1, k) if not alternating or k % 2 else Fraction(-1, k))
-        acc = acc + t
-    return acc
+    return _exp(_power_sums(F, sign), F.max_degree)
 
 
 def sym_powers(F: Series) -> Series:
     """H[F] = sum_r h_r[F] = exp(sum_k p_k[F]/k), constant term 1."""
-    return series_exp(_log_sum(F, alternating=False))
+    return _module_powers(F, lambda k: 1)
 
 
 def ext_powers(F: Series) -> Series:
-    """E[F] = sum_r e_r[F]."""
-    return series_exp(_log_sum(F, alternating=True))
+    """E[F] = sum_r e_r[F] = exp(sum_k (-1)^{k-1} p_k[F]/k)."""
+    return _module_powers(F, lambda k: 1 if k % 2 else -1)
 
 
 def sym_powers_signed(F: Series) -> Series:
     """H^pm[F] = sum_r (-1)^r h_r[F] = 1/E[F]."""
-    return series_exp(-_log_sum(F, alternating=True))
+    return _module_powers(F, lambda k: -1 if k % 2 else 1)
 
 
 def ext_powers_signed(F: Series) -> Series:
     """E^pm[F] = sum_r (-1)^r e_r[F] = 1/H[F]."""
-    return series_exp(-_log_sum(F, alternating=False))
-
-
-def _power_layers(F: Series, alternating: bool) -> list[Series]:
-    """[h_0[F], ..., h_N[F]] by the Newton recurrence r X_r = sum_k P_k X_{r-k} on layers.
-
-    P_k = p_k[F]; with ``alternating`` it is (-1)^{k-1} p_k[F], and X_r = e_r[F].
-    """
-    n = F.max_degree
-    P = [None] + [-pleth_p(k, F) if alternating and k % 2 == 0 else pleth_p(k, F) for k in range(1, n + 1)]
-    return _newton(P, n)
+    return _module_powers(F, lambda k: -1)
 
 
 def sym_power_layers(F: Series) -> list[Series]:
@@ -449,12 +450,12 @@ def sym_power_layers(F: Series) -> list[Series]:
     Layer r is the length-r slice of the symmetrized powers: summed over
     degrees it contributes sum_{l(lam)=r} H_lam[F].
     """
-    return _power_layers(F, alternating=False)
+    return _newton(_power_sums(F, lambda k: 1), F.max_degree)
 
 
 def ext_power_layers(F: Series) -> list[Series]:
     """[e_0[F], ..., e_N[F]] via r*e_r[F] = sum (-1)^{k-1} p_k[F] e_{r-k}[F]."""
-    return _power_layers(F, alternating=True)
+    return _newton(_power_sums(F, lambda k: 1 if k % 2 else -1), F.max_degree)
 
 
 def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
@@ -519,7 +520,7 @@ def product_series(factors, n: int) -> Series:
     (1 + s p_m)^{-1} = sum_j (-s)^j p_m^j.  The expansion never divides
     series, so it provides a side independent of the plethysm machinery.
     """
-    weights, once = _factor_weights(factors)
+    weights, once = _factor_weights(factors, n)
     rows = {m: [w**j for j in range(2 if m in once else n // m + 1)] for m, w in weights.items()}
     comps: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 1)]
     for d, parts, c in _factor_partitions(rows, n, 1, operator.mul):
@@ -559,7 +560,7 @@ def graded_product_series(factors, n: int) -> list[Series]:
         return SymFunc._make(d, {k: x * (den // dx) for k, (x, dx) in terms.items()}, den)
 
     factors = list(factors)
-    _factor_weights((m, s, 1) for m, s, _ in factors)
+    _factor_weights(((m, s, 1) for m, s, _ in factors), n)
     # binoms[m][j] = sign^j * binom(P_m(v), j) = binoms[m][j-1] * sign * (P_m(v) - j + 1) / j
     binoms: dict[int, list[tuple[dict[int, int], int]]] = {}
     for m, s, P in factors:
@@ -592,10 +593,9 @@ def pleth_inverse(F: Series) -> Series:
     if F.component(1) != p_of((1,)):
         raise ValueError("plethystic inversion requires degree-1 component p_1")
     tail_monos = _monomials(F.components[d] for d in range(2, n + 1) if d in F.components)
-    g = Series(n)
-    g.components = {1: p_of((1,))}
-    # step t reads g below degree t only, so its degree-t component is solved right after
-    for t, acc in _pleth_degrees(tail_monos, g):
+    comps = {1: p_of((1,))}
+    # step t reads G below degree t only, so its degree-t component is solved right after
+    for t, acc in _pleth_degrees(tail_monos, comps, n):
         if not acc.is_zero:
-            g.components[t] = -acc
-    return g
+            comps[t] = -acc
+    return Series(n, comps)

@@ -600,8 +600,10 @@ def to_schur(f: SymFunc) -> SchurExpansion:
     return _schur_of(f.degree, _expand(f._num), f.den)
 
 
-def _factor_weights(factors) -> tuple[dict[int, int], set[int]]:
-    """Check (m, sign, exponent) factors, m an int >= 1 (never rounded), for the DP and ``plethysm``'s products: the sign each part m contributes, and the m allowed once."""
+def _factor_weights(factors, n) -> tuple[dict[int, int], set[int]]:
+    """Check the degree n, an int >= 0, then (m, sign, exponent) factors, m an int >= 1 (never rounded), for the DP and ``plethysm``'s products: the sign each part m contributes, and the m allowed once."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"a product degree must be an integer >= 0, got {n!r}")
     weights: dict[int, int] = {}
     once = set()
     for m, s, e in factors:
@@ -634,7 +636,7 @@ def product_slice_schur(factors, d: int) -> SchurExpansion:
     the DP against ``to_schur`` and against characters, which recurse over
     the backward walk ``_border_strips``.
     """
-    weights, once = _factor_weights(factors)
+    weights, once = _factor_weights(factors, d)
     order = sorted(m for m in weights if m <= d)
     # gaps[i]: the sums <= d that the factors order[i:] can still add; a degree
     # k with d - k outside them is never read again, so it is left stale

@@ -20,6 +20,7 @@ from symlie import (
     exponent_eval,
     exponent_poly,
     foulkes,
+    foulkes_series,
     from_divisor_weight,
     h_of,
     is_schur_positive,
@@ -175,6 +176,10 @@ class TestFamilyMembers:
                     build(n)
             with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
                 lie_series(n)
+            with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
+                foulkes_series(2, n)
+            with pytest.raises(ValueError, match=f"foulkes_series requires an integer k >= 1, got {n!r}"):
+                foulkes_series(n, 3)
 
     def test_dimension_identity(self):
         # coefficient of p_{1^n} times n! equals (n-1)! * w(1)

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from symlie import Partition, PrimeSet, divisors, is_prime, moebius, p_of, partitions_of, totient, z_of
-from symlie.partitions import EMPTY
+from symlie import MOEBIUS, Partition, PrimeSet, divisors, is_prime, moebius, p_of, partitions_of, totient, z_of
+from symlie.partitions import EMPTY, factorize
 
 from helpers import P, brute_partitions, naive_moebius, naive_totient, sieve_primes
 
@@ -61,6 +61,9 @@ class TestPartition:
         assert Partition.from_text("[]") is EMPTY
         with pytest.raises(ValueError):
             Partition.from_text("3,1")
+        for text in ("[2,x]", "[2.5]", "[2,,1]"):
+            with pytest.raises(ValueError, match="malformed partition text"):
+                Partition.from_text(text)
 
     def test_conjugate(self):
         assert P(3, 1).conjugate() == P(2, 1, 1)
@@ -125,6 +128,19 @@ class TestArithmetic:
             totient(0)
         with pytest.raises(ValueError):
             divisors(0)
+
+    def test_non_integers_rejected(self):
+        # checked before the caches of factorize and divisors, where True would find the entry for 1
+        for f in (factorize, divisors, moebius, totient, is_prime):
+            f(1)
+        for n in (2.5, 6.0, True, "6"):
+            for f in (factorize, divisors, moebius, totient):
+                with pytest.raises(ValueError, match=f"{f.__name__} requires an integer n >= 1, got {n!r}"):
+                    f(n)
+            with pytest.raises(ValueError, match=f"is_prime requires an integer n, got {n!r}"):
+                is_prime(n)
+        with pytest.raises(ValueError, match="moebius requires an integer n >= 1, got 2.5"):
+            MOEBIUS(2.5)
 
     def test_divisor_sums(self):
         for n in range(1, 201):

@@ -322,7 +322,10 @@ class TestPowerOperators:
 
     def test_power_series_against_pleth(self):
         # H[F], E[F] and their signed forms against pleth of h, e, (-1)^r h_r, (-1)^r e_r
-        # into F through the plethysm kernel, which shares no step with series_exp
+        # into F through the plethysm kernel, which shares no step with series_exp.  The
+        # random series have gaps, no degree-1 component and mixed denominators, so the
+        # integer weights j/k of the power sums p_k[F] land on sparse degrees.
+        rng = random.Random(43)
         for n in range(1, 13):
             H, E = h_series(n), e_series(n)
             signed = [Series(n, {d: f.component(d).scaled((-1) ** d) for d in range(1, n + 1)}, constant=1) for f in (H, E)]
@@ -333,12 +336,19 @@ class TestPowerOperators:
                 alt_omega(lie_series(n)),
                 part_family_series(PartSet.of(1, 3), n),
                 p1_series(n) - Series.from_symfunc(p_of((3,)), n),
+                random_series(rng, n, density=0.5),
+                Series(n, {d: random_sparse_symfunc(rng, d) for d in (2, 3, 5) if d <= n}),
             ]
             for F in families:
                 assert sym_powers(F) == pleth(H, F)
                 assert ext_powers(F) == pleth(E, F)
                 assert sym_powers_signed(F) == pleth(signed[0], F)
                 assert ext_powers_signed(F) == pleth(signed[1], F)
+
+    def test_power_series_require_constant_free(self):
+        for op in (sym_powers, ext_powers, sym_powers_signed, ext_powers_signed):
+            with pytest.raises(ValueError, match="power series of modules require a constant-free argument"):
+                op(Series.one(3))
 
     def test_layers_match_higher_modules(self):
         for Q in (lie_series(8), conj_series(8)):
@@ -504,6 +514,11 @@ class TestProductSlice:
             for build in (product_slice, product_series, product_slice_schur):
                 with pytest.raises(ValueError):
                     build(bad, 4)
+        # the degree is checked first and never rounded
+        for d in (2.5, True, 2.0, "3", -1):
+            for build in (product_slice, product_series, product_slice_schur):
+                with pytest.raises(ValueError, match=f"a product degree must be an integer >= 0, got {d!r}"):
+                    build([(1, -1, -1)], d)
 
 
 class TestGradedProductSeries:
@@ -561,6 +576,9 @@ class TestGradedProductSeries:
         for bad in ([(0, -1, {1: 1})], [(2, 0, {1: 1})], [(2, -1, {1: 1}), (2, 1, {2: 1})]) + bad_parts:
             with pytest.raises(ValueError):
                 graded_product_series(bad, 4)
+        for n in (2.5, True, 2.0, "3", -1):
+            with pytest.raises(ValueError, match=f"a product degree must be an integer >= 0, got {n!r}"):
+                graded_product_series([(1, -1, {1: 1})], n)
 
 
 class TestPlethInverse:
