@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .partitions import PrimeSet, divisors, moebius, totient
+from .partitions import PrimeSet, _require_positive_int, divisors, moebius, totient
 from .plethysm import Series, pleth_p
 from .symfunc import SymFunc
 
@@ -269,7 +269,7 @@ def from_divisor_weight(n: int, w: DivisorWeight) -> SymFunc:
         for d in divisors(n):
             c = w(d)
             if c:
-                terms[(d,) * (n // d)] = c
+                terms[SymFunc._encode((d,) * (n // d), n)] = c
         hit = SymFunc._make(n, terms, n)
         _family_cache[key] = hit
     return hit
@@ -281,14 +281,14 @@ def exponent_eval(n: int, w: DivisorWeight, v) -> Fraction:
     At v = +1/-1 these are the exponents appearing in the power-sum product
     formulas for the symmetric and exterior powers of the family.
     """
-    if n < 1:
-        raise ValueError("exponent_eval requires n >= 1")
+    _require_positive_int("exponent_eval", n)
     v = Fraction(v)
     return Fraction(sum(w(d) * v ** (n // d) for d in divisors(n)), 1) / n
 
 
 def exponent_poly(n: int, w: DivisorWeight) -> dict[int, Fraction]:
     """The same polynomial as a map exponent -> coefficient (in v)."""
+    _require_positive_int("exponent_poly", n)
     out: dict[int, Fraction] = {}
     for d in divisors(n):
         c = w(d)

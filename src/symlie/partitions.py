@@ -243,8 +243,7 @@ class PrimeSet:
 
         The empty set gives (1, n).  The two factors are coprime.
         """
-        if n < 1:
-            raise ValueError(f"factor_split requires n >= 1, got {n}")
+        _require_positive_int("factor_split", n)
         smooth = 1
         rest = n
         for q in self.primes:

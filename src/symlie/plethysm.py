@@ -4,11 +4,12 @@ A Series holds homogeneous components for degrees 0..N, the constant term
 at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
 the catalog into a finite exact check.  Series products, the plethysm
-kernel and the one Newton recurrence keep their components packed
-(``symfunc._packed_products``, one key width per window) and unpack only
-the components they return.  That recurrence reads one packed list of
-power sums sign(k) p_k[F] (``_power_sums``) for every power series of
-modules and its length layers, and x alone for ``series_exp``.  The
+kernel and the one Newton recurrence run the one product loop
+(``symfunc._packed_products``) on the components' stored maps as they
+are, and hand each sum to ``SymFunc._make``, which reduces it and refuses
+a degree above 255.  That recurrence reads one packed list of power sums
+sign(k) p_k[F] (``_power_sums``) for every power series of modules and
+its length layers, and x alone for ``series_exp``.  The
 products of factors (1 + s p_m)^{+/-1}, and the length-graded ones with
 integer v-polynomial numerators over one denominator, are read off one
 walk over the partitions into factor parts, in the power-sum basis;
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .partitions import EMPTY, Partition
-from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _from_packed, _pack, _packed_products, _units, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _packed_products, _stretch, _unpack, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -140,20 +141,20 @@ class Series:
     def __mul__(self, other):
         """The product truncated at the window, or ``scaled(other)`` for a scalar.
 
-        Each component is packed once (``symfunc._units`` of the window), the
-        pairs of components of each output degree are summed in one
-        ``symfunc._packed_products`` call, and only those sums are unpacked
-        and reduced, in ascending degree.
+        The pairs of components of each output degree are summed in one
+        ``symfunc._packed_products`` call on their stored maps, and each sum,
+        its zeros dropped, is reduced by ``SymFunc._make``, in ascending
+        degree.
         """
         if not isinstance(other, Series):
             return self.scaled(other)
         self._require_same_window(other)
         n = self.max_degree
-        w, unit = _units(n)
-        pairs = _degree_pairs(_packed(self, unit), _packed(other, unit), n, {})
+        pairs = _degree_pairs(_maps(self.components), _maps(other.components), n, {})
         out = Series(n)
         for d in sorted(pairs):
-            f = _from_packed(d, _packed_products(pairs[d]), w)
+            num, den = _packed_products(pairs[d])
+            f = SymFunc._make(d, {k: v for k, v in num.items() if v}, den)
             if not f.is_zero:
                 out.components[d] = f
         return out
@@ -182,9 +183,9 @@ class Series:
         return " + ".join(f"({self.components[d].to_text()})" for d in sorted(self.components)) or "0"
 
 
-def _packed(F: Series, unit: tuple[int, ...]) -> dict[int, tuple[dict[int, int], int]]:
-    """F's components by degree, each packed by ``symfunc._pack``."""
-    return {d: _pack(f, unit) for d, f in F.components.items()}
+def _maps(comps: dict[int, SymFunc]) -> dict[int, tuple[dict[int, int], int]]:
+    """The stored maps (numerators, den) of SymFuncs by degree, as ``symfunc._packed_products`` reads them."""
+    return {d: (f._num, f.den) for d, f in comps.items()}
 
 
 def _degree_pairs(xs: dict, ys: dict, n: int, into: dict) -> dict:
@@ -218,13 +219,6 @@ def alt_omega(F: Series) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _stretch(f: SymFunc, k: int) -> SymFunc:
-    # p_k[f]: every part of every p-monomial is multiplied by k
-    if f.is_zero or k == 1:
-        return f
-    return SymFunc._make(f.degree * k, {tuple([a * k for a in part]): c for part, c in f._num.items()}, f.den)
-
-
 def pleth_p(k: int, g):
     """p_k[g] for g a SymFunc or a Series (series components above N are dropped)."""
     if type(k) is not int or k < 1:
@@ -240,7 +234,7 @@ def _monomials(fs) -> list[tuple[tuple[int, ...], int, int]]:
 
     The components ``fs`` have distinct degrees, so no two triples share their parts.
     """
-    return [(part, c, f.den) for f in fs for part, c in f._num.items() if part]
+    return [(_unpack(key), c, f.den) for f in fs for key, c in f._num.items() if key]
 
 
 def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
@@ -258,17 +252,15 @@ def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
     monomial p_1, so a caller may set g's degree-t component after step t:
     that is how ``pleth_inverse`` solves online.
 
-    Every component is a packed map (``symfunc._packed_products``) with one
-    width for the whole call, that of degree n (``symfunc._units``), since
-    no multiplicity of a degree-t product exceeds t <= n.  A component g_j
-    is packed into every p_a[g] once, at the first step that finds it set,
-    so a node product only adds keys, and only the degree-t sum is unpacked
-    and reduced.  ``monos`` holds (parts, numerator, den) triples with
-    distinct parts, and a monomial's end node is multiplied by the packed
-    constant numerator * p_() (key 0) over den.
+    Every component is a packed map (``symfunc._packed_products``) keyed
+    as SymFuncs are.  A component g_j is stretched into every p_a[g] once,
+    at the first step that finds it set, so a node product only adds keys,
+    the prefix products stay unreduced, and only the degree-t sum is
+    reduced, by ``SymFunc._make``.  ``monos`` holds (parts, numerator, den)
+    triples with distinct parts, and a monomial's end node is multiplied by
+    the packed constant numerator * p_() (key 0) over den.
     """
     low = min(comps, default=n + 1)
-    w, unit = _units(n)
     ends: dict[tuple[int, ...], tuple[int, int]] = {}
     keeps: dict[tuple[int, ...], int] = {}
     for parts, c, den in monos:
@@ -291,7 +283,8 @@ def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
                 packed.add(j)
                 for a, row in rows.items():
                     if a * j <= n:
-                        row[a * j] = _pack(f, unit[::a])
+                        g = _stretch(f, a)
+                        row[a * j] = g._num, g.den
         total = []
         for key, top in tops.items():
             if t > top:
@@ -315,7 +308,9 @@ def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
             end = ends.get(key)
             if end:
                 total.append((acc, ({0: end[0]}, end[1])))
-        yield t, _from_packed(t, _packed_products(total), w)
+        num, den = _packed_products(total)
+        # a degree with no product made no key, so it is zero even above the SymFunc ceiling
+        yield t, SymFunc._make(t, {k: v for k, v in num.items() if v}, den) if total else ZERO
 
 
 def pleth(f, g) -> Series:
@@ -356,43 +351,40 @@ def pleth(f, g) -> Series:
 def _power_sums(F: Series, sign) -> list:
     """[None, P_1, ..., P_N], P_k = sign(k) p_k[F] as packed maps by degree, N = F's window.
 
-    p_k[F_e] is F_e packed once, by ``symfunc._pack`` with ``unit[::k]``, which reads each part a as k * a.
+    p_k[F_e] is F_e stretched once (``symfunc._stretch``), each part a read as k * a.
     """
-    n, unit = F.max_degree, _units(F.max_degree)[1]
+    n = F.max_degree
     P: list = [None]
     for k in range(1, n + 1):
-        P.append({k * e: _pack(f, unit[::k]) for e, f in F.components.items() if k * e <= n})
-        if sign(k) < 0:
-            P[k] = {d: ({key: -c for key, c in num.items()}, den) for d, (num, den) in P[k].items()}
+        row = {k * e: _stretch(f, k) for e, f in F.components.items() if k * e <= n}
+        P.append(_maps({d: -g for d, g in row.items()} if sign(k) < 0 else row))
     return P
 
 
-def _newton(P: list, n: int) -> list[Series]:
-    """[X_0 = 1, X_1, ..., X_N] with r X_r = sum_{k=1..r} P[k] X_{r-k}, N = len(P) - 1, on series truncated at n.
+def _newton(P: list, n: int) -> list[dict[int, SymFunc]]:
+    """[X_0 = 1, X_1, ..., X_N] with r X_r = sum_{k=1..r} P[k] X_{r-k}, N = len(P) - 1, truncated at degree n.
 
     Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2).  P[k] maps
-    degrees to packed maps of the window's width, as ``_power_sums`` builds
-    them.  The pairs of each degree of X_r are summed in one
-    ``symfunc._packed_products`` call, 1/r is folded into the denominator,
-    and one gcd reduces the sum before a later step reads it.
+    degrees to packed maps, as ``_power_sums`` builds them, and each X_r is
+    handed back as its components by degree.  The pairs of each degree of
+    X_r are summed in one ``symfunc._packed_products`` call, 1/r is folded
+    into the denominator, and ``SymFunc._make`` reduces the sum by one gcd
+    before a later step reads its map.
     """
-    w = _units(n)[0]
-    X = [{0: ({0: 1}, 1)}]
-    out = [Series.one(n)]
+    X = [{0: ONE}]
+    maps = [_maps(X[0])]
     for r in range(1, len(P)):
         pairs: dict[int, list] = {}
         for k in range(1, r + 1):
-            _degree_pairs(P[k], X[r - k], n, pairs)
+            _degree_pairs(P[k], maps[r - k], n, pairs)
         X.append({})
-        out.append(Series(n))
         for d in sorted(pairs):
             num, den = _packed_products(pairs[d])
-            num = {key: c for key, c in num.items() if c}
-            if num:
-                g = gcd(den * r, *num.values())
-                X[r][d] = {key: c // g for key, c in num.items()}, den * r // g
-                out[r].components[d] = _from_packed(d, X[r][d], w)
-    return out
+            f = SymFunc._make(d, {key: c for key, c in num.items() if c}, den * r)
+            if not f.is_zero:
+                X[r][d] = f
+        maps.append(_maps(X[r]))
+    return X
 
 
 def _exp(P: list, n: int) -> Series:
@@ -400,21 +392,22 @@ def _exp(P: list, n: int) -> Series:
 
     ``_newton`` runs on the one-component Q_j = sum_k (j/k) P_k[j], j times
     the log's degree-j component, so X_j is the degree-j component of the
-    exponential.  P_k lives only in degrees that are multiples of k, so each
-    weight j/k is an integer, the packed constant j // k (key 0).
+    exponential, read off directly.  P_k lives only in degrees that are
+    multiples of k, so each weight j/k is an integer, the packed constant
+    j // k (key 0).
     """
     Q: list = [None]
     for j in range(1, n + 1):
         pairs = [(Pk[j], ({0: j // k}, 1)) for k, Pk in enumerate(P[1 : j + 1], 1) if j in Pk]
         Q.append({j: _packed_products(pairs)} if pairs else {})
-    return Series(n, {j: X.component(j) for j, X in enumerate(_newton(Q, n))})
+    return Series(n, {j: X[j] for j, X in enumerate(_newton(Q, n)) if j in X})
 
 
 def series_exp(x: Series) -> Series:
     """exp(x) for a constant-free series, truncated at x's window: ``_exp`` with P_1 = x and no other P_k."""
     if not x.is_constant_free:
         raise ValueError("series_exp requires a constant-free argument")
-    return _exp([None, _packed(x, _units(x.max_degree)[1])], x.max_degree)
+    return _exp([None, _maps(x.components)], x.max_degree)
 
 
 def _module_powers(F: Series, sign) -> Series:
@@ -450,12 +443,12 @@ def sym_power_layers(F: Series) -> list[Series]:
     Layer r is the length-r slice of the symmetrized powers: summed over
     degrees it contributes sum_{l(lam)=r} H_lam[F].
     """
-    return _newton(_power_sums(F, lambda k: 1), F.max_degree)
+    return [Series(F.max_degree, X) for X in _newton(_power_sums(F, lambda k: 1), F.max_degree)]
 
 
 def ext_power_layers(F: Series) -> list[Series]:
     """[e_0[F], ..., e_N[F]] via r*e_r[F] = sum (-1)^{k-1} p_k[F] e_{r-k}[F]."""
-    return _newton(_power_sums(F, lambda k: 1 if k % 2 else -1), F.max_degree)
+    return [Series(F.max_degree, X) for X in _newton(_power_sums(F, lambda k: 1 if k % 2 else -1), F.max_degree)]
 
 
 def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
@@ -485,24 +478,26 @@ def higher_module(Q: Series, lam, exterior: bool = False) -> SymFunc:
 
 
 def _factor_partitions(rows: dict[int, list], n: int, one, mul):
-    """Yield (d, parts, c) for every partition of d <= n into factor parts, c = one * prod rows[m][j].
+    """Yield (d, key, c) for every partition of d <= n into factor parts, c = one * prod rows[m][j].
 
-    The product runs over each part value m of multiplicity j < len(rows[m]).
-    One explicit stack extends a partition by j parts m below its last part,
-    largest m and then largest j first, so each degree comes out in
+    The partition comes as its SymFunc key.  The product runs over each part
+    value m of multiplicity j < len(rows[m]).  One explicit stack extends a
+    partition by j parts m below its last part, adding j times the key of
+    p_m, largest m and then largest j first, so each degree comes out in
     descending order; a zero coefficient ends its branch.
     """
-    values = sorted(rows, reverse=True)
-    stack = [(0, (), 0, one)]
+    values = sorted((m for m in rows if m <= n), reverse=True)
+    units = [SymFunc._encode((m,), m) for m in values]
+    stack = [(0, 0, 0, one)]
     while stack:
-        d, parts, i, c = stack.pop()
-        yield d, parts, c
+        d, key, i, c = stack.pop()
+        yield d, key, c
         for k in range(len(values) - 1, i - 1, -1):
-            m, row = values[k], rows[values[k]]
+            m, row, unit = values[k], rows[values[k]], units[k]
             for j in range(1, min((n - d) // m + 1, len(row))):
                 x = mul(c, row[j])
                 if x:
-                    stack.append((d + m * j, parts + (m,) * j, k + 1, x))
+                    stack.append((d + m * j, key + j * unit, k + 1, x))
 
 
 def product_slice(factors, d: int) -> SymFunc:
@@ -522,10 +517,10 @@ def product_series(factors, n: int) -> Series:
     """
     weights, once = _factor_weights(factors, n)
     rows = {m: [w**j for j in range(2 if m in once else n // m + 1)] for m, w in weights.items()}
-    comps: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 1)]
-    for d, parts, c in _factor_partitions(rows, n, 1, operator.mul):
-        comps[d][parts] = c
-    return Series(n, {d: SymFunc._make(d, t) for d, t in enumerate(comps)})
+    comps: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for d, key, c in _factor_partitions(rows, n, 1, operator.mul):
+        comps[d][key] = c
+    return Series(n, {d: SymFunc._make(d, t) for d, t in enumerate(comps) if t})
 
 
 def graded_product_series(factors, n: int) -> list[Series]:
@@ -555,7 +550,7 @@ def graded_product_series(factors, n: int) -> list[Series]:
         g = gcd(a[1] * b[1], *out.values())
         return {e: c // g for e, c in out.items()}, a[1] * b[1] // g
 
-    def exact(d: int, terms: dict[tuple[int, ...], tuple[int, int]]) -> SymFunc:
+    def exact(d: int, terms: dict[int, tuple[int, int]]) -> SymFunc:
         den = lcm(*(dx for _, dx in terms.values()))
         return SymFunc._make(d, {k: x * (den // dx) for k, (x, dx) in terms.items()}, den)
 
@@ -573,10 +568,10 @@ def graded_product_series(factors, n: int) -> list[Series]:
             # binom(c, j) = 0 for an integer 0 <= c < j ends the row in zero polynomials ({}, 1)
             row.append(mul(row[-1], (step, j * den)) or ({}, 1))
         binoms[m] = row
-    layers: list[dict[int, dict[tuple[int, ...], tuple[int, int]]]] = [{} for _ in range(n + 1)]
-    for d, parts, (c, den) in _factor_partitions(binoms, n, ({0: 1}, 1), mul):
+    layers: list[dict[int, dict[int, tuple[int, int]]]] = [{} for _ in range(n + 1)]
+    for d, key, (c, den) in _factor_partitions(binoms, n, ({0: 1}, 1), mul):
         for r, x in c.items():
-            layers[r].setdefault(d, {})[parts] = x, den
+            layers[r].setdefault(d, {})[key] = x, den
     return [Series(n, {d: exact(d, t) for d, t in comps.items()}) for comps in layers]
 
 

@@ -2,18 +2,21 @@
 
 A SymFunc is homogeneous: a degree n together with a map from partitions of
 n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
-numerators over one denominator, keyed by parts tuples.  A SchurExpansion
-stores its shapes by beta key instead: the shape lam of degree n is the
-integer sum 2^(lam_i + n - i) over its n rows padded with zeros, and each
-class decodes its keys only at the API edge.  Both classes add, subtract
-and scale on the integers (``_sum_scaled``) and have omega, which signs p_mu
-and conjugates a beta key.  The zero function carries no degree and absorbs
-additions.  The one product loop (``_packed_products``) keys shapes by
-multiplicity vectors packed into one integer: a product of two SymFuncs
-packs both factors into it and unpacks the result, while Series products,
-the Newton recurrence on series and the plethysm kernel pack each
-component once and unpack only the components they return.  The
-Murnaghan-Nakayama rule runs on beta-sets in two directions.
+numerators over one denominator.  It keys p_mu by mu's multiplicity vector
+packed into one integer, sum_a m_a(mu) << 8 (a - 1), so the key of a
+product of p-monomials is the sum of their keys, and one key serves every
+product: ``_packed_products`` is the one product loop, which SymFunc and
+Series products, the Newton recurrence on series and the plethysm kernel
+all run on the stored maps as they are.  The fields hold multiplicities
+below 2^8, so a SymFunc has degree at most 255, and its keys decode
+(``_unpack``) only at the API edge.  A SchurExpansion keys its shapes by
+beta key instead: the shape lam of degree n is the integer sum
+2^(lam_i + n - i) over its n rows padded with zeros.  In both classes the
+keys of one degree sort as their partitions do, and both add, subtract and
+scale on the integers (``_sum_scaled``) and have omega, which signs p_mu
+by the parity of its length and conjugates a beta key.  The zero function
+carries no degree and absorbs additions.  The Murnaghan-Nakayama rule runs
+on beta-sets in two directions.
 Backwards, ``_border_strips`` removes the m-border strips of a parts tuple,
 and characters recurse over it (memoized across all calls in ``_char``) for
 ``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds the strips on
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from types import MappingProxyType
 
 from .partitions import Partition, partitions_of, z_of
@@ -55,6 +58,13 @@ __all__ = [
 ]
 
 
+# the largest degree of a SymFunc: its key gives each part size 8 bits, so every multiplicity stays below 2^8
+_TOP = 255
+_TOO_DEEP = "degree {} exceeds 255, the largest degree a power-sum key holds"
+# the low bit of the field of every part size 1..255: a key's popcount against it has the parity of the length
+_LOWS = int.from_bytes(b"\1" * _TOP, "little")
+
+
 def terms_json(terms: Mapping[Partition, Fraction]) -> list[dict]:
     """The JSON rows of a partition -> coefficient map, largest partition first."""
     return [
@@ -71,10 +81,11 @@ class _TermMap:
     (numerators, den) and a result is reduced by one gcd, not one per term.
     Each class keys the stored map ``_num`` by one shape key, and its codec
     converts at the edge: ``_encode(parts, degree)`` gives the key of a
-    parts tuple and ``_decode(key)`` its parts.  A SymFunc keys by parts
-    tuples, a SchurExpansion by beta-set integers.  Keys of one degree sort
-    in the order of their partitions.  Sums, negation and ``scaled`` keep
-    the class, and the two classes do not mix: their sum raises TypeError.
+    parts tuple and ``_decode(key)`` its parts.  A SymFunc keys by packed
+    multiplicity vectors, a SchurExpansion by beta-set integers.  Keys of
+    one degree sort in the order of their partitions.  Sums, negation and
+    ``scaled`` keep the class, and the two classes do not mix: their sum
+    raises TypeError.
     ``Partition`` and ``Fraction`` appear only at the edge: the constructor
     validates every key through ``Partition.of``, and ``num``, ``terms``,
     ``support``, ``negatives`` and the text and JSON forms hand out fresh
@@ -85,6 +96,7 @@ class _TermMap:
     """
 
     __slots__ = ("degree", "_num", "den")
+    _top = inf  # the largest degree the class's keys hold
 
     def __init__(self, degree, terms=None):
         clean: dict = {}
@@ -104,6 +116,8 @@ class _TermMap:
     @classmethod
     def _make(cls, degree, num: dict, den: int = 1):
         # internal fast path: the class's keys of shapes of size degree, no zero numerator, den > 0
+        if degree is not None and degree > cls._top:
+            raise ValueError(_TOO_DEEP.format(degree))
         if den != 1 and num:
             g = gcd(den, *num.values())
             if g != 1:
@@ -200,19 +214,37 @@ class _TermMap:
         return self.to_text()
 
 
+@lru_cache(maxsize=None)
+def _unpack(key: int) -> tuple[int, ...]:
+    """The parts, largest first, of the partition with power-sum key ``key``.
+
+    The one decoder of the key, memoized, so the tuple of a shape is shared.
+    """
+    parts, a = [], 1
+    while key:
+        parts += [a] * (key & 255)
+        key >>= 8
+        a += 1
+    return tuple(reversed(parts))
+
+
 class SymFunc(_TermMap):
-    """A homogeneous symmetric function, stored in the power-sum basis."""
+    """A homogeneous symmetric function, stored in the power-sum basis.
+
+    p_lam is keyed by sum_a m_a(lam) << 8 (a - 1).  ``_make`` and ``_encode``,
+    one of which makes every SymFunc, refuse a degree above 255.
+    """
 
     __slots__ = ()
     symbol = basis = "p"
+    _top = _TOP
+    _decode = staticmethod(_unpack)
 
     @staticmethod
-    def _encode(parts: tuple[int, ...], degree: int) -> tuple[int, ...]:
-        return parts
-
-    @staticmethod
-    def _decode(key: tuple[int, ...]) -> tuple[int, ...]:
-        return key
+    def _encode(parts, degree: int) -> int:
+        if degree > _TOP:
+            raise ValueError(_TOO_DEEP.format(degree))
+        return sum([1 << 8 * a - 8 for a in parts])
 
     @classmethod
     def zero(cls) -> "SymFunc":
@@ -222,54 +254,43 @@ class SymFunc(_TermMap):
         if isinstance(other, SymFunc):
             if self.is_zero or other.is_zero:
                 return ZERO
-            degree = self.degree + other.degree
-            w, unit = _units(degree)
-            return _from_packed(degree, _packed_products(((_pack(self, unit), _pack(other, unit)),)), w)
+            num, den = _packed_products((((self._num, self.den), (other._num, other.den)),))
+            return SymFunc._make(self.degree + other.degree, {k: v for k, v in num.items() if v}, den)
         return self.scaled(other)
 
     def __rmul__(self, other):
         return self.scaled(other)
 
     def omega(self) -> "SymFunc":
-        """The involution p_mu -> (-1)^{|mu| - l(mu)} p_mu (h_n <-> e_n)."""
+        """The involution p_mu -> (-1)^{|mu| - l(mu)} p_mu (h_n <-> e_n), l(mu) read off the low bit of each field of the key."""
         n = self.degree
-        return SymFunc._make(n, {k: c if (n - len(k)) % 2 == 0 else -c for k, c in self._num.items()}, self.den)
+        return SymFunc._make(n, {k: -c if ((k & _LOWS).bit_count() ^ n) & 1 else c for k, c in self._num.items()}, self.den)
+
+
+def _stretch(f: SymFunc, k: int) -> SymFunc:
+    """p_k[f]: every part a of every p-monomial of f is read as k * a."""
+    if f.is_zero or k == 1:
+        return f
+    return SymFunc._make(f.degree * k, {_stretched(key, k): c for key, c in f._num.items()}, f.den)
 
 
 @lru_cache(maxsize=None)
-def _units(n: int) -> tuple[int, tuple[int, ...]]:
-    """The width w of packed keys for products of degree at most n, and unit[a], the key of p_a, for a = 1..n.
-
-    No multiplicity reaches 2^w = 2^(n.bit_length()) > n.  unit[a] is
-    1 << (w * (a - 1)), and unit[0] = 0 pads the index.
-    """
-    w = n.bit_length()
-    return w, (0, *(1 << (w * i) for i in range(n)))
-
-
-def _pack(f: SymFunc, unit: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    """f as a packed map (numerators, den) for ``_packed_products``, part a keyed by unit[a].
-
-    With ``unit[::k]`` in place of ``unit`` each part a is read as k * a,
-    which packs the stretched p_k[f] without building its tuples.
-    """
-    return {sum(map(unit.__getitem__, mu)): c for mu, c in f._num.items()}, f.den
+def _stretched(key: int, k: int) -> int:
+    # the key of p_k[p_mu] from the key of p_mu; the fields keep their multiplicities, so none outgrows 2^8
+    return sum([1 << 8 * k * a - 8 for a in _unpack(key)])
 
 
 def _packed_products(pairs) -> tuple[dict[int, int], int]:
     """sum x * y over (x, y) pairs of packed maps, as one packed map (numerators, den).
 
-    A packed map is integer numerators over one denominator, a partition
-    keyed by its multiplicity vector packed into one integer,
-    sum_i m_i << (w * (i - 1)) with w bits per part size.  While no
-    multiplicity reaches 2^w the key of a product of p-monomials is the sum
-    of their keys.  Every pair is brought to the lcm of the pairs' den_x *
-    den_y once and its numerators are multiplied term by term; the sum is
-    not reduced and keeps the zeros that cancellation leaves.  This is the
-    one product loop: ``SymFunc.__mul__`` packs its two factors into it,
-    ``Series.__mul__`` and the Newton recurrence of ``plethysm`` sum the
-    pairs of each output degree in one call, and the plethysm kernel keeps
-    its factors and prefix products packed from one node to the next.
+    A packed map is a SymFunc's ``_num`` over its ``den``, so the key of a
+    product of p-monomials is the sum of their keys.  Every pair is brought
+    to the lcm of the pairs' den_x * den_y once; the sum is not reduced and
+    keeps the zeros that cancellation leaves.  This is the one product loop
+    of ``SymFunc.__mul__``, ``Series.__mul__``, the Newton recurrence and
+    the plethysm kernel.  Each drops the zeros of a sum it returns and hands
+    it to ``SymFunc._make``, which refuses a degree above 255, so no key
+    whose fields overflowed is read.
     """
     den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
     out: dict[int, int] = {}
@@ -283,27 +304,6 @@ def _packed_products(pairs) -> tuple[dict[int, int], int]:
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
     return out, den
-
-
-def _from_packed(degree: int, packed: tuple[dict[int, int], int], w: int) -> SymFunc:
-    """The packed map (numerators, den) with w bits per part size as a SymFunc of degree ``degree``, zeros dropped and reduced once."""
-    num, den = packed
-    return SymFunc._make(degree, {_unpack(k, w): v for k, v in num.items() if v}, den)
-
-
-@lru_cache(maxsize=None)
-def _unpack(key: int, w: int) -> tuple[int, ...]:
-    """The parts of the partition whose multiplicity vector ``key`` packs with w bits per part size.
-
-    Memoized, so every product that reaches a shape stores one shared tuple
-    for it.
-    """
-    mask, a, parts = (1 << w) - 1, 1, []
-    while key:
-        parts += [a] * (key & mask)
-        key >>= w
-        a += 1
-    return tuple(reversed(parts))
 
 
 def _sum_scaled(pairs) -> _TermMap:
@@ -323,13 +323,13 @@ def _sum_scaled(pairs) -> _TermMap:
 
 
 ZERO = SymFunc._make(0, {})
-ONE = SymFunc._make(0, {(): 1})
+ONE = SymFunc._make(0, {0: 1})
 
 
 def p_of(parts) -> SymFunc:
     """The power-sum basis element p_lambda."""
     part = parts if isinstance(parts, Partition) else Partition(parts)
-    return SymFunc._make(part.size, {part.parts: 1})
+    return SymFunc._make(part.size, {SymFunc._encode(part.parts, part.size): 1})
 
 
 def _p1(k: int) -> SymFunc:
@@ -564,26 +564,29 @@ def s_of(lam) -> SymFunc:
     return SymFunc(lam.size, terms)
 
 
-def _expand(num: Mapping[tuple[int, ...], int]) -> dict[int, int]:
-    """sum_mu num[mu] p_mu (by parts tuple) in the Schur basis, as a beta key -> integer map that may keep zeros.
+def _expand(num: Mapping[int, int]) -> dict[int, int]:
+    """sum_mu num[mu] p_mu (by power-sum key) in the Schur basis, as a beta key -> integer map that may keep zeros.
 
     Horner's rule on the smallest part.  A monomial p_a^j with one part
     value is the ribbon chain ``_power_schur(a, j)``, and the constant is
     the chain's first link, j = 0.  Every other p_mu is
     p_a times p_mu' with a its smallest part, so the monomials are grouped
     by a, each group's sum over mu' is expanded in turn, and that expansion
-    is pushed through one ``_add_ribbons`` call for a.  Every key of a
-    group's expansion has the degree of the group's mu', and the walk pads
-    it by a, so all keys of the result are of the degree of num.
+    is pushed through one ``_add_ribbons`` call for a.  The smallest part
+    is the lowest nonzero field of mu's key, found from its lowest set bit,
+    and mu' is the key less one unit of that field.  Every key of a group's
+    expansion has the degree of the group's mu', and the walk pads it by a,
+    so all keys of the result are of the degree of num.
     """
     out: dict[int, int] = {}
     get = out.get
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    groups: dict[int, dict[int, int]] = {}
     for mu, c in num.items():
-        if mu and mu[0] != mu[-1]:
-            groups.setdefault(mu[-1], {})[mu[:-1]] = c
+        s = max((mu & -mu).bit_length() - 1, 0) & -8  # 8 (a - 1) for the smallest part a (a = 1 for p_())
+        if mu >> s + 8:
+            groups.setdefault(s // 8 + 1, {})[mu - (1 << s)] = c
         else:
-            for lam, v in _power_schur(mu[0] if mu else 1, len(mu)).items():
+            for lam, v in _power_schur(s // 8 + 1, mu >> s).items():
                 out[lam] = get(lam, 0) + c * v
     for a, rest in groups.items():
         _add_ribbons(_expand(rest), a, 1, out)

@@ -17,7 +17,7 @@ from math import factorial, gcd, isqrt
 
 from symlie import Partition, SchurExpansion, Series, SymFunc, character, p_of, partitions_of
 from symlie.plethysm import _factor_partitions
-from symlie.symfunc import ZERO
+from symlie.symfunc import ZERO, _unpack
 
 
 def brute_partitions(n: int) -> set[tuple[int, ...]]:
@@ -321,7 +321,7 @@ def fraction_graded_product_series(factors, n: int) -> list[Series]:
             row.append(mul(row[-1], step))
         binoms[m] = row
     layers: list[dict[int, dict[tuple[int, ...], Fraction]]] = [{} for _ in range(n + 1)]
-    for d, parts, c in _factor_partitions(binoms, n, {0: Fraction(1)}, mul):
+    for d, key, c in _factor_partitions(binoms, n, {0: Fraction(1)}, mul):
         for r, x in c.items():
-            layers[r].setdefault(d, {})[parts] = x
+            layers[r].setdefault(d, {})[_unpack(key)] = x
     return [Series(n, {d: SymFunc(d, t) for d, t in comps.items()}) for comps in layers]

@@ -91,6 +91,12 @@ class TestExpand:
         assert code == 2
         assert "malformed" in err
 
+    def test_degree_ceiling_usage_error(self, capsys):
+        # a SymFunc holds degrees up to 255; lie(256) is refused, not expanded
+        code, out, err = run(capsys, "expand", "--family", "lie", "--n", "256")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "255" in err
+
 
 class TestSchurCommand:
     def test_positive_family(self, capsys):

@@ -346,6 +346,14 @@ class TestExponentTables:
             assert exponent_eval(n, TOTIENT, 1) == 1
             assert exponent_eval(n, MOEBIUS, 1) == (1 if n == 1 else 0)
 
+    def test_non_integer_degrees_rejected(self):
+        # refused before divisors, whose message named the wrong function
+        for n in (True, 2.0, 2.5, "2", 0, -1):
+            with pytest.raises(ValueError, match=f"exponent_eval requires an integer n >= 1, got {n!r}"):
+                exponent_eval(n, MOEBIUS, 1)
+            with pytest.raises(ValueError, match=f"exponent_poly requires an integer n >= 1, got {n!r}"):
+                exponent_poly(n, MOEBIUS)
+
     def test_exponent_poly_consistency(self):
         for w in (MOEBIUS, TOTIENT, DivisorWeight.part_set(PartSet.of(1, 3))):
             for n in range(1, 21):

@@ -173,6 +173,14 @@ class TestPrimeSet:
         assert PrimeSet(()).factor_split(12) == (1, 12)
         assert PrimeSet((2, 3)).factor_split(18) == (18, 1)
 
+    def test_non_integers_rejected(self):
+        # a float or a bool used to be split: factor_split(6.0) gave (2, 3.0), is_smooth(True) and is_rough(2.5) held
+        S2 = PrimeSet((2,))
+        for n in (6.0, 2.5, True, False, "6", 0, -4):
+            for f in (S2.factor_split, S2.is_smooth, S2.is_rough):
+                with pytest.raises(ValueError, match=f"factor_split requires an integer n >= 1, got {n!r}"):
+                    f(n)
+
     def test_membership_examples(self):
         S2 = PrimeSet((2,))
         assert S2.is_smooth(8)

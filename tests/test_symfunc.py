@@ -22,9 +22,10 @@ from symlie import (
     to_schur,
     z_of,
 )
-from symlie.partitions import Partition
+from symlie.partitions import Partition, divisors, moebius
 from symlie.families import lie
-from symlie.symfunc import ZERO, _add_ribbons, _beta_key, _beta_parts, _border_strips, _char, _from_packed, _pack, _packed_products, _power_schur, _sum_scaled, _units
+from symlie.plethysm import Series, pleth, pleth_p, product_series
+from symlie.symfunc import ONE, ZERO, _add_ribbons, _beta_key, _beta_parts, _border_strips, _char, _packed_products, _power_schur, _sum_scaled, _unpack
 
 from helpers import (
     P,
@@ -110,11 +111,11 @@ class TestIntegerNumerators:
             assert fraction_terms(f - h) == fraction_sum(rf, rh, Fraction(-1))
             assert fraction_terms(f.scaled(c)) == fraction_sum({}, rf, c)
             assert fraction_terms(to_schur(f)) == fraction_schur(rf, da)
-            # sums of several products through the one packed product loop, as the plethysm kernel
-            # runs it, and sums of several multiples
+            # sums of several products through the one packed product loop on the SymFuncs' own maps,
+            # as the plethysm kernel runs it, and sums of several multiples
             pairs = [(x, y) for x, y in ((f, g), (h, k), (h, g)) if not (x.is_zero or y.is_zero)]
-            w, unit = _units(da + db)
-            products = _from_packed(da + db, _packed_products([(_pack(x, unit), _pack(y, unit)) for x, y in pairs]), w)
+            num, den = _packed_products([((x._num, x.den), (y._num, y.den)) for x, y in pairs])
+            products = SymFunc._make(da + db, {key: v for key, v in num.items() if v}, den)
             want = {}
             for x, y in pairs:
                 want = fraction_sum(want, fraction_product(fraction_terms(x), fraction_terms(y)))
@@ -178,8 +179,51 @@ class TestIntegerNumerators:
         assert h_of(2) == want and str(h_of(2)) == "1/2*p[2] + 1/2*p[1,1]"
 
 
+class TestPowerSumKey:
+    """A SymFunc keys p_mu by sum_a m_a(mu) << 8 (a - 1), which caps its degree at 255."""
+
+    def test_keys_descend_with_their_partitions_and_decode_back(self):
+        for n in range(19):
+            parts = [mu.parts for mu in partitions_of(n)]
+            keys = [SymFunc._encode(mu, n) for mu in parts]
+            assert keys == sorted(set(keys), reverse=True), n
+            assert [_unpack(k) for k in keys] == parts
+            assert [p_of(mu).support() for mu in parts] == [(P(*mu),) for mu in parts]
+        for f in (h_of(5), s_of(P(3, 1)), lie(6) * e_of(2), pleth_p(3, lie(4)), SymFunc(2, {(1, 1): 1}).omega()):
+            assert f._num and all(type(k) is int for k in f._num)
+
+    def test_omega_signs_by_length(self):
+        for n in range(15):
+            for mu in partitions_of(n):
+                assert p_of(mu).omega() == p_of(mu).scaled((-1) ** (n - len(mu.parts))), mu
+
+    def test_ceiling_degree(self):
+        # lie(255) is the top degree: (1/255) sum_{d | 255} mu(d) p_d^(255/d), one multiplicity 255
+        want = SymFunc(255, {(d,) * (255 // d): Fraction(moebius(d), 255) for d in divisors(255)})
+        assert lie(255) == want and len(want.support()) == 8
+        assert lie(255).coefficient((1,) * 255) == Fraction(1, 255)
+
+    def test_degree_above_ceiling_refused(self):
+        calls = (
+            lambda: p_of((1,) * 256),
+            lambda: SymFunc(256, {(1,) * 256: 1}),
+            lambda: lie(256),
+            lambda: p_of((1,) * 128) * p_of((1,) * 128),
+            lambda: pleth_p(2, lie(128)),
+            lambda: pleth(p_of((1, 1)), Series(256, {1: p_of((1,)), 128: p_of((128,))})),
+            lambda: product_series([(1, 1, -1)], 256),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="degree 256 exceeds 255"):
+                call()
+        # a window above 255 is answered while no product reaches degree 256
+        g = Series(300, {1: p_of((1,)), 200: p_of((200,))})
+        assert pleth(p_of((1, 1)), g) == Series(300, {2: p_of((1, 1)), 201: p_of((200, 1)).scaled(2)})
+        assert product_series([(2, 1, 1)], 300) == Series(300, {0: ONE, 2: p_of((2,))})
+
+
 class TestApiEdge:
-    """Parts tuples key the stored maps; the public views are keyed by interned partitions."""
+    """Packed integers key the stored maps; the public views are keyed by interned partitions."""
 
     def test_views_are_keyed_by_interned_partitions(self):
         f = SymFunc(3, {(2, 1): Fraction(-4, 3), (1, 1, 1): 1})
