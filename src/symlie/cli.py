@@ -77,44 +77,49 @@ def parse_weight(text: str) -> DivisorWeight:
     raise UsageError(f"unknown weight descriptor {text!r}")
 
 
+def _p_sum_series(n: int) -> Series:
+    return Series(n, {d: p_of((d,)) for d in range(1, n + 1)})
+
+
+_FAMILIES = {"lie": lie_series, "conj": conj_series, "h": h_series, "e": e_series, "p1": p1_series, "p": _p_sum_series}
+# name -> (parser of the text after the colon, constructor taking the parsed argument and n)
+_ARG_FAMILIES = {
+    "foulkes": (int, foulkes_series),
+    "lieSbar": (PrimeSet.from_text, lie_primes_bar_series),
+    "lieS": (PrimeSet.from_text, lie_primes_series),
+    "fT": (parse_part_set, part_family_series),
+    "gT": (parse_part_set, part_family_ext_series),
+    "weight": (parse_weight, family_series),
+}
+
+
 def family_to_series(desc: str, n: int) -> Series:
     """Resolve a family descriptor to a series truncated at n.
 
     Descriptors: lie | conj | foulkes:r | lieS | lieS:<primes> | lieSbar |
     lieSbar:<primes> | fT:<set> | gT:<set> | h | e | p | p1 | weight:<weight>.
+    Only a descriptor that does not parse is a bad descriptor; a refusal of
+    the constructor, such as a degree above 255, prints as it is.
     """
     t = desc.strip()
-    head, _, rest = t.partition(":")
+    head, colon, rest = t.partition(":")
+    if t in _FAMILIES:
+        build = _FAMILIES[t]
+    elif head in _ARG_FAMILIES and (colon or head in ("lieS", "lieSbar")):
+        parse, make = _ARG_FAMILIES[head]
+        try:
+            arg = parse(rest)
+        except UsageError:
+            raise
+        except (ValueError, KeyError) as exc:
+            raise UsageError(f"bad family descriptor {desc!r}: {exc}") from None
+        build = functools.partial(make, arg)
+    else:
+        raise UsageError(f"unknown family {desc!r}")
     try:
-        if t == "lie":
-            return lie_series(n)
-        if t == "conj":
-            return conj_series(n)
-        if t == "h":
-            return h_series(n)
-        if t == "e":
-            return e_series(n)
-        if t == "p1":
-            return p1_series(n)
-        if t == "p":
-            return Series(n, {d: p_of((d,)) for d in range(1, n + 1)})
-        if t.startswith("foulkes:"):
-            return foulkes_series(int(rest), n)
-        if head == "lieSbar":
-            return lie_primes_bar_series(PrimeSet.from_text(rest), n)
-        if head == "lieS":
-            return lie_primes_series(PrimeSet.from_text(rest), n)
-        if t.startswith("fT:"):
-            return part_family_series(parse_part_set(rest), n)
-        if t.startswith("gT:"):
-            return part_family_ext_series(parse_part_set(rest), n)
-        if t.startswith("weight:"):
-            return family_series(parse_weight(rest), n)
-    except UsageError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad family descriptor {desc!r}: {exc}") from None
-    raise UsageError(f"unknown family {desc!r}")
+        return build(n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def basis_or_family(desc: str, n: int) -> Series:

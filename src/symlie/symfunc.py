@@ -8,15 +8,19 @@ product of p-monomials is the sum of their keys, and one key serves every
 product: ``_packed_products`` is the one product loop, which SymFunc and
 Series products, the Newton recurrence on series and the plethysm kernel
 all run on the stored maps as they are.  The fields hold multiplicities
-below 2^8, so a SymFunc has degree at most 255, and its keys decode
-(``_unpack``) only at the API edge.  A SchurExpansion keys its shapes by
-beta key instead: the shape lam of degree n is the integer sum
-2^(lam_i + n - i) over its n rows padded with zeros.  In both classes the
-keys of one degree sort as their partitions do, and both add, subtract and
-scale on the integers (``_sum_scaled``) and have omega, which signs p_mu
-by the parity of its length and conjugates a beta key.  The zero function
-carries no degree and absorbs additions.  The Murnaghan-Nakayama rule runs
-on beta-sets in two directions.
+below 2^8, so a SymFunc has degree at most 255.  The memoized ``_unpack``
+decodes a key to its parts in three places: at the API edge
+(``SymFunc._decode``), for the plethysm kernel's trie of parts
+(``plethysm._monomials``), and in ``_stretched``, the key map of p_k[f];
+stretching, negation and omega keep a map in lowest terms, so they build
+their results through ``_TermMap._bare`` without a gcd.  A SchurExpansion
+keys its shapes by beta key instead: the shape lam of degree n is the
+integer sum 2^(lam_i + n - i) over its n rows padded with zeros.  In both
+classes the keys of one degree sort as their partitions do, and both add,
+subtract and scale on the integers (``_sum_scaled``) and have omega, which
+signs p_mu by the parity of its length and conjugates a beta key.  The
+zero function carries no degree and absorbs additions.  The
+Murnaghan-Nakayama rule runs on beta-sets in two directions.
 Backwards, ``_border_strips`` removes the m-border strips of a parts tuple,
 and characters recurse over it (memoized across all calls in ``_char``) for
 ``character`` and ``s_of``.  Forwards, ``_add_ribbons`` adds the strips on
@@ -116,13 +120,18 @@ class _TermMap:
     @classmethod
     def _make(cls, degree, num: dict, den: int = 1):
         # internal fast path: the class's keys of shapes of size degree, no zero numerator, den > 0
-        if degree is not None and degree > cls._top:
-            raise ValueError(_TOO_DEEP.format(degree))
         if den != 1 and num:
             g = gcd(den, *num.values())
             if g != 1:
                 num = {k: v // g for k, v in num.items()}
                 den //= g
+        return cls._bare(degree, num, den)
+
+    @classmethod
+    def _bare(cls, degree, num: dict, den: int = 1):
+        # ``_make`` for a map already in lowest terms: no gcd is taken
+        if degree is not None and degree > cls._top:
+            raise ValueError(_TOO_DEEP.format(degree))
         obj = cls.__new__(cls)
         obj._num = num
         obj.den = den if num else 1
@@ -181,7 +190,7 @@ class _TermMap:
         return self + (-other) if type(other) is type(self) else NotImplemented
 
     def __neg__(self):
-        return self._make(self.degree, {k: -c for k, c in self._num.items()}, self.den)
+        return self._bare(self.degree, {k: -c for k, c in self._num.items()}, self.den)
 
     def scaled(self, c):
         c = Fraction(c)
@@ -264,14 +273,14 @@ class SymFunc(_TermMap):
     def omega(self) -> "SymFunc":
         """The involution p_mu -> (-1)^{|mu| - l(mu)} p_mu (h_n <-> e_n), l(mu) read off the low bit of each field of the key."""
         n = self.degree
-        return SymFunc._make(n, {k: -c if ((k & _LOWS).bit_count() ^ n) & 1 else c for k, c in self._num.items()}, self.den)
+        return SymFunc._bare(n, {k: -c if ((k & _LOWS).bit_count() ^ n) & 1 else c for k, c in self._num.items()}, self.den)
 
 
 def _stretch(f: SymFunc, k: int) -> SymFunc:
     """p_k[f]: every part a of every p-monomial of f is read as k * a."""
     if f.is_zero or k == 1:
         return f
-    return SymFunc._make(f.degree * k, {_stretched(key, k): c for key, c in f._num.items()}, f.den)
+    return SymFunc._bare(f.degree * k, {_stretched(key, k): c for key, c in f._num.items()}, f.den)
 
 
 @lru_cache(maxsize=None)
@@ -544,7 +553,8 @@ class SchurExpansion(_TermMap):
             return self
         n = self.degree
         mask = (1 << 2 * n) - 1
-        return _schur_of(n, {int(f"{K ^ mask:0{2 * n}b}"[::-1], 2): c for K, c in self._num.items()}, self.den)
+        num = {int(f"{K ^ mask:0{2 * n}b}"[::-1], 2): c for K, c in self._num.items()}
+        return SchurExpansion._bare(n, {K: num[K] for K in sorted(num, reverse=True)}, self.den)
 
 
 def _schur_of(n: int, num: Mapping[int, int], den: int = 1) -> SchurExpansion:

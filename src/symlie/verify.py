@@ -14,15 +14,19 @@ parts, never re-derived through the plethysm path that produced the left
 side, so the two routes stay independent: products of factors
 (1 + s p_m)^{+/-1} through ``product_series``, and the length-graded
 products (1 + s p_m)^{P_m(v)} of the ``meta-*`` ids, layer by layer in v,
-through ``graded_product_series``.  No id enumerates a partition.  The
-eight p_lam-sum scans take the same factor lists but expand them directly
-in the Schur basis (``symfunc.product_slice_schur``), adding m-border
-strips forwards; the even sum applies omega there, on the beta keys.
-The five part-set family scans, the lifting check and the hook-content
-check expand their divisor-family members with ``to_schur``, which reads
-each power p_d^{n/d} off its ribbon chain.  Neither route evaluates a character or decodes a
-shape before its witnesses; the tests compare both with characters, which
-remove the strips backwards.
+through ``graded_product_series``.  No id enumerates a partition.
+
+A positivity scan is one row of the table ``_SCANS``: its parameter schema
+and ``expand(n, **params)``, the Schur expansion whose positivity is the
+verdict at n.  The eight p_lam-sum scans take the same factor lists as the
+products but expand them directly in the Schur basis
+(``symfunc.product_slice_schur``), adding m-border strips forwards; the
+even sum applies omega there, on the beta keys.  The five part-set family
+scans, the lifting check and the hook-content check expand their
+divisor-family members with ``to_schur``, which reads each power
+p_d^{n/d} off its ribbon chain.  Neither route evaluates a character or
+decodes a shape before its witnesses; the tests compare both with
+characters, which remove the strips backwards.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .plethysm import (
     pleth_inverse,
     pleth_p,
     product_series,
-    product_slice,
     sym_power_layers,
     sym_powers,
     sym_powers_signed,
@@ -255,20 +258,6 @@ def _half_smooth_evens(S: PrimeSet, n: int) -> list[int]:
 def _ext_omega_factors(S: PrimeSet, n: int) -> list:
     """prod smooth (1-p_m)^{-1} * prod half-smooth even (1+p_m), the product side of extLS-omega."""
     return [(m, -1, -1) for m in _smooth_members(S, n)] + [(m, 1, 1) for m in _half_smooth_evens(S, n)]
-
-
-def _cancel_factors(factors) -> list:
-    counts: dict[tuple[int, int], int] = {}
-    for m, s, e in factors:
-        counts[(m, s)] = counts.get((m, s), 0) + e
-    out = []
-    for (m, s), e in sorted(counts.items()):
-        if e == 0:
-            continue
-        if e not in (1, -1):
-            raise ValueError(f"cannot reduce factor (1 + {s}*p_{m})^{e}")
-        out.append((m, s, e))
-    return out
 
 
 def _alt_e_series(n: int) -> Series:
@@ -628,8 +617,9 @@ def _b_onek(n, k):
 def _b_onek_ext(n, k):
     T = PartSet.of(1, k)
     lhs = ext_powers(part_family_series(T, n)).omega_each()
-    sgn = -1 if k % 2 else 1
-    rhs = product_series(_cancel_factors([(1, -1, -1), (k, sgn, -1), (2, 1, 1), (2 * k, 1, 1)]), n)
+    # at k = 2 the factors (1 + p_2)^{-1} and (1 + p_2) cancel
+    factors = [(1, -1, -1), (4, 1, 1)] if k == 2 else [(1, -1, -1), (k, -1 if k % 2 else 1, -1), (2, 1, 1), (2 * k, 1, 1)]
+    rhs = product_series(factors, n)
     return [_clause("w(E[F]) = (1-p_1)^{-1}(1-(-1)^{k-1}p_k)^{-1}(1+p_2)(1+p_{2k})", lhs, rhs)]
 
 
@@ -1007,69 +997,50 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
 
 
 def _omega_even(A):
-    """(A + w(A)) / 2 for a SymFunc or a SchurExpansion A; in the power-sum basis, its p_lam with an even number of even parts."""
+    """(A + w(A)) / 2, its p_lam with an even number of even parts; omega conjugates the shapes on their beta keys."""
     return (A + A.omega()).scaled(Fraction(1, 2))
 
 
-class _Scan(NamedTuple):
-    schema: dict[str, Param]
-    build: Callable[[int, dict], SymFunc]  # (n, params) -> the degree-n member, power-sum basis
-    expand: Callable[[int, dict], SchurExpansion]  # (n, params) -> its Schur expansion
+def _family_schur(T: PartSet, n: int) -> SchurExpansion:
+    """The degree-n member of the family of the part set T, expanded by ``to_schur``."""
+    return to_schur(part_family(n, T))
 
 
-def _family_scan(schema: dict[str, Param], part_set: Callable[..., PartSet]) -> _Scan:
-    """The degree-n member of the family of the part set ``part_set(**params)``, expanded by ``to_schur``."""
+def _geom_schur(T: PartSet, n: int) -> SchurExpansion:
+    """The sum of p_lam over the partitions of n into parts from T, expanded by the rim-hook DP.
 
-    def build(n, p):
-        return part_family(n, part_set(**p))
-
-    return _Scan(schema, build, lambda n, p: to_schur(build(n, p)))
-
-
-def _product_scan(schema: dict[str, Param], factors: Callable[..., list], even: bool = False) -> _Scan:
-    """The degree-n slice of the product of ``factors(n, **params)``, expanded by the rim-hook DP.
-
-    With ``even`` both sides are averaged with their omega image by one
-    ``_omega_even``: in the power-sum basis omega signs p_lam, and in the
-    Schur basis it conjugates the shape on its beta key.
+    It is the degree-n slice of the product over the members m <= n of T of (1 - p_m)^{-1}.
     """
-    part = _omega_even if even else (lambda A: A)
-    return _Scan(schema, lambda n, p: part(product_slice(factors(n, **p), n)), lambda n, p: part(product_slice_schur(factors(n, **p), n)))
-
-
-def _geom_factors(part_set: Callable[..., PartSet]) -> Callable[..., list]:
-    """The factors (1 - p_m)^{-1} over the members m <= n of ``part_set(**params)``.
-
-    Their product is the sum of p_lam over the partitions with every part in the set.
-    """
-    return lambda n, **p: [(m, -1, -1) for m in part_set(**p).members_up_to(n)]
+    return product_slice_schur([(m, -1, -1) for m in T.members_up_to(n)], n)
 
 
 _SCAN_K = {"k": _int_at_least(2)}
 _SCAN_T = {"T": Param("part-set descriptor", _T.ok)}
 _SCAN_S = {"S": Param("prime set", _S.ok)}
 
-# Five scans take the degree-n member of a part-set family; the other eight
-# take the degree-n slice of a product of factors (1 + s p_m)^{+/-1}.
+# name -> (schema, expand): expand(n, **params) is the Schur expansion whose
+# positivity is the verdict at n.  Five scans take the degree-n member of a
+# part-set family; the other eight take the degree-n slice of a product of
+# factors (1 + s p_m)^{+/-1}.
 _SCANS = {
-    "powk": _family_scan(_SCAN_K, lambda k: PartSet.powers_of(k)),
-    "product-powk": _product_scan(_SCAN_K, _geom_factors(lambda k: PartSet.powers_of(k))),
-    "onek": _family_scan(_SCAN_K, lambda k: PartSet.of(1, k)),
-    "lek": _family_scan(_SCAN_K, lambda k: PartSet.up_to(k)),
-    "divk": _family_scan(_SCAN_K, lambda k: PartSet.divisors_of(k)),
-    "mod1k-product": _product_scan({"k": _int_at_least(1)}, _geom_factors(lambda k: PartSet.mod_one(k))),
-    "fT": _family_scan(_SCAN_T, lambda T: T),
-    "fT-product": _product_scan(_SCAN_T, _geom_factors(lambda T: T)),
-    "symLS-sum": _product_scan(_SCAN_S, _geom_factors(lambda S: PartSet.smooth_over(S))),
-    "symLSbar-sum": _product_scan(_SCAN_S, _geom_factors(lambda S: PartSet.rough_over(S))),
-    "symLS-even-sum": _product_scan(_SCAN_S, _geom_factors(lambda S: PartSet.smooth_over(S)), even=True),
-    "altsymLS-sum": _product_scan(_SCAN_S, lambda n, S: [(m, 1, 1) for m in _smooth_members(S, n)]),
-    "extLS-sum": _product_scan({"S": Param("prime set without 2", _S_NO2.ok)}, lambda n, S: _ext_omega_factors(S, n)),
+    "powk": (_SCAN_K, lambda n, k: _family_schur(PartSet.powers_of(k), n)),
+    "product-powk": (_SCAN_K, lambda n, k: _geom_schur(PartSet.powers_of(k), n)),
+    "onek": (_SCAN_K, lambda n, k: _family_schur(PartSet.of(1, k), n)),
+    "lek": (_SCAN_K, lambda n, k: _family_schur(PartSet.up_to(k), n)),
+    "divk": (_SCAN_K, lambda n, k: _family_schur(PartSet.divisors_of(k), n)),
+    "mod1k-product": ({"k": _int_at_least(1)}, lambda n, k: _geom_schur(PartSet.mod_one(k), n)),
+    "fT": (_SCAN_T, lambda n, T: _family_schur(T, n)),
+    "fT-product": (_SCAN_T, lambda n, T: _geom_schur(T, n)),
+    "symLS-sum": (_SCAN_S, lambda n, S: _geom_schur(PartSet.smooth_over(S), n)),
+    "symLSbar-sum": (_SCAN_S, lambda n, S: _geom_schur(PartSet.rough_over(S), n)),
+    "symLS-even-sum": (_SCAN_S, lambda n, S: _omega_even(_geom_schur(PartSet.smooth_over(S), n))),
+    "altsymLS-sum": (_SCAN_S, lambda n, S: product_slice_schur([(m, 1, 1) for m in _smooth_members(S, n)], n)),
+    "extLS-sum": ({"S": Param("prime set without 2", _S_NO2.ok)}, lambda n, S: product_slice_schur(_ext_omega_factors(S, n), n)),
 }
 
 
 def scan_families() -> dict[str, dict]:
-    return {name: {k: v.text for k, v in scan.schema.items()} for name, scan in sorted(_SCANS.items())}
+    return {name: {k: v.text for k, v in schema.items()} for name, (schema, _) in sorted(_SCANS.items())}
 
 
 def _check_budget(budget) -> None:
@@ -1098,9 +1069,9 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
     if family not in _SCANS:
         raise ValueError(f"unknown scan family {family!r}")
     _check_budget(budget)
-    scan = _SCANS[family]
+    schema, expand = _SCANS[family]
     p = dict(params or {})
-    _check_params(family, scan.schema, p)
+    _check_params(family, schema, p)
     ns = list(ns)
     for x in ns:
         if type(x) is not int:
@@ -1112,13 +1083,17 @@ def scan_positivity(family: str, ns, params: dict | None = None, budget: int = D
         raise ValueError("scan degrees must be positive")
     if ns[-1] > budget:
         raise BudgetError(f"degree {ns[-1]} exceeds the scan budget {budget}; raise the budget explicitly")
-    verdicts = _verdicts(ns, lambda n: scan.expand(n, p))
+    verdicts = _verdicts(ns, lambda n: expand(n, **p))
     printable = {k: str(v) for k, v in p.items()}
     return PositivityReport(family, printable, verdicts)
 
 
 def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: int = 1) -> PositivityReport:
     """Per-n Schur positivity of p_1 * L^(q)_{n-1} - L^(q)_n for n in 2..n_max.
+
+    ``to_schur`` groups each difference by smallest part: the p_1 p_d^k
+    terms of p_1 * L_{n-1} take one Pieri step on their summed ribbon
+    chains, and p_1^n is read off its chain.
 
     ``jobs`` has no effect: degrees are checked one after another.  The
     keyword stays only because ``bench/workloads.py`` passes it; it goes with
@@ -1128,20 +1103,8 @@ def lifting_check(q: int, n_max: int, budget: int = DEFAULT_LIFT_BUDGET, jobs: i
     _check_budget(budget)
     if n_max > budget:
         raise BudgetError(f"n_max {n_max} exceeds the lifting budget {budget}; raise the budget explicitly")
-    expansions = _lifting_expansions(q, n_max)
-    verdicts = _verdicts(range(2, n_max + 1), lambda n: next(expansions))
+    verdicts = _verdicts(range(2, n_max + 1), lambda n: to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,))))
     return PositivityReport("lifting", {"q": str(q), "n_max": str(n_max)}, verdicts)
-
-
-def _lifting_expansions(q: int, n_max: int):
-    """The Schur expansions of p_1 * L^(q)_{n-1} - L^(q)_n for n = 2..n_max, in turn.
-
-    ``to_schur`` groups the difference by smallest part: the p_1 p_d^k terms
-    of p_1 * L_{n-1} take one Pieri step on their summed ribbon chains, and
-    p_1^n is read off its chain.
-    """
-    for n in range(2, n_max + 1):
-        yield to_schur(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
 
 
 def hook_content_check(n: int) -> dict:

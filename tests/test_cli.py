@@ -98,6 +98,21 @@ class TestExpand:
         assert err.startswith("error: ") and err.count("\n") == 1 and "255" in err
 
 
+    def test_only_an_unparsed_descriptor_is_bad(self, capsys):
+        # a refused degree prints as the constructor's own error; only the parsing of the text is a bad descriptor
+        ceiling = "error: degree 256 exceeds 255, the largest degree a power-sum key holds\n"
+        cases = {
+            ("expand", "--family", "lie", "--n", "256"): ceiling,
+            ("pleth", "--outer", "p:2", "--inner", "lie", "--max-degree", "256"): ceiling,
+            ("expand", "--family", "lieS:x", "--n", "3"): "error: bad family descriptor 'lieS:x': malformed prime set 'x'\n",
+            ("expand", "--family", "foulkes:x", "--n", "3"):
+                "error: bad family descriptor 'foulkes:x': invalid literal for int() with base 10: 'x'\n",
+            ("expand", "--family", "fT:le(x)", "--n", "3"): "error: malformed set descriptor: malformed part-set descriptor 'le(x)'\n",
+            ("expand", "--family", "foulkes:0", "--n", "3"): "error: foulkes_series requires an integer k >= 1, got 0\n",
+        }
+        for argv, want in cases.items():
+            assert run(capsys, *argv) == (2, "", want), argv
+
 class TestSchurCommand:
     def test_positive_family(self, capsys):
         code, out, _ = run(capsys, "schur", "--family", "conj", "--n", "6")

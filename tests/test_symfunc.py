@@ -25,7 +25,9 @@ from symlie import (
 from symlie.partitions import Partition, divisors, moebius
 from symlie.families import lie
 from symlie.plethysm import Series, pleth, pleth_p, product_series
-from symlie.symfunc import ONE, ZERO, _add_ribbons, _beta_key, _beta_parts, _border_strips, _char, _packed_products, _power_schur, _sum_scaled, _unpack
+from symlie.symfunc import (
+    ONE, ZERO, _add_ribbons, _beta_key, _beta_parts, _border_strips, _char, _packed_products, _power_schur, _stretch, _sum_scaled, _unpack,
+)
 
 from helpers import (
     P,
@@ -220,6 +222,30 @@ class TestPowerSumKey:
         g = Series(300, {1: p_of((1,)), 200: p_of((200,))})
         assert pleth(p_of((1, 1)), g) == Series(300, {2: p_of((1, 1)), 201: p_of((200, 1)).scaled(2)})
         assert product_series([(2, 1, 1)], 300) == Series(300, {0: ONE, 2: p_of((2,))})
+
+
+    def test_stretch_negation_and_omega_keep_lowest_terms(self):
+        # these four images change no numerator's gcd with den, so they take no gcd of their own
+        rng = random.Random(31)
+        for _ in range(150):
+            d = rng.randint(0, 8)
+            f = random_symfunc(rng, d, nterms=rng.randint(1, 5))
+            rf, sf = fraction_terms(f), to_schur(f)
+            images = {
+                "stretch": [(_stretch(f, k), {tuple(k * a for a in lam): c for lam, c in rf.items()}) for k in (1, 2, 3)],
+                "neg": [(-f, fraction_sum({}, rf, Fraction(-1))), (-sf, fraction_sum({}, fraction_terms(sf), Fraction(-1)))],
+                "omega": [
+                    (f.omega(), {lam: c * (-1) ** (d - len(lam)) for lam, c in rf.items()}),
+                    (sf.omega(), fraction_terms(to_schur(f.omega()))),
+                ],
+            }
+            for name, pairs in images.items():
+                for got, want in pairs:
+                    assert fraction_terms(got) == want, (name, f)
+                    assert got.den > 0 and gcd(got.den, *got.num.values()) == 1, (name, f)
+        # the bare constructor keeps the ceiling: p_2[lie(128)] has degree 256
+        with pytest.raises(ValueError, match="degree 256 exceeds 255"):
+            _stretch(lie(128), 2)
 
 
 class TestApiEdge:

@@ -26,8 +26,8 @@ from symlie.cli import main, parse_weight
 from symlie.partitions import _partitions_interned, partitions_of
 from symlie.plethysm import Series, higher_module
 from symlie.symfunc import SymFunc, p_of, to_schur
-from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, from_divisor_weight, lie_primes, lie_series
-from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _lifting_expansions, _series_mismatch, build_clauses
+from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, from_divisor_weight, lie_primes, lie_series, part_family
+from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _series_mismatch, build_clauses
 
 from helpers import P, fraction_terms, quotient_power_schur, schur_by_characters
 
@@ -382,25 +382,6 @@ class TestScanSlices:
         "extLS-sum": [{"S": S} for S in PRIME_SETS if 2 not in S],
     }
 
-    def test_every_p_lam_sum_scan_against_its_predicate(self):
-        assert set(self.PARAMS) == set(_SCAN_PREDICATES)
-        for family, psets in self.PARAMS.items():
-            for p in psets:
-                keep = _SCAN_PREDICATES[family](p)
-                for n in range(1, 11):
-                    brute = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
-                    assert _SCANS[family].build(n, p) == brute, (family, p, n)
-
-    def test_rim_hook_engine_against_to_schur(self):
-        # each product scan's verdicts read the DP, which adds strips forwards; the
-        # characters remove them backwards
-        for family, psets in self.PARAMS.items():
-            for p in psets:
-                for n in range(1, 13):
-                    scan = _SCANS[family]
-                    assert scan.expand(n, p) == schur_by_characters(scan.build(n, p)), (family, p, n)
-
-
     FAMILY_PARAMS = {
         "powk": [{"k": k} for k in (2, 3, 4)],
         "onek": [{"k": k} for k in (2, 3, 5)],
@@ -408,14 +389,31 @@ class TestScanSlices:
         "divk": [{"k": k} for k in (4, 6, 12)],
         "fT": [{"T": T} for T in PART_SETS + [PartSet.everything()]],
     }
+    # the part set of each family scan, stated apart from the table
+    FAMILY_SETS = {
+        "powk": lambda p: PartSet.powers_of(p["k"]),
+        "onek": lambda p: PartSet.of(1, p["k"]),
+        "lek": lambda p: PartSet.up_to(p["k"]),
+        "divk": lambda p: PartSet.divisors_of(p["k"]),
+        "fT": lambda p: p["T"],
+    }
 
-    def test_ribbon_chains_against_to_schur(self):
-        # the part-set family scans sum ribbon chains through to_schur; the oracle evaluates characters
-        for family, psets in self.FAMILY_PARAMS.items():
+    def test_every_scan_against_characters_of_its_reference(self):
+        # each scan's verdict reads expand(n, **p): the product scans run the rim-hook DP, which adds
+        # strips forwards, and the family scans sum ribbon chains through to_schur; the oracle sums
+        # characters, which remove strips backwards, over the brute-force p_lam sum or the family member
+        assert set(self.PARAMS) == set(_SCAN_PREDICATES)
+        assert set(_SCANS) == set(self.PARAMS) | set(self.FAMILY_SETS)
+        for family, psets in {**self.PARAMS, **self.FAMILY_PARAMS}.items():
+            _, expand = _SCANS[family]
             for p in psets:
                 for n in range(1, 13):
-                    scan = _SCANS[family]
-                    got, want = scan.expand(n, p), schur_by_characters(scan.build(n, p))
+                    if family in _SCAN_PREDICATES:
+                        keep = _SCAN_PREDICATES[family](p)
+                        reference = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
+                    else:
+                        reference = part_family(n, self.FAMILY_SETS[family](p))
+                    got, want = expand(n, **p), schur_by_characters(reference)
                     assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (family, p, n)
 
 
@@ -459,10 +457,11 @@ class TestMemberExpansions:
             "import symlie\n"
             "from symlie import PartSet, PrimeSet, lifting_check, scan_positivity\n"
             "from symlie.partitions import _interned\n"
-            "from symlie.verify import _lifting_expansions\n"
+            "from symlie.families import lie_primes\n"
+            "from symlie.symfunc import p_of, to_schur\n"
             "start = len(_interned)\n"
-            "for _ in _lifting_expansions(3, 24):\n"
-            "    pass\n"
+            "for n in range(2, 25):\n"
+            "    to_schur(p_of((1,)) * lie_primes(n - 1, (3,)) - lie_primes(n, (3,)))\n"
             "print(len(_interned) - start)\n"
             "reports = [lifting_check(3, 24)]\n"
             "for family, p in (('powk', {'k': 2}), ('onek', {'k': 3}), ('lek', {'k': 3}), ('divk', {'k': 6}), ('fT', {'T': PartSet.everything()}),\n"
@@ -479,8 +478,9 @@ class TestMemberExpansions:
 class TestLifting:
     def test_expansions_against_to_schur(self):
         for q in (2, 3, 5, 7):
-            for n, got in enumerate(_lifting_expansions(q, 20), start=2):
-                want = schur_by_characters(p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,)))
+            for n in range(2, 21):
+                diff = p_of((1,)) * lie_primes(n - 1, (q,)) - lie_primes(n, (q,))
+                got, want = to_schur(diff), schur_by_characters(diff)
                 assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (q, n)
 
     def test_q3_small_range(self):
