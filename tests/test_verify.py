@@ -398,23 +398,44 @@ class TestScanSlices:
         "fT": lambda p: p["T"],
     }
 
-    def test_every_scan_against_characters_of_its_reference(self):
-        # each scan's verdict reads expand(n, **p): the product scans run the rim-hook DP, which adds
-        # strips forwards, and the family scans sum ribbon chains through to_schur; the oracle sums
-        # characters, which remove strips backwards, over the brute-force p_lam sum or the family member
+    @staticmethod
+    def _same(got, want) -> bool:
+        return (list(got.num.items()), got.den) == (list(want.num.items()), want.den)
+
+    def test_every_p_lam_sum_scan_against_its_predicate(self):
+        # each product scan's expansion at n is that of the p_lam sum its predicate keeps; the
+        # Schur functions are a basis, so this pins the sum itself
         assert set(self.PARAMS) == set(_SCAN_PREDICATES)
         assert set(_SCANS) == set(self.PARAMS) | set(self.FAMILY_SETS)
-        for family, psets in {**self.PARAMS, **self.FAMILY_PARAMS}.items():
+        for family, psets in self.PARAMS.items():
+            _, expand = _SCANS[family]
+            for p in psets:
+                keep = _SCAN_PREDICATES[family](p)
+                for n in range(1, 11):
+                    brute = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
+                    assert expand(n, **p) == to_schur(brute), (family, p, n)
+
+    def test_rim_hook_engine_against_to_schur(self):
+        # each product scan's verdicts read the DP, which adds strips forwards; the
+        # characters of the brute-force p_lam sum remove them backwards
+        for family, psets in self.PARAMS.items():
+            _, expand = _SCANS[family]
+            for p in psets:
+                keep = _SCAN_PREDICATES[family](p)
+                for n in range(1, 13):
+                    brute = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
+                    assert self._same(expand(n, **p), schur_by_characters(brute)), (family, p, n)
+
+    def test_ribbon_chains_against_to_schur(self):
+        # the part-set family scans sum ribbon chains through to_schur; the oracle evaluates
+        # characters of the family member, whose part set is stated apart from the table
+        assert set(self.FAMILY_PARAMS) == set(self.FAMILY_SETS)
+        for family, psets in self.FAMILY_PARAMS.items():
             _, expand = _SCANS[family]
             for p in psets:
                 for n in range(1, 13):
-                    if family in _SCAN_PREDICATES:
-                        keep = _SCAN_PREDICATES[family](p)
-                        reference = SymFunc(n, {lam: 1 for lam in partitions_of(n) if keep(lam)})
-                    else:
-                        reference = part_family(n, self.FAMILY_SETS[family](p))
-                    got, want = expand(n, **p), schur_by_characters(reference)
-                    assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den), (family, p, n)
+                    member = part_family(n, self.FAMILY_SETS[family](p))
+                    assert self._same(expand(n, **p), schur_by_characters(member)), (family, p, n)
 
 
 class TestMemberExpansions:
