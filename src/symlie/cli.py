@@ -29,7 +29,7 @@ from .families import (
     part_family_ext_series,
     part_family_series,
 )
-from .partitions import PrimeSet
+from .partitions import Partition, PrimeSet
 from .plethysm import Series, e_series, h_series, p1_series, pleth
 from .symfunc import SymFunc, e_of, h_of, p_of, s_of, terms_json, to_schur
 from .verify import (
@@ -123,22 +123,27 @@ def family_to_series(desc: str, n: int) -> Series:
 
 
 def basis_or_family(desc: str, n: int) -> Series:
-    """Like family_to_series but also accepts basis elements h:r, e:r, p:r, s:3,1."""
+    """Like family_to_series but also accepts basis elements h:r, e:r, p:r, s:3,1.
+
+    A basis element above degree n is the zero series and is not built.  As
+    in family_to_series, only an argument that does not parse is a bad
+    descriptor; a refusal of the constructor prints as it is.
+    """
     t = desc.strip()
+    head, colon, rest = t.partition(":")
+    if not colon or head not in ("h", "e", "p", "s"):
+        return family_to_series(t, n)
+    single = head in ("h", "e")
     try:
-        if t.startswith("h:"):
-            return Series.from_symfunc(h_of(int(t[2:])), n)
-        if t.startswith("e:"):
-            return Series.from_symfunc(e_of(int(t[2:])), n)
-        if t.startswith("p:"):
-            parts = tuple(int(x) for x in t[2:].split(","))
-            return Series.from_symfunc(p_of(tuple(sorted(parts, reverse=True))), n)
-        if t.startswith("s:"):
-            parts = tuple(int(x) for x in t[2:].split(","))
-            return Series.from_symfunc(s_of(tuple(sorted(parts, reverse=True))), n)
+        arg = int(rest) if single else tuple(sorted((int(x) for x in rest.split(",")), reverse=True))
     except ValueError as exc:
         raise UsageError(f"bad basis descriptor {desc!r}: {exc}") from None
-    return family_to_series(t, n)
+    try:
+        if (arg if single else Partition(arg).size) > n:
+            return Series(n)
+        return Series.from_symfunc({"h": h_of, "e": e_of, "p": p_of, "s": s_of}[head](arg), n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _member(args) -> SymFunc:
@@ -356,10 +361,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
+    except (UsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

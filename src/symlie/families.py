@@ -8,6 +8,12 @@ w on positive integers, the degree-n member is
 the Frobenius characteristic of a (possibly virtual) character induced from
 the cyclic group generated by an n-cycle.  The classical cases are w = mu
 (the free Lie module) and w = phi (the conjugacy action on n-cycles).
+Every series family is read off the template with one weight for all
+degrees, ``foulkes_series`` too: the Ramanujan sum c_e(k) depends only on
+gcd(e, k), so ``ramanujan(k)`` gives the eigenvalue-k character of C_d at
+every d, also at d < k.  The exterior companion g^T of a part set T sums
+the 2-power stretches f^T_{n/2^k}[p_{2^k}] of the memoized members f^T:
+the template with weight sum_{2^k | d} 2^k w_T(d / 2^k).
 """
 
 from __future__ import annotations
@@ -254,48 +260,42 @@ TOTIENT = DivisorWeight.totient_weight()
 _family_cache: dict[tuple[str, int], SymFunc] = {}
 
 
+def _require_degree(n) -> None:
+    # before the member cache and any divisor loop, where True would find the member of degree 1
+    if type(n) is not int or n < 1:
+        raise ValueError(f"family members are indexed by integers n >= 1, got {n!r}")
+
+
 def from_divisor_weight(n: int, w: DivisorWeight) -> SymFunc:
     """The degree-n member (1/n) sum_{d|n} w(d) p_d^(n/d).
 
     The coefficient of p_{1^n} is w(1)/n, so the dimension of the underlying
     virtual character is (n-1)! * w(1).
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"family members are indexed by integers n >= 1, got {n!r}")
+    _require_degree(n)
     key = (w.tag, n)
     hit = _family_cache.get(key)
     if hit is None:
-        terms = {}
-        for d in divisors(n):
-            c = w(d)
-            if c:
-                terms[SymFunc._encode((d,) * (n // d), n)] = c
-        hit = SymFunc._make(n, terms, n)
+        hit = SymFunc._make(n, {SymFunc._encode((d,) * (n // d), n): c for d in divisors(n) if (c := w(d))}, n)
         _family_cache[key] = hit
     return hit
 
 
 def exponent_eval(n: int, w: DivisorWeight, v) -> Fraction:
-    """Value of the one-variable polynomial (1/n) sum_{d|n} w(d) v^(n/d).
+    """Value at v of the one-variable polynomial (1/n) sum_{d|n} w(d) v^(n/d), ``exponent_poly``.
 
     At v = +1/-1 these are the exponents appearing in the power-sum product
     formulas for the symmetric and exterior powers of the family.
     """
     _require_positive_int("exponent_eval", n)
     v = Fraction(v)
-    return Fraction(sum(w(d) * v ** (n // d) for d in divisors(n)), 1) / n
+    return sum((c * v**e for e, c in exponent_poly(n, w).items()), Fraction(0))
 
 
 def exponent_poly(n: int, w: DivisorWeight) -> dict[int, Fraction]:
     """The same polynomial as a map exponent -> coefficient (in v)."""
     _require_positive_int("exponent_poly", n)
-    out: dict[int, Fraction] = {}
-    for d in divisors(n):
-        c = w(d)
-        if c:
-            e = n // d
-            out[e] = out.get(e, Fraction(0)) + Fraction(c, n)
-    return {e: c for e, c in out.items() if c}
+    return {n // d: Fraction(c, n) for d in divisors(n) if (c := w(d))}
 
 
 def family_series(w: DivisorWeight, n: int) -> Series:
@@ -341,30 +341,23 @@ def part_family(n: int, parts: PartSet) -> SymFunc:
 
 def part_family_via_lie(n: int, parts: PartSet) -> SymFunc:
     """Same member assembled the other way: sum over m in the set, m | n, of Lie_{n/m}[p_m]."""
-    out = SymFunc.zero()
-    for m in divisors(n):
-        if m in parts:
-            out = out + pleth_p(m, lie(n // m))
-    return out
+    _require_degree(n)
+    return sum((pleth_p(m, lie(n // m)) for m in divisors(n) if m in parts), SymFunc.zero())
 
 
 def part_family_ext(n: int, parts: PartSet) -> SymFunc:
-    """Degree-n piece of the exterior-side companion sum_{k>=0, m in set} Lie[p_{m*2^k}].
+    """g^T_n = sum over 2^k | n of f^T_{n/2^k}[p_{2^k}], the degree-n piece of G = sum_k F[p_{2^k}].
 
-    Pairs (m, k) with m * 2^k equal are counted with multiplicity.
+    This G has E[G] = H[F] = prod_{m in set} (1 - p_m)^{-1} (``HF-EG``), and
+    it is the template with weight sum_{2^k | d} 2^k w_T(d / 2^k); each
+    term is a stretch of a memoized ``part_family`` member.
     """
+    _require_degree(n)
     out = SymFunc.zero()
-    for j in divisors(n):
-        count = 0
-        m = j
-        while True:
-            if m in parts:
-                count += 1
-            if m % 2:
-                break
-            m //= 2
-        if count:
-            out = out + pleth_p(j, lie(n // j)).scaled(count)
+    q = 1
+    while n % q == 0:
+        out = out + pleth_p(q, part_family(n // q, parts))
+        q *= 2
     return out
 
 
@@ -395,10 +388,10 @@ def part_family_ext_series(parts: PartSet, n: int) -> Series:
 def foulkes_series(k: int, n: int) -> Series:
     """Series whose degree-d component is the eigenvalue-k character of C_d.
 
-    For d < k the exponent reduces mod d (the character only sees k mod d).
+    The Ramanujan sum c_e(k) depends only on gcd(e, k), so the one weight
+    ``ramanujan(k)`` gives ``foulkes(d, r)`` at every degree d, with r the
+    residue of k mod d read in 1..d.
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"foulkes_series requires an integer k >= 1, got {k!r}")
-    if type(n) is not int:
-        raise ValueError(f"a family series window must be an integer, got {n!r}")
-    return Series(n, {d: foulkes(d, ((k - 1) % d) + 1) for d in range(1, n + 1)})
+    return family_series(DivisorWeight.ramanujan(k), n)

@@ -345,21 +345,26 @@ def _p1(k: int) -> SymFunc:
     return p_of((k,)) if k else ONE
 
 
+def _require_degree(name: str, n) -> None:
+    # before the memos, where True would find the entry for 1, and before the recursion, which builds every h_d below n
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} requires an integer n >= 0, got {n!r}")
+    if n > _TOP:
+        raise ValueError(_TOO_DEEP.format(n))
+
+
 def h_of(n: int) -> SymFunc:
     """Complete homogeneous h_n via the Newton recurrence n*h_n = sum p_k h_{n-k}."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"h_of requires an integer n >= 0, got {n!r}")
+    _require_degree("h_of", n)
     return _h_of(n)
 
 
 def e_of(n: int) -> SymFunc:
     """Elementary e_n = omega(h_n)."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"e_of requires an integer n >= 0, got {n!r}")
+    _require_degree("e_of", n)
     return _e_of(n)
 
 
-# the memos behind h_of and e_of, which check n first: True == 1 would find the entry for 1
 @lru_cache(maxsize=None)
 def _h_of(n: int) -> SymFunc:
     if n == 0:
@@ -570,6 +575,8 @@ def _schur_of(n: int, num: Mapping[int, int], den: int = 1) -> SchurExpansion:
 def s_of(lam) -> SymFunc:
     """Schur function s_lam in the power-sum basis: sum_mu chi^lam(mu)/z_mu p_mu."""
     lam = lam if isinstance(lam, Partition) else Partition.of(lam)
+    if lam.size > _TOP:  # before enumerating the partitions of its size
+        raise ValueError(_TOO_DEEP.format(lam.size))
     terms = {mu: Fraction(_char(lam.parts, mu.parts), z_of(mu)) for mu in partitions_of(lam.size)}
     return SymFunc(lam.size, terms)
 

@@ -269,6 +269,11 @@ def _lieq_series(q: int, n: int) -> Series:
     return lie_primes_series(PrimeSet((q,)), n)
 
 
+def _via_lie(T: PartSet, n: int) -> Series:
+    """The family of T assembled from Lie members, ``part_family_via_lie`` at each degree."""
+    return Series(n, {d: part_family_via_lie(d, T) for d in range(1, n + 1)})
+
+
 def _p1_pq(q: int, sign: int, n: int) -> Series:
     """p_1 + sign * p_q."""
     comps = {1: p_of((1,))}
@@ -532,8 +537,7 @@ def _b_fT_sym(n, T):
 @_identity("fT-decomp", "F = (sum over the part set of p_m)[Lie]", N=12, T=(_T, PartSet.of(1, 3)))
 def _b_fT_decomp(n, T):
     lhs = part_family_series(T, n)
-    rhs = Series(n, {d: part_family_via_lie(d, T) for d in range(1, n + 1)})
-    return [_clause("f_d = sum over set members m | d of Lie_{d/m}[p_m]", lhs, rhs)]
+    return [_clause("f_d = sum over set members m | d of Lie_{d/m}[p_m]", lhs, _via_lie(T, n))]
 
 
 @_identity("fT-ext", "E[G] = prod over the part set of (1-p_m)^{-1} = H[F]", N=12, T=(_T, PartSet.of(1, 3)))
@@ -564,15 +568,7 @@ def _b_conj_inverse(n):
 
 @_identity("lieq-decomp", "L^(q)_d = sum_r Lie_{d/q^r}[p_{q^r}]", q=(_PRIME, 3))
 def _b_lieq_decomp(n, q):
-    comps = {}
-    for d in range(1, n + 1):
-        acc = SymFunc.zero()
-        qr = 1
-        while d % qr == 0:
-            acc = acc + pleth_p(qr, lie(d // qr))
-            qr *= q
-        comps[d] = acc
-    rhs = Series(n, comps)
+    rhs = _via_lie(PartSet.powers_of(q), n)
     return [_clause("L^(q)_d = sum over q-power divisors q^r of Lie_{d/q^r}[p_{q^r}]", _lieq_series(q, n), rhs)]
 
 
@@ -667,8 +663,7 @@ def _b_mod1k(n, k):
 
 @_identity("oddlie", "sum over odd m | d of Lie_{d/m}[p_m] = Lbar^(2)_d")
 def _b_oddlie(n):
-    T = PartSet.mod_one(2)
-    lhs = Series(n, {d: part_family_via_lie(d, T) for d in range(1, n + 1)})
+    lhs = _via_lie(PartSet.mod_one(2), n)
     return [_clause("sum over odd m | d of Lie_{d/m}[p_m] = Lbar^(2)_d", lhs, lie_primes_bar_series(PrimeSet((2,)), n))]
 
 

@@ -5,8 +5,10 @@ independent route exists: brute-force partition enumeration, border strips
 found on cell sets, hook-length dimensions, characters on rectangular cycle
 types from d-quotients, naive arithmetic functions, p-basis arithmetic
 on plain partition -> Fraction maps, a beta-key codec written from the
-definition for reading the package's ribbon walk, and the per-pair and
-``Fraction`` loops that the packed series products replaced.
+definition for reading the package's ribbon walk, the per-pair and
+``Fraction`` loops that the packed series products replaced, and the
+constructions of g^T and of the eigenvalue-k series that the divisor-weight
+template replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,19 @@ import random
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-from symlie import Partition, SchurExpansion, Series, SymFunc, character, p_of, partitions_of
+from symlie import (
+    Partition,
+    SchurExpansion,
+    Series,
+    SymFunc,
+    character,
+    divisors,
+    foulkes,
+    lie,
+    p_of,
+    partitions_of,
+    pleth_p,
+)
 from symlie.plethysm import _factor_partitions
 from symlie.symfunc import ZERO, _unpack
 
@@ -182,6 +196,28 @@ def naive_moebius(n: int) -> int:
 
 def naive_totient(n: int) -> int:
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+def part_family_ext_by_count(n: int, parts) -> SymFunc:
+    """g^T_n = sum over j | n of c(j) Lie_{n/j}[p_j], c(j) the number of k >= 0 with j / 2^k a member of the set."""
+    out = ZERO
+    for j in divisors(n):
+        count = 0
+        m = j
+        while True:
+            if m in parts:
+                count += 1
+            if m % 2:
+                break
+            m //= 2
+        if count:
+            out = out + pleth_p(j, lie(n // j)).scaled(count)
+    return out
+
+
+def foulkes_series_by_degree(k: int, n: int) -> Series:
+    """The eigenvalue-k series built per degree: foulkes(d, r) with r = k mod d read in 1..d."""
+    return Series(n, {d: foulkes(d, ((k - 1) % d) + 1) for d in range(1, n + 1)})
 
 
 def random_symfunc(rng: random.Random, degree: int, nterms: int = 3) -> SymFunc:

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from symlie import cli
+from symlie import cli, symfunc
 from symlie.cli import main
 
 from helpers import P
@@ -109,6 +109,10 @@ class TestExpand:
                 "error: bad family descriptor 'foulkes:x': invalid literal for int() with base 10: 'x'\n",
             ("expand", "--family", "fT:le(x)", "--n", "3"): "error: malformed set descriptor: malformed part-set descriptor 'le(x)'\n",
             ("expand", "--family", "foulkes:0", "--n", "3"): "error: foulkes_series requires an integer k >= 1, got 0\n",
+            ("pleth", "--outer", "h:-1", "--inner", "lie", "--max-degree", "3"): "error: h_of requires an integer n >= 0, got -1\n",
+            ("pleth", "--outer", "p:0", "--inner", "lie", "--max-degree", "3"): "error: parts must be positive integers: (0,)\n",
+            ("pleth", "--outer", "h:x", "--inner", "lie", "--max-degree", "3"):
+                "error: bad basis descriptor 'h:x': invalid literal for int() with base 10: 'x'\n",
         }
         for argv, want in cases.items():
             assert run(capsys, *argv) == (2, "", want), argv
@@ -171,6 +175,26 @@ class TestPlethErrors:
             assert code == 2
             assert out == ""
             assert err == f"error: --degree must be in 1..4, got {degree}\n"
+
+    def test_basis_element_above_the_window_is_not_built(self, capsys, monkeypatch):
+        # above --max-degree an element is the zero series: the bytes of h:5 at --max-degree 3
+        def refuse(*_):
+            raise RuntimeError("a basis element above the window was built")
+
+        monkeypatch.setattr(cli, "h_of", refuse)
+        monkeypatch.setattr(cli, "s_of", refuse)
+        for outer in ("h:300", "h:5", "s:300", "s:2,2"):
+            got = run(capsys, "pleth", "--outer", outer, "--inner", "lie", "--max-degree", "3")
+            assert got == (0, "deg 1: 0\ndeg 2: 0\ndeg 3: 0\n", ""), outer
+
+    def test_basis_element_above_the_ceiling_is_refused_at_once(self, capsys, monkeypatch):
+        # h_of refuses 300 before its Newton recursion, which builds every h_d below 300 first
+        def refuse(*_):
+            raise RuntimeError("the recursion of h_of ran")
+
+        monkeypatch.setattr(symfunc, "_h_of", refuse)
+        got = run(capsys, "pleth", "--outer", "h:300", "--inner", "p1", "--max-degree", "300")
+        assert got == (2, "", "error: degree 300 exceeds 255, the largest degree a power-sum key holds\n")
 
 
 class TestVerifyCommand:

@@ -40,7 +40,7 @@ from symlie import (
     totient,
 )
 
-from helpers import P, frac
+from helpers import P, foulkes_series_by_degree, frac, part_family_ext_by_count
 
 
 class TestPartSet:
@@ -170,16 +170,20 @@ class TestFamilyMembers:
     def test_non_integer_degrees_rejected(self):
         # checked before the member cache, where True would find the member of degree 1
         lie(1)
-        for n in (2.5, True, 2.0, "3"):
-            for build in (lie, conj, lambda n: from_divisor_weight(n, TOTIENT)):
+        T = PartSet.of(1, 3)
+        members = (lie, conj, lambda n: from_divisor_weight(n, TOTIENT),
+                   lambda n: part_family_ext(n, T), lambda n: part_family_via_lie(n, T))
+        for n in (2.5, True, 2.0, "3", 0, -2):
+            for build in members:
                 with pytest.raises(ValueError, match=f"family members are indexed by integers n >= 1, got {n!r}"):
                     build(n)
-            with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
-                lie_series(n)
-            with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
-                foulkes_series(2, n)
             with pytest.raises(ValueError, match=f"foulkes_series requires an integer k >= 1, got {n!r}"):
                 foulkes_series(n, 3)
+            if type(n) is not int:
+                with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
+                    lie_series(n)
+                with pytest.raises(ValueError, match=f"a family series window must be an integer, got {n!r}"):
+                    foulkes_series(2, n)
 
     def test_dimension_identity(self):
         # coefficient of p_{1^n} times n! equals (n-1)! * w(1)
@@ -238,6 +242,20 @@ class TestFamilyMembers:
         for T in (PartSet.of(1, 3), PartSet.up_to(3), PartSet.divisors_of(6), PartSet.powers_of(2)):
             for n in range(1, 9):
                 assert part_family(n, T) == part_family_via_lie(n, T)
+
+    def test_part_family_ext_against_count_loop(self):
+        # the 2-power stretches of f^T against g^T_n = sum_j c(j) Lie_{n/j}[p_j] with pairs (m, k), m 2^k = j, counted
+        sets = (PartSet.of(1), PartSet.of(2, 3, 8), PartSet.up_to(4), PartSet.divisors_of(12), PartSet.mod_one(3),
+                PartSet.powers_of(2), PartSet.powers_of(3), PartSet.everything(), PartSet.smooth_over((2, 3)),
+                PartSet.rough_over((2,)), PartSet.rough_over((3, 5)))
+        for T in sets:
+            for n in range(1, 25):
+                assert part_family_ext(n, T) == part_family_ext_by_count(n, T), (T, n)
+
+    def test_foulkes_series_against_per_degree_weights(self):
+        # c_e(k) depends only on gcd(e, k), so ramanujan(k) gives foulkes(d, k mod d) at every degree d
+        for k in range(1, 31):
+            assert foulkes_series(k, 24) == foulkes_series_by_degree(k, 24), k
 
     def test_part_family_ext_examples(self):
         T1 = PartSet.of(1)
@@ -355,11 +373,16 @@ class TestExponentTables:
                 exponent_poly(n, MOEBIUS)
 
     def test_exponent_poly_consistency(self):
-        for w in (MOEBIUS, TOTIENT, DivisorWeight.part_set(PartSet.of(1, 3))):
-            for n in range(1, 21):
+        # exponent_eval evaluates exponent_poly; both against the divisor sum (1/n) sum_{d|n} w(d) v^(n/d)
+        weights = (MOEBIUS, TOTIENT, DivisorWeight.ramanujan(4), DivisorWeight.prime_split(PrimeSet((2,))),
+                   DivisorWeight.part_set(PartSet.of(1, 3)))
+        for w in weights:
+            for n in range(1, 25):
                 poly = exponent_poly(n, w)
-                for v in (1, -1, Fraction(1, 2)):
-                    assert sum(c * v**e for e, c in poly.items()) == exponent_eval(n, w, v)
+                for v in (1, -1, Fraction(1, 2), 2, Fraction(1, 3)):
+                    want = Fraction(sum(w(d) * Fraction(v) ** (n // d) for d in divisors(n)), n)
+                    got = exponent_eval(n, w, v)
+                    assert type(got) is Fraction and sum(c * v**e for e, c in poly.items()) == got == want, (w, n, v)
 
 
 class TestSchurSide:

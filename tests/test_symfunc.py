@@ -22,6 +22,7 @@ from symlie import (
     to_schur,
     z_of,
 )
+from symlie import symfunc
 from symlie.partitions import Partition, divisors, moebius
 from symlie.families import lie
 from symlie.plethysm import Series, pleth, pleth_p, product_series
@@ -223,6 +224,17 @@ class TestPowerSumKey:
         assert pleth(p_of((1, 1)), g) == Series(300, {2: p_of((1, 1)), 201: p_of((200, 1)).scaled(2)})
         assert product_series([(2, 1, 1)], 300) == Series(300, {0: ONE, 2: p_of((2,))})
 
+
+    def test_basis_elements_above_ceiling_refused_before_building(self, monkeypatch):
+        # refused before the Newton recursion and the partition enumeration, which would run for every degree below
+        def refuse(*_):
+            raise RuntimeError("built past the ceiling")
+
+        monkeypatch.setattr(symfunc, "_h_of", refuse)
+        monkeypatch.setattr(symfunc, "partitions_of", refuse)
+        for call in (lambda: h_of(256), lambda: e_of(256), lambda: s_of((256,))):
+            with pytest.raises(ValueError, match="^degree 256 exceeds 255, the largest degree a power-sum key holds$"):
+                call()
 
     def test_stretch_negation_and_omega_keep_lowest_terms(self):
         # these four images change no numerator's gcd with den, so they take no gcd of their own
