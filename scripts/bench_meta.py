@@ -5,11 +5,12 @@
 ``--table meta`` (the default) times the five length-graded ``meta-*``
 identities at N = 8..14 (BENCH_7.json) and, since BENCH_22.json,
 ``extLieConj3``, whose left side sums Thrall's higher modules
-H_lam[Lie] over the partitions lam; ``--table inverse`` times six
-plethystic-inverse identities, the four of the Lie, L^(2), L^(q) and Conj
-inverses and the two Cadogan inverses, at N = 12, 16, 20 and 24
-(BENCH_19.json and BENCH_18.json; BENCH_13.json ran the first four at
-N = 10..24 and BENCH_8.json at N = 10..16); ``--table powers`` times
+H_lam[Lie] over the partitions lam; ``--table inverse`` times the seven
+ids on the log routes of ``plethysm``: the four of the Lie, L^(2), L^(q)
+and Conj inverses, the two Cadogan inverses and ``conj-psums``, at
+N = 12, 16, 20, 24 and 32 (BENCH_29.json; BENCH_19.json and BENCH_18.json
+ran the first six at N <= 24, BENCH_13.json the first four at N = 10..24
+and BENCH_8.json at N = 10..16); ``--table powers`` times
 identities whose left sides are power series of modules at N = 12..24:
 ``solomon`` and ``fT-sym`` (H[F]), ``extLieConj2`` (E[F]),
 ``conj-inverse`` (E^pm[F]) and, since BENCH_25.json, ``lie2-hpm``
@@ -89,7 +90,8 @@ TABLES = {
     "inverse": (
         "verify(inverse id, N) at default parameters",
         _verify_points(
-            ("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse", "cadogan-inverse", "lie2-cadogan-inverse"), (12, 16, 20, 24)
+            ("lie-inv", "lie2-inv", "lieq-inverse", "conj-inverse", "cadogan-inverse", "lie2-cadogan-inverse", "conj-psums"),
+            (12, 16, 20, 24, 32),
         ),
     ),
     "powers": (

@@ -14,6 +14,16 @@ products of factors (1 + s p_m)^{+/-1}, and the length-graded ones with
 integer v-polynomial numerators over one denominator, are read off one
 walk over the partitions into factor parts, in the power-sum basis;
 ``symfunc.product_slice_schur`` expands the ungraded ones in Schur.
+
+Three private log routes form no plethysm product.  The divisor family
+F_w = sum_n (1/n) sum_{d|n} w(d) p_d^{n/d} is -sum_d (w(d)/d) log(1 - p_d),
+so F_w[G] = sum_d (w(d)/d) p_d[Λ] with Λ = -log(1 - G): one series log,
+then stretches (``_family_pleth``).  Its inverse solves Λ by stretches
+alone and is 1 - exp(-Λ) (``_family_inverse``, for w(1) = 1).  The
+inverses of H - 1 and E - 1 solve exp(sum_k sign(k) p_k[G]/k) = 1 + p_1,
+whose log is stretches alone (``_exp_inverse``).  The catalog calls them by
+name; ``pleth`` and ``pleth_inverse`` stay the general route and the
+oracle the tests check the routes against.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .partitions import EMPTY, Partition
-from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _packed_products, _stretch, _unpack, e_of, h_of, p_of
+from .partitions import EMPTY, Partition, divisors
+from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _packed_products, _stretch, _sum_scaled, _unpack, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -581,10 +591,13 @@ def pleth_inverse(F: Series) -> Series:
     Requires F constant-free with degree-1 component exactly p_1.  With
     F = p_1 + T, G = p_1 - T[G] degree by degree: the plethysm kernel runs
     over the monomials of T, and G's degree-t component is set from step t.
+    At window 0 the inverse, like F, is the zero series.
     """
     n = F.max_degree
     if not F.is_constant_free:
         raise ValueError("plethystic inversion requires a constant-free series")
+    if n == 0:
+        return Series(0)
     if F.component(1) != p_of((1,)):
         raise ValueError("plethystic inversion requires degree-1 component p_1")
     tail_monos = _monomials(F.components[d] for d in range(2, n + 1) if d in F.components)
@@ -594,3 +607,58 @@ def pleth_inverse(F: Series) -> Series:
         if not acc.is_zero:
             comps[t] = -acc
     return Series(n, comps)
+
+
+def _stretches(w, X: dict[int, SymFunc], t: int) -> SymFunc:
+    """sum over the divisors k of t of (w(k)/k) p_k[X_{t/k}], over the components X holds."""
+    pairs = [(Fraction(c, k), _stretch(X[t // k], k)) for k in divisors(t) if t // k in X and (c := w(k))]
+    return _sum_scaled(pairs) if pairs else ZERO
+
+
+def _stretch_solve(w, Z, n: int) -> dict[int, SymFunc]:
+    """X_1..X_n with sum_{k | t} (w(k)/k) p_k[X_{t/k}] = Z(t) for w(1) = 1: X_t is Z(t) less the lower stretches."""
+    X: dict[int, SymFunc] = {}
+    for t in range(1, n + 1):
+        f = Z(t) - _stretches(w, X, t)
+        if not f.is_zero:
+            X[t] = f
+    return X
+
+
+def _family_pleth(w, G: Series) -> Series:
+    """F_w[G] = sum_d (w(d)/d) p_d[Λ], Λ = -log(1 - G), for the divisor family F_w of the weight w.
+
+    Λ comes from t Λ_t = t G_t + sum_{s<t} s Λ_s G_{t-s}, the degree-t
+    component of D Λ = D G / (1 - G), D scaling degree s by s.
+    """
+    if not G.is_constant_free:
+        raise ValueError("plethysm requires a constant-free inner series")
+    n, g = G.max_degree, _maps(G.components)
+    lam, dlam = {}, {}  # Λ_s, and s Λ_s as a packed map
+    for t in range(1, n + 1):
+        pairs = [(x, g[t - s]) for s, x in dlam.items() if t - s in g]
+        num, den = _packed_products(pairs + [(g[t], ({0: t}, 1))] if t in g else pairs)
+        num = {k: v for k, v in num.items() if v}
+        if num:
+            f = SymFunc._make(t, num, den)
+            dlam[t], lam[t] = (f._num, f.den), SymFunc._make(t, f._num, f.den * t)
+    return Series(n, {t: _stretches(w, lam, t) for t in range(1, n + 1)})
+
+
+def _family_inverse(w, n: int) -> Series:
+    """The plethystic inverse of F_w truncated at n: G = 1 - exp(-Λ), Λ = -log(1 - G).
+
+    F_w[G] = p_1 reads Λ_t = [t = 1] p_1 - sum_{d | t, d >= 2} (w(d)/d) p_d[Λ_{t/d}], which needs w(1) = 1.
+    """
+    if w(1) != 1:
+        raise ValueError(f"the family inverse needs w(1) = 1; the weight {w.tag} has w(1) = {w(1)}")
+    return Series.one(n) - series_exp(-Series(n, _stretch_solve(w, lambda t: p_of((1,)) if t == 1 else ZERO, n)))
+
+
+def _exp_inverse(sign, n: int) -> Series:
+    """The G with exp(sum_k sign(k) p_k[G] / k) = 1 + p_1, truncated at n, for sign(1) = 1.
+
+    Sign 1 inverts H - 1 and sign (-1)^{k-1} inverts E - 1.  At degree t the log reads
+    sum_{k | t} (sign(k)/k) p_k[G_{t/k}] = (-1)^{t-1} p_1^t / t; the key of p_1^t is t.
+    """
+    return Series(n, _stretch_solve(sign, lambda t: SymFunc._make(t, {t: 1 if t % 2 else -1}, t), n))

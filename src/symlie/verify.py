@@ -39,6 +39,9 @@ from typing import Callable, NamedTuple
 from .partitions import Partition, PrimeSet, divisors, is_prime, moebius
 from .plethysm import (
     Series,
+    _exp_inverse,
+    _family_inverse,
+    _family_pleth,
     alt_omega,
     e_series,
     ext_power_layers,
@@ -70,6 +73,7 @@ from .families import (
     DivisorWeight,
     MOEBIUS,
     PartSet,
+    TOTIENT,
     conj,
     conj_series,
     exponent_poly,
@@ -265,8 +269,12 @@ def _alt_e_series(n: int) -> Series:
     return Series(n, {d: e_of(d) if d % 2 else -e_of(d) for d in range(1, n + 1)})
 
 
+def _lieq_weight(q: int) -> DivisorWeight:
+    return DivisorWeight.prime_split(PrimeSet((q,)))
+
+
 def _lieq_series(q: int, n: int) -> Series:
-    return lie_primes_series(PrimeSet((q,)), n)
+    return family_series(_lieq_weight(q), n)
 
 
 def _via_lie(T: PartSet, n: int) -> Series:
@@ -300,11 +308,11 @@ def _inverse_pair(A: Series, B: Series, a: str, b: str, n: int) -> list:
     ]
 
 
-def _inverse_of(F: Series, B: Series, inverse_label: str, compose_label: str, n: int) -> list:
-    """Clauses F^{<-1>} = B, by inverting F, and F[B] = p_1, by composing."""
+def _inverse_of(w: DivisorWeight, B: Series, inverse_label: str, compose_label: str, n: int) -> list:
+    """Clauses F^{<-1>} = B and F[B] = p_1 for the divisor family F of the weight w, on the log routes of ``plethysm``."""
     return [
-        _clause(inverse_label, pleth_inverse(F), B),
-        _clause(compose_label, pleth(F, B), p1_series(n)),
+        _clause(inverse_label, _family_inverse(w, n), B),
+        _clause(compose_label, _family_pleth(w, B), p1_series(n)),
     ]
 
 
@@ -553,7 +561,7 @@ def _b_conj_decomp(n):
 
 @_identity("conj-psums", "Conj[sum (-1)^{r-1} e_r] = sum_m p_m")
 def _b_conj_psums(n):
-    lhs = pleth(conj_series(n), _alt_e_series(n))
+    lhs = _family_pleth(TOTIENT, _alt_e_series(n))
     rhs = Series(n, {d: p_of((d,)) for d in range(1, n + 1)})
     return [_clause("Conj[sum (-1)^{r-1} e_r] = sum_m p_m", lhs, rhs)]
 
@@ -562,8 +570,7 @@ def _b_conj_psums(n):
 def _b_conj_inverse(n):
     M = Series(n, {d: p_of((d,)).scaled(moebius(d)) for d in range(1, n + 1) if moebius(d)})
     rhs = Series.one(n) - ext_powers_signed(M)
-    C = conj_series(n)
-    return _inverse_of(C, rhs, "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", "Conj[candidate inverse] = p_1", n)
+    return _inverse_of(TOTIENT, rhs, "Conj^{<-1>} = sum (-1)^{r-1} e_r[sum mu(m) p_m]", "Conj[candidate inverse] = p_1", n)
 
 
 @_identity("lieq-decomp", "L^(q)_d = sum_r Lie_{d/q^r}[p_{q^r}]", q=(_PRIME, 3))
@@ -583,8 +590,7 @@ def _b_lieq_transport(n, q):
 @_identity("lieq-inverse", "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", q=(_PRIME, 3))
 def _b_lieq_inverse(n, q):
     B = Series.one(n) - ext_powers_signed(_p1_pq(q, -1, n))
-    Lq = _lieq_series(q, n)
-    return _inverse_of(Lq, B, "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", "L^(q)[candidate inverse] = p_1", n)
+    return _inverse_of(_lieq_weight(q), B, "(L^(q))^{<-1>} = (sum (-1)^{r-1} e_r)[p_1 - p_q]", "L^(q)[candidate inverse] = p_1", n)
 
 
 def _lie_plus_pk(X: Series, k: int) -> Series:
@@ -754,16 +760,13 @@ def _b_odd_gmult(n, g):
 
 @_identity("lie-inv", "Lie and (H-1)/H = sum (-1)^{r-1} e_r are plethystic inverses")
 def _b_lie_inv(n):
-    B = _alt_e_series(n)
-    L = lie_series(n)
-    return _inverse_of(L, B, "Lie^{<-1>} = sum (-1)^{r-1} e_r", "Lie[sum (-1)^{r-1} e_r] = p_1", n)
+    return _inverse_of(MOEBIUS, _alt_e_series(n), "Lie^{<-1>} = sum (-1)^{r-1} e_r", "Lie[sum (-1)^{r-1} e_r] = p_1", n)
 
 
 @_identity("lie2-inv", "L^(2) and (E-1)/E = sum (-1)^{r-1} h_r are plethystic inverses")
 def _b_lie2_inv(n):
     B = Series(n, {d: h_of(d) if d % 2 else -h_of(d) for d in range(1, n + 1)})
-    Lq = _lieq_series(2, n)
-    return _inverse_of(Lq, B, "(L^(2))^{<-1>} = sum (-1)^{r-1} h_r", "L^(2)[sum (-1)^{r-1} h_r] = p_1", n)
+    return _inverse_of(_lieq_weight(2), B, "(L^(2))^{<-1>} = sum (-1)^{r-1} h_r", "L^(2)[sum (-1)^{r-1} h_r] = p_1", n)
 
 
 @_identity("pp-frac", "p_1/(1+p_1) and p_1/(1-p_1) are plethystic inverses")
@@ -775,14 +778,13 @@ def _b_pp_frac(n):
 
 @_identity("cadogan-inverse", "(H-1)^{<-1>} = sum (-1)^{d-1} w(Lie_d)")
 def _b_cadogan_inverse(n):
-    Hm1 = Series(n, {d: h_of(d) for d in range(1, n + 1)})
-    return [_clause("(H-1)^{<-1>} = sum (-1)^{d-1} w(Lie_d)", pleth_inverse(Hm1), alt_omega(lie_series(n)))]
+    return [_clause("(H-1)^{<-1>} = sum (-1)^{d-1} w(Lie_d)", _exp_inverse(lambda k: 1, n), alt_omega(lie_series(n)))]
 
 
 @_identity("lie2-cadogan-inverse", "(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)")
 def _b_lie2_cadogan_inverse(n):
-    Em1 = Series(n, {d: e_of(d) for d in range(1, n + 1)})
-    return [_clause("(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)", pleth_inverse(Em1), alt_omega(_lieq_series(2, n)))]
+    lhs = _exp_inverse(lambda k: 1 if k % 2 else -1, n)
+    return [_clause("(E-1)^{<-1>} = sum (-1)^{d-1} w(L^(2)_d)", lhs, alt_omega(_lieq_series(2, n)))]
 
 
 @_identity(

@@ -24,6 +24,7 @@ from symlie import (
     ext_powers_signed,
     exponent_eval,
     exponent_poly,
+    family_series,
     graded_product_series,
     h_of,
     h_series,
@@ -47,7 +48,7 @@ from symlie import (
 )
 
 from symlie import SymFunc, lifting_check, to_schur
-from symlie.plethysm import series_exp
+from symlie.plethysm import _exp_inverse, _family_inverse, _family_pleth, series_exp
 from symlie.partitions import _interned
 from symlie.symfunc import ONE, ZERO, _char
 
@@ -622,3 +623,63 @@ class TestPlethInverse:
             pleth_inverse(Series(4, {2: p_of((2,))}))
         with pytest.raises(ValueError):
             pleth_inverse(Series(4, {1: 2 * p_of((1,))}))
+
+
+def H_SIGN(k: int) -> int:
+    return 1
+
+
+def E_SIGN(k: int) -> int:
+    return 1 if k % 2 else -1
+
+
+# every weight the catalog inverts, and Ramanujan and part-set weights with w(1) = 1
+ROUTE_WEIGHTS = (
+    [MOEBIUS, TOTIENT, DivisorWeight.prime_split((2,)), DivisorWeight.prime_split((3, 5))]
+    + [DivisorWeight.ramanujan(k) for k in range(1, 7)]
+    + [DivisorWeight.part_set(T) for T in (PartSet.of(1, 3), PartSet.up_to(4), PartSet.powers_of(2))]
+)
+
+
+def alt_series(n: int, base) -> Series:
+    """sum_{r>=1} (-1)^{r-1} base(r): the right sides of lie-inv (e_r) and lie2-inv (h_r)."""
+    return Series(n, {d: base(d) if d % 2 else -base(d) for d in range(1, n + 1)})
+
+
+class TestLogRoutes:
+    """The log routes of the divisor families and of H - 1 and E - 1 against the plethysm kernel."""
+
+    @pytest.mark.parametrize("w", ROUTE_WEIGHTS, ids=repr)
+    def test_family_inverse_against_kernel(self, w):
+        for n in range(1, 17):
+            assert _family_inverse(w, n) == pleth_inverse(family_series(w, n)), n
+
+    @pytest.mark.parametrize("w", ROUTE_WEIGHTS, ids=repr)
+    def test_family_pleth_against_kernel(self, w):
+        rng = random.Random(53)
+        inners = [alt_series(n, base) for n in range(1, 13) for base in (e_of, h_of)]
+        # random_series leaves degree 0 empty, so each inner series is constant-free
+        inners += [random_series(rng, n) for n in (3, 6, 9)] + [random_unit_series(rng, 8)]
+        for G in inners:
+            assert _family_pleth(w, G) == pleth(family_series(w, G.max_degree), G)
+
+    def test_exp_inverse_against_kernel(self):
+        for n in range(1, 17):
+            assert _exp_inverse(H_SIGN, n) == pleth_inverse(Series(n, {d: h_of(d) for d in range(1, n + 1)})), n
+            assert _exp_inverse(E_SIGN, n) == pleth_inverse(Series(n, {d: e_of(d) for d in range(1, n + 1)})), n
+
+    def test_family_inverse_refuses_w1_other_than_one(self):
+        w = DivisorWeight.part_set(PartSet.of(2, 3))
+        with pytest.raises(ValueError, match=r"needs w\(1\) = 1; the weight parts\[2,3\] has w\(1\) = 0"):
+            _family_inverse(w, 4)
+
+    def test_family_pleth_refuses_a_constant_term(self):
+        with pytest.raises(ValueError, match="plethysm requires a constant-free inner series"):
+            _family_pleth(MOEBIUS, Series(4, {1: p_of((1,))}, constant=1))
+
+    def test_window_zero_is_the_zero_series(self):
+        # a window of 0 holds no degree-1 component: the kernel and both inverse routes answer the zero series
+        assert pleth_inverse(Series(0)) == Series(0)
+        assert _family_inverse(MOEBIUS, 0) == Series(0)
+        assert _exp_inverse(H_SIGN, 0) == Series(0)
+        assert pleth(lie_series(0), Series(0)) == _family_pleth(MOEBIUS, Series(0)) == Series(0)
