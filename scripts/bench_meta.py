@@ -39,6 +39,8 @@ for q = 3 at n = 20..40 and q = 5 at n = 26..40, and records its negatives
 their default windows and at windows raised by 6 and by 10 (``lifting`` at
 ``n_max`` = N, at most its budget), and records the ids that did not pass
 and the three slowest of the last untraced run (BENCH_24.json).
+``--table basis`` builds ``h_of(n)`` and ``e_of(n)`` from a cold memo at
+n = 24, 30, 36 and 40 and records their numbers of terms (BENCH_30.json).
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
 none, the tree on PYTHONPATH is timed under the label ``here``.  Every
@@ -114,6 +116,7 @@ TABLES = {
         [{"q": 3, "n": n} for n in (20, 24, 28, 32, 36, 40)] + [{"q": 5, "n": n} for n in (26, 32, 36, 40)],
     ),
     "partitions": ("partitions_of(k) for every k <= n", [{"n": n} for n in (20, 24, 28, 32)]),
+    "basis": ("h_of(n) and e_of(n) from a cold memo", [{"basis": b, "n": n} for b in ("h", "e") for n in (24, 30, 36, 40)]),
     "catalog": (
         "verify(id, N=default_N + plus) for all 58 ids in one process, lifting at n_max = N up to its budget",
         [{"plus": plus} for plus in (0, 6, 10)],
@@ -141,6 +144,10 @@ def _call(table: str, point: dict) -> dict:
 
         S = PrimeSet.from_text(point["S"])
         return {"negatives": scan_positivity(point["scan"], range(1, point["n"] + 1), {"S": S}).negatives()}
+    if table == "basis":
+        from symlie import e_of, h_of
+
+        return {"terms": len((h_of if point["basis"] == "h" else e_of)(point["n"])._num)}
     if table == "partitions":
         from symlie.partitions import partitions_of
 

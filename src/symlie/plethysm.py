@@ -4,13 +4,13 @@ A Series holds homogeneous components for degrees 0..N, the constant term
 at degree 0.  N is a mandatory explicit truncation window: every
 operation silently drops anything above N, which turns each identity in
 the catalog into a finite exact check.  Series products, the plethysm
-kernel and the one Newton recurrence run the one product loop
+kernel and the one Newton recurrence on series run the one product loop
 (``symfunc._packed_products``) on the components' stored maps as they
-are, and hand each sum to ``SymFunc._make``, which reduces it and refuses
-a degree above 255.  That recurrence reads one packed list of power sums
-sign(k) p_k[F] (``_power_sums``) for every power series of modules and
-its length layers, and x alone for ``series_exp``.  The
-products of factors (1 + s p_m)^{+/-1}, and the length-graded ones with
+are, and make each sum a SymFunc by ``symfunc._reduced_products``, which
+reduces it and refuses a degree above 255.  That recurrence reads one
+packed list of power sums sign(k) p_k[F] (``_power_sums``) for every
+power series of modules and its length layers, and x alone for
+``series_exp``.  The products of factors (1 + s p_m)^{+/-1}, and the length-graded ones with
 integer v-polynomial numerators over one denominator, are read off one
 walk over the partitions into factor parts, in the power-sum basis;
 ``symfunc.product_slice_schur`` expands the ungraded ones in Schur.
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .partitions import EMPTY, Partition, divisors
-from .symfunc import ONE, ZERO, SymFunc, _factor_weights, _packed_products, _stretch, _sum_scaled, _unpack, e_of, h_of, p_of
+from .symfunc import ONE, ZERO, SymFunc, _TOO_DEEP, _TOP, _factor_weights, _packed_products, _reduced_products, _stretch, _sum_scaled, _unpack, e_of, h_of, p_of
 
 __all__ = [
     "Series",
@@ -151,10 +151,9 @@ class Series:
     def __mul__(self, other):
         """The product truncated at the window, or ``scaled(other)`` for a scalar.
 
-        The pairs of components of each output degree are summed in one
-        ``symfunc._packed_products`` call on their stored maps, and each sum,
-        its zeros dropped, is reduced by ``SymFunc._make``, in ascending
-        degree.
+        The pairs of components of each output degree are summed by one
+        ``symfunc._reduced_products`` call on their stored maps, in
+        ascending degree.
         """
         if not isinstance(other, Series):
             return self.scaled(other)
@@ -162,11 +161,7 @@ class Series:
         n = self.max_degree
         pairs = _degree_pairs(_maps(self.components), _maps(other.components), n, {})
         out = Series(n)
-        for d in sorted(pairs):
-            num, den = _packed_products(pairs[d])
-            f = SymFunc._make(d, {k: v for k, v in num.items() if v}, den)
-            if not f.is_zero:
-                out.components[d] = f
+        out.components = {d: f for d in sorted(pairs) if not (f := _reduced_products(d, pairs[d])).is_zero}
         return out
 
     def __rmul__(self, other):
@@ -211,13 +206,22 @@ def p1_series(n: int) -> Series:
     return Series(n, {1: p_of((1,))})
 
 
+def _basis_series(base, n: int, sign=lambda d: 1) -> Series:
+    """sum over d = 0..n of sign(d) base(d), base ``h_of`` or ``e_of`` and sign(d) in {1, 0, -1}; n > 255 is refused at once."""
+    out = Series(n)
+    if n > _TOP:
+        raise ValueError(_TOO_DEEP.format(n))
+    out.components = {d: base(d) if s > 0 else -base(d) for d in range(n + 1) if (s := sign(d))}
+    return out
+
+
 def h_series(n: int) -> Series:
     """H = sum h_i, constant term h_0 = 1."""
-    return Series(n, {d: h_of(d) for d in range(n + 1)})
+    return _basis_series(h_of, n)
 
 
 def e_series(n: int) -> Series:
-    return Series(n, {d: e_of(d) for d in range(n + 1)})
+    return _basis_series(e_of, n)
 
 
 def alt_omega(F: Series) -> Series:
@@ -266,7 +270,7 @@ def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
     as SymFuncs are.  A component g_j is stretched into every p_a[g] once,
     at the first step that finds it set, so a node product only adds keys,
     the prefix products stay unreduced, and only the degree-t sum is
-    reduced, by ``SymFunc._make``.  ``monos`` holds (parts, numerator, den)
+    reduced, by ``symfunc._reduced_products``.  ``monos`` holds (parts, numerator, den)
     triples with distinct parts, and a monomial's end node is multiplied by
     the packed constant numerator * p_() (key 0) over den.
     """
@@ -318,9 +322,7 @@ def _pleth_degrees(monos, comps: dict[int, SymFunc], n: int):
             end = ends.get(key)
             if end:
                 total.append((acc, ({0: end[0]}, end[1])))
-        num, den = _packed_products(total)
-        # a degree with no product made no key, so it is zero even above the SymFunc ceiling
-        yield t, SymFunc._make(t, {k: v for k, v in num.items() if v}, den) if total else ZERO
+        yield t, _reduced_products(t, total)
 
 
 def pleth(f, g) -> Series:
@@ -377,9 +379,8 @@ def _newton(P: list, n: int) -> list[dict[int, SymFunc]]:
     Newton's identity r h_r = sum_k p_k h_{r-k} (Macdonald I.2).  P[k] maps
     degrees to packed maps, as ``_power_sums`` builds them, and each X_r is
     handed back as its components by degree.  The pairs of each degree of
-    X_r are summed in one ``symfunc._packed_products`` call, 1/r is folded
-    into the denominator, and ``SymFunc._make`` reduces the sum by one gcd
-    before a later step reads its map.
+    X_r are summed by one ``symfunc._reduced_products`` call, 1/r folded
+    into the denominator, before a later step reads its map.
     """
     X = [{0: ONE}]
     maps = [_maps(X[0])]
@@ -387,12 +388,7 @@ def _newton(P: list, n: int) -> list[dict[int, SymFunc]]:
         pairs: dict[int, list] = {}
         for k in range(1, r + 1):
             _degree_pairs(P[k], maps[r - k], n, pairs)
-        X.append({})
-        for d in sorted(pairs):
-            num, den = _packed_products(pairs[d])
-            f = SymFunc._make(d, {key: c for key, c in num.items() if c}, den * r)
-            if not f.is_zero:
-                X[r][d] = f
+        X.append({d: f for d in sorted(pairs) if not (f := _reduced_products(d, pairs[d], r)).is_zero})
         maps.append(_maps(X[r]))
     return X
 
@@ -637,10 +633,8 @@ def _family_pleth(w, G: Series) -> Series:
     lam, dlam = {}, {}  # Λ_s, and s Λ_s as a packed map
     for t in range(1, n + 1):
         pairs = [(x, g[t - s]) for s, x in dlam.items() if t - s in g]
-        num, den = _packed_products(pairs + [(g[t], ({0: t}, 1))] if t in g else pairs)
-        num = {k: v for k, v in num.items() if v}
-        if num:
-            f = SymFunc._make(t, num, den)
+        f = _reduced_products(t, pairs + [(g[t], ({0: t}, 1))] if t in g else pairs)
+        if not f.is_zero:
             dlam[t], lam[t] = (f._num, f.den), SymFunc._make(t, f._num, f.den * t)
     return Series(n, {t: _stretches(w, lam, t) for t in range(1, n + 1)})
 

@@ -5,9 +5,11 @@ n to nonzero rationals, read as f = sum_mu c_mu * p_mu and stored as integer
 numerators over one denominator.  It keys p_mu by mu's multiplicity vector
 packed into one integer, sum_a m_a(mu) << 8 (a - 1), so the key of a
 product of p-monomials is the sum of their keys, and one key serves every
-product: ``_packed_products`` is the one product loop, which SymFunc and
-Series products, the Newton recurrence on series and the plethysm kernel
-all run on the stored maps as they are.  The fields hold multiplicities
+product: ``_packed_products`` is the one product loop, run on the stored
+maps as they are, and ``_reduced_products`` the one way its sum becomes a
+SymFunc, for SymFunc and Series products, both Newton recurrences (h_n,
+and ``plethysm._newton`` on series), the plethysm kernel's degree-t sums
+and ``plethysm._family_pleth``'s log.  The fields hold multiplicities
 below 2^8, so a SymFunc has degree at most 255.  The memoized ``_unpack``
 decodes a key to its parts in three places: at the API edge
 (``SymFunc._decode``), for the plethysm kernel's trie of parts
@@ -263,8 +265,7 @@ class SymFunc(_TermMap):
         if isinstance(other, SymFunc):
             if self.is_zero or other.is_zero:
                 return ZERO
-            num, den = _packed_products((((self._num, self.den), (other._num, other.den)),))
-            return SymFunc._make(self.degree + other.degree, {k: v for k, v in num.items() if v}, den)
+            return _reduced_products(self.degree + other.degree, (((self._num, self.den), (other._num, other.den)),))
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -295,11 +296,12 @@ def _packed_products(pairs) -> tuple[dict[int, int], int]:
     A packed map is a SymFunc's ``_num`` over its ``den``, so the key of a
     product of p-monomials is the sum of their keys.  Every pair is brought
     to the lcm of the pairs' den_x * den_y once; the sum is not reduced and
-    keeps the zeros that cancellation leaves.  This is the one product loop
-    of ``SymFunc.__mul__``, ``Series.__mul__``, the Newton recurrence and
-    the plethysm kernel.  Each drops the zeros of a sum it returns and hands
-    it to ``SymFunc._make``, which refuses a degree above 255, so no key
-    whose fields overflowed is read.
+    keeps the zeros that cancellation leaves.  ``_reduced_products`` makes
+    every SymFunc out of its sums, for ``SymFunc.__mul__``,
+    ``Series.__mul__``, ``_h_of``, ``plethysm._newton``, the plethysm
+    kernel's degree-t sums and ``plethysm._family_pleth``; only the kernel's
+    node products and ``plethysm._exp``'s one-component Q_j read a sum
+    unreduced.
     """
     den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
     out: dict[int, int] = {}
@@ -313,6 +315,19 @@ def _packed_products(pairs) -> tuple[dict[int, int], int]:
                 key = ka + kb
                 out[key] = get(key, 0) + ca * cb
     return out, den
+
+
+def _reduced_products(d: int, pairs, r: int = 1) -> SymFunc:
+    """(1/r) sum x * y over (x, y) pairs of packed maps, as a SymFunc of degree d: its zeros dropped, r in its den.
+
+    ``SymFunc._make`` reduces it by one gcd and refuses a degree above 255,
+    so no key whose fields overflowed is read; no pairs make no key, so
+    their sum is zero even above that ceiling.
+    """
+    if not pairs:
+        return ZERO
+    num, den = _packed_products(pairs)
+    return SymFunc._make(d, {k: v for k, v in num.items() if v}, den * r)
 
 
 def _sum_scaled(pairs) -> _TermMap:
@@ -341,12 +356,8 @@ def p_of(parts) -> SymFunc:
     return SymFunc._make(part.size, {SymFunc._encode(part.parts, part.size): 1})
 
 
-def _p1(k: int) -> SymFunc:
-    return p_of((k,)) if k else ONE
-
-
 def _require_degree(name: str, n) -> None:
-    # before the memos, where True would find the entry for 1, and before the recursion, which builds every h_d below n
+    # before the memo, where True would find the entry for 1, and before the recursion, which builds every h_d below n
     if type(n) is not int or n < 0:
         raise ValueError(f"{name} requires an integer n >= 0, got {n!r}")
     if n > _TOP:
@@ -362,22 +373,19 @@ def h_of(n: int) -> SymFunc:
 def e_of(n: int) -> SymFunc:
     """Elementary e_n = omega(h_n)."""
     _require_degree("e_of", n)
-    return _e_of(n)
+    return _h_of(n).omega()
 
 
 @lru_cache(maxsize=None)
 def _h_of(n: int) -> SymFunc:
+    # one reducer call over the pairs (p_k, h_{n-k}), 1/n folded into the denominator
     if n == 0:
         return ONE
-    acc = ZERO
+    pairs = []
     for k in range(1, n + 1):
-        acc = acc + _p1(k) * _h_of(n - k)
-    return acc.scaled(Fraction(1, n))
-
-
-@lru_cache(maxsize=None)
-def _e_of(n: int) -> SymFunc:
-    return _h_of(n).omega()
+        h = _h_of(n - k)
+        pairs.append((({SymFunc._encode((k,), k): 1}, 1), (h._num, h.den)))
+    return _reduced_products(n, pairs, n)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 from .partitions import Partition, PrimeSet, divisors, is_prime, moebius
 from .plethysm import (
     Series,
+    _basis_series,
     _exp_inverse,
     _family_inverse,
     _family_pleth,
@@ -264,9 +265,9 @@ def _ext_omega_factors(S: PrimeSet, n: int) -> list:
     return [(m, -1, -1) for m in _smooth_members(S, n)] + [(m, 1, 1) for m in _half_smooth_evens(S, n)]
 
 
-def _alt_e_series(n: int) -> Series:
-    """sum_{r>=1} (-1)^{r-1} e_r as an explicit constant-free series."""
-    return Series(n, {d: e_of(d) if d % 2 else -e_of(d) for d in range(1, n + 1)})
+def _alternating(d: int) -> int:
+    """The sign of x_d in sum_{r>=1} (-1)^{r-1} x_r, for ``_basis_series``."""
+    return (-1) ** (d - 1) if d else 0
 
 
 def _lieq_weight(q: int) -> DivisorWeight:
@@ -288,11 +289,6 @@ def _p1_pq(q: int, sign: int, n: int) -> Series:
     if q <= n:
         comps[q] = p_of((q,)).scaled(sign)
     return Series(n, comps)
-
-
-def _mod1_h(k: int, n: int, elementary: bool = False) -> Series:
-    base = e_of if elementary else h_of
-    return Series(n, {d: base(d) for d in range(1, n + 1) if d % k == 1 % k})
 
 
 def _pm_sum(ms, X: Series) -> Series:
@@ -479,13 +475,12 @@ def _b_extLieConj2(n):
 @_identity("extLieConj3", "sum (-1)^{|lam|-l} H_lam[Lie] = (1+p_1)(1-p_2)^{-1}", N=8)
 def _b_extLieConj3(n):
     # |lam| - l(lam) = sum_i m_i (i - 1), so the sum over lam of (-1)^{|lam|-l} prod_i h_{m_i}[Lie_i]
-    # is prod_i H[Lie_i] over odd i times prod_i H^pm[Lie_i] over even i, H^pm = sum_m (-1)^m h_m
+    # is prod_i H[Lie_i] over odd i times prod_i H^pm[Lie_i] over even i, H^pm = sum_m (-1)^m h_m:
+    # the factor of i is sum_m (-1)^{m (i - 1)} h_m[Lie_i]
     L = lie_series(n)
     direct = Series.one(n)
     for i in range(1, n + 1):
-        H = h_series(n // i)
-        if i % 2 == 0:
-            H = Series(n // i, {m: f if m % 2 == 0 else -f for m, f in H.components.items()})
+        H = _basis_series(h_of, n // i, lambda m: (-1) ** (m * (i - 1)))
         direct = direct * pleth(H, Series.from_symfunc(L.component(i), n))
     lhs2 = ext_powers(alt_omega(L)).omega_each()
     rhs = product_series([(1, 1, 1), (2, -1, -1)], n)
@@ -561,7 +556,7 @@ def _b_conj_decomp(n):
 
 @_identity("conj-psums", "Conj[sum (-1)^{r-1} e_r] = sum_m p_m")
 def _b_conj_psums(n):
-    lhs = _family_pleth(TOTIENT, _alt_e_series(n))
+    lhs = _family_pleth(TOTIENT, _basis_series(e_of, n, _alternating))
     rhs = Series(n, {d: p_of((d,)) for d in range(1, n + 1)})
     return [_clause("Conj[sum (-1)^{r-1} e_r] = sum_m p_m", lhs, rhs)]
 
@@ -760,12 +755,12 @@ def _b_odd_gmult(n, g):
 
 @_identity("lie-inv", "Lie and (H-1)/H = sum (-1)^{r-1} e_r are plethystic inverses")
 def _b_lie_inv(n):
-    return _inverse_of(MOEBIUS, _alt_e_series(n), "Lie^{<-1>} = sum (-1)^{r-1} e_r", "Lie[sum (-1)^{r-1} e_r] = p_1", n)
+    return _inverse_of(MOEBIUS, _basis_series(e_of, n, _alternating), "Lie^{<-1>} = sum (-1)^{r-1} e_r", "Lie[sum (-1)^{r-1} e_r] = p_1", n)
 
 
 @_identity("lie2-inv", "L^(2) and (E-1)/E = sum (-1)^{r-1} h_r are plethystic inverses")
 def _b_lie2_inv(n):
-    B = Series(n, {d: h_of(d) if d % 2 else -h_of(d) for d in range(1, n + 1)})
+    B = _basis_series(h_of, n, _alternating)
     return _inverse_of(_lieq_weight(2), B, "(L^(2))^{<-1>} = sum (-1)^{r-1} h_r", "L^(2)[sum (-1)^{r-1} h_r] = p_1", n)
 
 
@@ -794,7 +789,7 @@ def _b_lie2_cadogan_inverse(n):
     k=(_int_at_least(2), 2),
 )
 def _c_mod1k_beta(n, k):
-    A = _mod1_h(k, n)
+    A = _basis_series(h_of, n, lambda d: d % k == 1 % k)
     B = pleth_inverse(A)
     filtered = Series(n, {d: f for d, f in B.components.items() if d % k == 1 % k})
     clauses = [
@@ -802,7 +797,7 @@ def _c_mod1k_beta(n, k):
         _clause("the inverse is supported in degrees = 1 mod k", B, filtered),
     ]
     if k % 2 == 0:
-        Ae = _mod1_h(k, n, elementary=True)
+        Ae = _basis_series(e_of, n, lambda d: d % k == 1 % k)
         clauses.append(
             _clause("omega transport: (sum_{d=1 mod k} e_d)[w-transported inverse] = p_1", pleth(Ae, B.omega_each()), p1_series(n))
         )
@@ -820,7 +815,7 @@ def _b_jordan_eta(n):
     # Stand-in derivative family: d/dp_1 of e_{2m} is e_{2m-1}; the genuine
     # even-block homology modules are out of scope, so the transport
     # mechanics are exercised on this exterior stand-in.
-    D = Series(n, {d: e_of(d) if ((d + 1) // 2) % 2 else -e_of(d) for d in range(1, n + 1, 2)})
+    D = _basis_series(e_of, n, lambda d: d % 2 and (-1) ** (d // 2))
     eta = pleth_inverse(D)
     odd_part = Series(n, {d: f for d, f in eta.components.items() if d % 2})
     return [

@@ -188,13 +188,20 @@ class TestPlethErrors:
             assert got == (0, "deg 1: 0\ndeg 2: 0\ndeg 3: 0\n", ""), outer
 
     def test_basis_element_above_the_ceiling_is_refused_at_once(self, capsys, monkeypatch):
-        # h_of refuses 300 before its Newton recursion, which builds every h_d below 300 first
+        # h_of refuses 300 before its Newton recursion, which builds every h_d below 300 first,
+        # and the series H and E at a window above 255 before they build h_0 .. h_255
         def refuse(*_):
             raise RuntimeError("the recursion of h_of ran")
 
         monkeypatch.setattr(symfunc, "_h_of", refuse)
-        got = run(capsys, "pleth", "--outer", "h:300", "--inner", "p1", "--max-degree", "300")
-        assert got == (2, "", "error: degree 300 exceeds 255, the largest degree a power-sum key holds\n")
+        for argv in (
+            ("pleth", "--outer", "h:300", "--inner", "p1", "--max-degree", "300"),
+            ("expand", "--family", "h", "--n", "300"),
+            ("expand", "--family", "e", "--n", "300"),
+            ("pleth", "--outer", "h", "--inner", "lie", "--max-degree", "300"),
+        ):
+            got = run(capsys, *argv)
+            assert got == (2, "", "error: degree 300 exceeds 255, the largest degree a power-sum key holds\n"), argv
 
 
 class TestVerifyCommand:
