@@ -41,6 +41,13 @@ their default windows and at windows raised by 6 and by 10 (``lifting`` at
 and the three slowest of the last untraced run (BENCH_24.json).
 ``--table basis`` builds ``h_of(n)`` and ``e_of(n)`` from a cold memo at
 n = 24, 30, 36 and 40 and records their numbers of terms (BENCH_30.json).
+``--table import`` times ``import symlie`` and ``import symlie.cli`` in a
+fresh interpreter that has imported nothing else, and records the number of
+modules each loads (BENCH_31.json).  Its ``none`` points run with
+PYTHONDONTWRITEBYTECODE=1, as ``bench/run.py`` does, and so compile the
+package from source unless the tree holds a ``__pycache__`` (a warning
+names it); its ``warm`` points read the bytecode that one untimed import
+wrote under a temporary PYTHONPYCACHEPREFIX, so no point writes into a tree.
 Each ``label=SRC_DIR`` names a source tree to import ``symlie`` from (for
 example ``parent=../parent/src change=src`` to compare two checkouts); with
 none, the tree on PYTHONPATH is timed under the label ``here``.  Every
@@ -73,11 +80,13 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 TIMEOUT_S = 60
 REPEATS = 3
+IMPORT_REPEATS = 9
 
 
 def _verify_points(ids, ns):
@@ -121,7 +130,39 @@ TABLES = {
         "verify(id, N=default_N + plus) for all 58 ids in one process, lifting at n_max = N up to its budget",
         [{"plus": plus} for plus in (0, 6, 10)],
     ),
+    "import": (
+        "import module, uncached (PYTHONDONTWRITEBYTECODE=1) or from a warm bytecode cache",
+        [{"module": module, "cache": cache} for cache in ("none", "warm") for module in ("symlie", "symlie.cli")],
+    ),
 }
+
+# The variables that set where bytecode is read and written; each import point sets one of them.
+_BYTECODE_VARS = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+# The child of an import point: a fresh interpreter imports argv[1], and with argv[2] == "1" traces it.
+_IMPORT_PROBE = """
+import sys, time
+if sys.argv[2] == "1":
+    import tracemalloc
+    tracemalloc.start()
+before, t0 = len(sys.modules), time.perf_counter()
+__import__(sys.argv[1])
+wall, loaded = time.perf_counter() - t0, len(sys.modules) - before
+import json, resource
+if sys.argv[2] == "1":
+    print(json.dumps({"peak_traced_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 1)}))
+else:
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(rss, 1), "modules_loaded": loaded}))
+"""
+
+
+def _child(table: str, point: dict, envs: dict[str, dict], prefix: str) -> tuple[list[str], dict[str, dict]]:
+    """The argv of one run of the point, but for its traced flag, and the environment of each tree."""
+    if table != "import":
+        return [sys.executable, __file__, "--one", table, json.dumps(point)], envs
+    cache = {"PYTHONDONTWRITEBYTECODE": "1"} if point["cache"] == "none" else {"PYTHONPYCACHEPREFIX": prefix}
+    envs = {label: {k: v for k, v in env.items() if k not in _BYTECODE_VARS} | cache for label, env in envs.items()}
+    return [sys.executable, "-c", _IMPORT_PROBE, point["module"]], envs
 
 
 def _call(table: str, point: dict) -> dict:
@@ -199,6 +240,31 @@ def one(table: str, point: dict, traced: bool) -> dict:
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1), **answer, **memos}
 
 
+def _measure(point: dict, order: list[str], argv: list[str], envs: dict[str, dict], repeats: int) -> list[dict]:
+    """The entries of one point: its untraced runs and then its traced run, once on each tree in ``order`` per round."""
+    found = {label: {"tree": label, **point} for label in order}
+    walls = {label: [] for label in order}
+    rss = {label: [] for label in order}
+    for traced in ("0",) * repeats + ("1",):
+        for label in order:
+            if "timeout" in found[label]:
+                continue
+            try:
+                run = subprocess.run(argv + [traced], capture_output=True, text=True, check=True, env=envs[label], timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                found[label]["timeout"] = "traced" if traced == "1" else "untraced"
+                continue
+            result = json.loads(run.stdout)
+            if traced == "0":
+                walls[label].append(result.pop("wall_s"))
+                rss[label].append(result.pop("peak_rss_mb"))
+            found[label].update(result)
+    for label in order:
+        if walls[label]:
+            found[label].update(wall_s=statistics.median(walls[label]), wall_runs_s=walls[label], peak_rss_mb=statistics.median(rss[label]))
+    return [found[label] for label in order]
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--one"]:
         print(json.dumps(one(sys.argv[2], json.loads(sys.argv[3]), sys.argv[4] == "1")))
@@ -208,41 +274,27 @@ def main() -> None:
     ap.add_argument("trees", nargs="*", metavar="label=SRC_DIR")
     args = ap.parse_args()
     workload, points = TABLES[args.table]
+    repeats = IMPORT_REPEATS if args.table == "import" else REPEATS
     envs = {}
     for label, src in (dict(arg.split("=", 1) for arg in args.trees) or {"here": None}).items():
         envs[label] = dict(os.environ)
         if src is not None:
             envs[label]["PYTHONPATH"] = os.path.abspath(src)
+            cache = os.path.join(src, "symlie", "__pycache__")
+            if args.table == "import" and os.path.isdir(cache):
+                print(f"warning: the uncached imports of {label} read the bytecode in {cache}", file=sys.stderr)
     labels, entries = list(envs), []
-    for i, point in enumerate(points):
-        k = i % len(labels)
-        order = labels[k:] + labels[:k]
-        found = {label: {"tree": label, **point} for label in order}
-        walls = {label: [] for label in order}
-        rss = {label: [] for label in order}
-        for traced in ("0",) * REPEATS + ("1",):
-            for label in order:
-                if "timeout" in found[label]:
-                    continue
-                argv = [sys.executable, __file__, "--one", args.table, json.dumps(point), traced]
-                try:
-                    run = subprocess.run(argv, capture_output=True, text=True, check=True, env=envs[label], timeout=TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    found[label]["timeout"] = "traced" if traced == "1" else "untraced"
-                    continue
-                result = json.loads(run.stdout)
-                if traced == "0":
-                    walls[label].append(result.pop("wall_s"))
-                    rss[label].append(result.pop("peak_rss_mb"))
-                found[label].update(result)
-        for label in order:
-            if walls[label]:
-                found[label].update(
-                    wall_s=statistics.median(walls[label]), wall_runs_s=walls[label], peak_rss_mb=statistics.median(rss[label])
-                )
-            entries.append(found[label])
+    with tempfile.TemporaryDirectory(prefix="bench_meta_pycache_") as prefix:
+        for i, point in enumerate(points):
+            k = i % len(labels)
+            order = labels[k:] + labels[:k]
+            argv, point_envs = _child(args.table, point, envs, prefix)
+            if point.get("cache") == "warm":
+                for label in order:
+                    subprocess.run(argv + ["0"], capture_output=True, check=True, env=point_envs[label], timeout=TIMEOUT_S)
+            entries += _measure(point, order, argv, point_envs, repeats)
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
-    workload = f"{workload}, {REPEATS} untraced runs and one traced run per point, each in a cold interpreter, trees alternating"
+    workload = f"{workload}, {repeats} untraced runs and one traced run per point, each in a cold interpreter, trees alternating"
     report = {"workload": workload, "host": host, "entries": entries}
     print(json.dumps(report, indent=1))
 

@@ -490,13 +490,17 @@ def _factor_partitions(rows: dict[int, list], n: int, one, mul):
     value m of multiplicity j < len(rows[m]).  One explicit stack extends a
     partition by j parts m below its last part, adding j times the key of
     p_m, largest m and then largest j first, so each degree comes out in
-    descending order; a zero coefficient ends its branch.
+    descending order; a zero coefficient ends its branch.  A node above
+    degree 255 is refused as it comes off the stack, so no window a SymFunc
+    cannot hold is walked.
     """
     values = sorted((m for m in rows if m <= n), reverse=True)
     units = [SymFunc._encode((m,), m) for m in values]
     stack = [(0, 0, 0, one)]
     while stack:
         d, key, i, c = stack.pop()
+        if d > _TOP:
+            raise ValueError(_TOO_DEEP.format(d))
         yield d, key, c
         for k in range(len(values) - 1, i - 1, -1):
             m, row, unit = values[k], rows[values[k]], units[k]

@@ -27,12 +27,17 @@ divisor-family members with ``to_schur``, which reads each power
 p_d^{n/d} off its ribbon chain.  Neither route evaluates a character or
 decodes a shape before its witnesses; the tests compare both with
 characters, which remove the strips backwards.
+
+Every record here is a ``typing.NamedTuple``: a parameter's ``Param``, a
+catalog ``IdentityEntry`` and the reports ``VerifyReport``,
+``ScanVerdict`` and ``PositivityReport``, so no field is reassigned after
+construction.  A report's ``to_json_dict`` starts from ``_asdict()`` and
+overrides only what JSON prints differently.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -129,52 +134,39 @@ class BudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
+def _ms(elapsed_ms: float | None, timing: bool) -> float | None:
+    """A report's elapsed time as JSON prints it: rounded under ``timing``, else None."""
+    return round(elapsed_ms, 3) if timing and elapsed_ms is not None else None
+
+
+class VerifyReport(NamedTuple):
     id: str
     params: dict
     N: int
     status: str  # "pass" | "fail"
     first_mismatch: dict | None = None
-    witnesses: list = field(default_factory=list)
     elapsed_ms: float | None = None
-    details: list[str] = field(default_factory=list)
+    details: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_json_dict(self, timing: bool = False) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "N": self.N,
-            "status": self.status,
-            "first_mismatch": self.first_mismatch,
-            "witnesses": self.witnesses,
-            "elapsed_ms": round(self.elapsed_ms, 3) if timing and self.elapsed_ms is not None else None,
-            "details": self.details,
-        }
+        return {**self._asdict(), "witnesses": [], "elapsed_ms": _ms(self.elapsed_ms, timing)}
 
 
-@dataclass
-class ScanVerdict:
+class ScanVerdict(NamedTuple):
     n: int
     positive: bool
     witnesses: dict
     elapsed_ms: float
 
     def to_json_dict(self, timing: bool = False) -> dict:
-        return {
-            "n": self.n,
-            "positive": self.positive,
-            "witnesses": terms_json(self.witnesses),
-            "elapsed_ms": round(self.elapsed_ms, 3) if timing else None,
-        }
+        return {**self._asdict(), "witnesses": terms_json(self.witnesses), "elapsed_ms": _ms(self.elapsed_ms, timing)}
 
 
-@dataclass
-class PositivityReport:
+class PositivityReport(NamedTuple):
     family: str
     params: dict
     verdicts: list[ScanVerdict]
@@ -187,12 +179,7 @@ class PositivityReport:
         return [v.n for v in self.verdicts if not v.positive]
 
     def to_json_dict(self, timing: bool = False) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "all_positive": self.all_positive,
-            "verdicts": [v.to_json_dict(timing) for v in self.verdicts],
-        }
+        return {**self._asdict(), "all_positive": self.all_positive, "verdicts": [v.to_json_dict(timing) for v in self.verdicts]}
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +343,7 @@ def _check_params(id: str, schema: dict[str, Param], p: dict) -> None:
             raise ValueError(f"{id}: {key} must be {param.text}, got {p[key]}")
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(NamedTuple):
     id: str
     statement: str
     param_schema: dict[str, Param]
@@ -979,8 +965,8 @@ def verify(id: str, params: dict | None = None, N: int | None = None) -> VerifyR
         status, mismatch, details = entry.custom(n, **p)
     else:
         status, mismatch = _run_clauses(entry.builder(n, **p))
-        details = []
-    return VerifyReport(id, printable, n, status, mismatch, [], (time.perf_counter() - t0) * 1000, details)
+        details = ()
+    return VerifyReport(id, printable, n, status, mismatch, (time.perf_counter() - t0) * 1000, tuple(details))
 
 
 # ---------------------------------------------------------------------------

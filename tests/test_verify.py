@@ -22,9 +22,10 @@ from symlie import (
     scan_positivity,
     verify,
 )
+from symlie import plethysm
 from symlie.cli import main, parse_weight
 from symlie.partitions import _partitions_interned, partitions_of
-from symlie.plethysm import Series, higher_module
+from symlie.plethysm import Series, graded_product_series, higher_module, product_series
 from symlie.symfunc import SymFunc, p_of, to_schur
 from symlie.families import MOEBIUS, TOTIENT, DivisorWeight, from_divisor_weight, lie_primes, lie_series, part_family
 from symlie.verify import LIFTING_EXCEPTIONS, _SCANS, _series_mismatch, build_clauses
@@ -165,6 +166,51 @@ class TestCatalog:
         assert decoded["elapsed_ms"] is None
         timed = r.to_json_dict(timing=True)
         assert timed["elapsed_ms"] is not None
+
+    def test_reports_are_immutable(self):
+        report = verify("thrall", N=6)
+        verdict = scan_positivity("powk", [4], {"k": 4}).verdicts[0]
+        for record, field in ((report, "status"), (report, "details"), (verdict, "positive"), (verdict, "witnesses")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert report.status == "pass" and verdict.positive is False
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # the records are NamedTuples, so importing the package generates no methods; -S keeps site's imports out
+        src = str(Path(__file__).parents[1] / "src")
+        code = f"import sys; sys.path.insert(0, {src!r}); import symlie; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_window_above_ceiling_refused_at_first_product_node(self, monkeypatch, capsys):
+        # a product side over the odd parts at window 256 is refused at its first node above 255; the walk once
+        # enumerated millions of partitions into odd parts before the SymFunc refused degree 256
+        walk, seen = plethysm._factor_partitions, []
+
+        def bounded(*args):
+            for node in walk(*args):
+                seen.append(node)
+                assert len(seen) <= 1000, "the product walk went on past degree 255"
+                yield node
+
+        monkeypatch.setattr(plethysm, "_factor_partitions", bounded)
+        ceiling = "degree 256 exceeds 255, the largest degree a power-sum key holds"
+        calls = (
+            lambda: product_series([(m, -1, -1) for m in range(1, 257, 2)], 256),
+            lambda: graded_product_series([(m, -1, {1: 1}) for m in range(1, 257, 2)], 256),
+            lambda: verify("dualityB", N=256),
+            lambda: verify("extLieConj2", N=256),
+        )
+        for call in calls:
+            seen.clear()
+            with pytest.raises(ValueError, match=f"^{ceiling}$"):
+                call()
+        for id in ("dualityB", "extLieConj2"):
+            seen.clear()
+            assert main(["verify", "--id", id, "--max-degree", "256"]) == 2
+            assert capsys.readouterr() == ("", f"error: invalid params: {ceiling}\n")
+        # a window above 255 is still answered while no product reaches degree 256
+        assert verify("pq", {"q": 3}, N=300).passed
 
 
 class TestFailureLocalization:
